@@ -30,28 +30,27 @@ class PerLayer(NamedTuple):
     on: str
 
 
-#: Untraced metrics: every workload reports all of them.
+#: Untraced metrics: every workload reports all of them.  The latency
+#: percentiles and throughput of ``serve`` are per-layer ``serve.*``
+#: metrics: a batch workload runs too few CLI passes for a tail or a rate.
 END_TO_END: List[EndToEnd] = [
     EndToEnd("setup_s", "s", "lower", 0.25,
-             "launch of a fresh interpreter until the entry point is ready (median of the run's launches)"),
+             "fresh interpreter until the entry point is ready, or until `repro serve` "
+             "answers /healthz (median of the run's launches)"),
     EndToEnd("cold_s", "s", "lower", 0.25,
-             "the workload's job on empty disk caches (mean of the run's passes)"),
+             "the job on empty caches: a CLI pass, or the median request for a scenario the "
+             "server has not answered yet (fastest of the run's passes or server instances)"),
     EndToEnd("warm_s", "s", "lower", 0.25,
-             "the same job on the caches the cold pass left (mean of the run's passes)"),
-    EndToEnd("p50_ms", "ms", "lower", 0.25,
-             "median client-side latency of one operation: an HTTP request, or one CLI invocation"),
-    EndToEnd("p99_ms", "ms", "lower", 0.25,
-             "99th-percentile latency of the same operations; a failed one counts as the request timeout"),
-    EndToEnd("rps", "1/s", "higher", 0.25,
-             "operations completed per second of the closed loop"),
-    # reproduce has one cold pass per run, whose peak varies ~±15% with how
-    # the training and analytic experiment threads' allocations overlap.
+             "the job again on the caches it left: a CLI pass, or the median request for an "
+             "answered scenario (fastest of the run's passes or server instances)"),
     EndToEnd("peak_rss_mb", "MB", "lower", 0.25,
              "peak resident memory of the process under test and its workers"),
 ]
 
 _REPRO = "reproduce"
-_SWEEPS = "sweep-freq, sweep-axes"
+_SWEEP = "sweep-freq"
+_SERVE = "serve"
+_CACHED = "sweep-freq, serve"
 _ALL = "all"
 
 #: Traced metrics: self time of the named spans, or counts.
@@ -73,31 +72,35 @@ PER_LAYER: List[PerLayer] = [
     PerLayer("cache.model_misses_n", "count", "lower", "warm_s, cold_s", _REPRO),
     *[PerLayer(f"experiments.{name}_s", "s", "lower", "warm_s", _REPRO) for name in EXPERIMENTS],
     PerLayer("report.render_s", "s", "lower", "warm_s", _REPRO),
-    PerLayer("sweep.vectorized_s", "s", "lower", "cold_s", "sweep-freq"),
-    PerLayer("cache.sim_get_s", "s", "lower", "warm_s; p99_ms", f"{_SWEEPS}; serve"),
-    PerLayer("cache.sim_put_s", "s", "lower", "cold_s; p99_ms", f"{_SWEEPS}; serve"),
-    PerLayer("cache.sim_flush_s", "s", "lower", "cold_s; p99_ms", f"{_SWEEPS}; serve"),
-    PerLayer("cache.sim_bytes", "B", "lower", "cold_s; p99_ms", f"{_SWEEPS}; serve"),
-    PerLayer("core.simulate_s", "s", "lower", "cold_s; p99_ms", "sweep-axes; serve"),
-    PerLayer("core.model_build_s", "s", "lower", "cold_s; p99_ms", "sweep-axes; serve"),
-    PerLayer("core.models_n", "count", "lower", "cold_s; p99_ms", "sweep-axes; serve"),
-    PerLayer("engine.context_s", "s", "lower", "warm_s; p50_ms", "sweep-axes; serve"),
-    PerLayer("api.scenario_s", "s", "lower", "warm_s; p50_ms", "sweep-axes; serve"),
-    PerLayer("sweep.expand_s", "s", "lower", "warm_s; p50_ms", "sweep-axes; serve"),
-    PerLayer("sweep.render_s", "s", "lower", "warm_s, cold_s", _SWEEPS),
-    PerLayer("sweep.cells_n", "count", "higher", "warm_s, cold_s", _SWEEPS),
-    PerLayer("sweep.cells_per_sim", "ratio", "higher", "warm_s, cold_s", _SWEEPS),
-    PerLayer("engine.simulations_n", "count", "lower", "cold_s; p99_ms", _ALL),
-    PerLayer("cache.sim_hits_n", "count", "higher", "warm_s; p50_ms", _ALL),
-    PerLayer("cache.sim_misses_n", "count", "lower", "cold_s; p99_ms", _ALL),
-    PerLayer("api.session_run_s", "s", "lower", "p50_ms, rps", "serve"),
-    PerLayer("serve.hot_p50_ms", "ms", "lower", "p50_ms", "serve"),
-    PerLayer("serve.novel_p50_ms", "ms", "lower", "p99_ms", "serve"),
-    PerLayer("serve.novel_p99_ms", "ms", "lower", "p99_ms", "serve"),
-    PerLayer("serve.server_p50_ms", "ms", "lower", "p50_ms, rps", "serve"),
-    PerLayer("serve.transport_p50_ms", "ms", "lower", "p50_ms, rps", "serve"),
-    PerLayer("serve.sessions_evicted_n", "count", "lower", "p99_ms", "serve"),
-    PerLayer("serve.runs_coalesced_n", "count", "higher", "p99_ms", "serve"),
+    PerLayer("sweep.vectorized_s", "s", "lower", "cold_s", _SWEEP),
+    PerLayer("cache.sim_get_s", "s", "lower", "warm_s", _CACHED),
+    PerLayer("cache.sim_put_s", "s", "lower", "cold_s", _CACHED),
+    PerLayer("cache.sim_flush_s", "s", "lower", "cold_s", _CACHED),
+    PerLayer("cache.sim_bytes", "B", "lower", "cold_s", _CACHED),
+    PerLayer("core.simulate_s", "s", "lower", "cold_s", _SERVE),
+    PerLayer("core.model_build_s", "s", "lower", "cold_s", _SERVE),
+    PerLayer("core.models_n", "count", "lower", "cold_s", _SERVE),
+    PerLayer("engine.context_s", "s", "lower", "warm_s", _SERVE),
+    PerLayer("api.scenario_s", "s", "lower", "warm_s", _SERVE),
+    PerLayer("sweep.expand_s", "s", "lower", "warm_s", _SWEEP),
+    PerLayer("sweep.render_s", "s", "lower", "warm_s, cold_s", _SWEEP),
+    PerLayer("sweep.cells_n", "count", "higher", "warm_s, cold_s", _SWEEP),
+    PerLayer("sweep.cells_per_sim", "ratio", "higher", "warm_s, cold_s", _SWEEP),
+    PerLayer("engine.simulations_n", "count", "lower", "cold_s", _ALL),
+    PerLayer("cache.sim_hits_n", "count", "higher", "warm_s", _ALL),
+    PerLayer("cache.sim_misses_n", "count", "lower", "cold_s", _ALL),
+    PerLayer("api.session_run_s", "s", "lower", "warm_s", _SERVE),
+    # Client-side figures of the trace run's untraced closed loop.
+    PerLayer("serve.p50_ms", "ms", "lower", "warm_s", _SERVE),
+    PerLayer("serve.p99_ms", "ms", "lower", "cold_s", _SERVE),
+    PerLayer("serve.rps", "1/s", "higher", "warm_s, cold_s", _SERVE),
+    PerLayer("serve.hot_p50_ms", "ms", "lower", "warm_s", _SERVE),
+    PerLayer("serve.novel_p50_ms", "ms", "lower", "cold_s", _SERVE),
+    PerLayer("serve.novel_p99_ms", "ms", "lower", "cold_s", _SERVE),
+    PerLayer("serve.server_p50_ms", "ms", "lower", "warm_s", _SERVE),
+    PerLayer("serve.transport_p50_ms", "ms", "lower", "warm_s", _SERVE),
+    PerLayer("serve.sessions_evicted_n", "count", "lower", "cold_s", _SERVE),
+    PerLayer("serve.runs_coalesced_n", "count", "higher", "cold_s", _SERVE),
     PerLayer("setup.numpy_s", "s", "lower", "setup_s", _ALL),
     PerLayer("setup.repro_s", "s", "lower", "setup_s", _ALL),
     PerLayer("trace.coverage", "ratio", "higher", "(check: >= 0.95 on cold reproduce)", _REPRO),
@@ -105,6 +108,7 @@ PER_LAYER: List[PerLayer] = [
     PerLayer("trace.main_layer_share", "ratio", "lower", "cold_s", _ALL),
     PerLayer("failed_frac", "ratio", "lower", "(failed / attempted operations)", _ALL),
 ]
+
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 1])."""
@@ -115,14 +119,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 def median(samples: Sequence[float]) -> float:
     return statistics.median(samples)
-
-
-def mean(samples: Sequence[float]) -> float:
-    """Mean of pass times, which are a mixture: on a shared two-vCPU VM a
-    whole process (or server instance) was measured to run at one of two
-    speeds ~1.5x apart, so a median flips between the modes where a mean
-    moves with their proportion."""
-    return statistics.fmean(samples)
 
 
 def layer_metrics(self_times: Dict[str, float], counts: Dict[str, float]) -> Dict[str, float]:

@@ -5,10 +5,11 @@ simulated or trained results::
 
     PYTHONPATH=src python3 perfbench/record_digests.py
 
-Writes ``perfbench/digests.json``: the SHA-256 of the Table-5 section of
-``repro reproduce`` and of the ``repro sweep`` report of every sweep input
-plan (:data:`perfbench.inputs.PLANS` per sweep workload).  A performance or
-simplicity change must leave every one of them unchanged.
+Writes ``perfbench/digests.json``: the SHA-256 of the ``repro reproduce``
+report of :data:`perfbench.inputs.REPRODUCE_BENCHMARK` (Table 5 included)
+and of the ``repro sweep`` report of every ``sweep-freq`` input plan
+(:data:`perfbench.inputs.PLANS`).  A performance or simplicity change must
+leave every one of them unchanged.
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ def capture(argv) -> str:
 def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="digests-", dir=Path.cwd()))
     try:
-        table5 = checks.sections(capture(["reproduce", "--only", "table5", "--no-cache"]))["table5"]
-        digests = {"table5": checks.digest(table5)}
-        for workload, make in (("sweep-freq", inputs.sweep_freq_spec), ("sweep-axes", inputs.sweep_axes_spec)):
-            digests[workload] = {}
-            for plan in range(inputs.PLANS):
-                spec = work / f"{workload}-{plan}.json"
-                spec.write_text(json.dumps(make(plan)), encoding="utf-8")
-                report = capture(["sweep", "--spec", str(spec), "--cache-dir", str(work / "cache")])
-                digests[workload][str(plan)] = checks.digest(report)
-                print(f"{workload} plan {plan}: {digests[workload][str(plan)][:12]}", file=sys.stderr)
+        reproduce = capture(["reproduce", "--benchmarks", inputs.REPRODUCE_BENCHMARK, "--no-cache"])
+        digests = {"reproduce": checks.digest(reproduce), "sweep-freq": {}}
+        for plan in range(inputs.PLANS):
+            spec = work / f"sweep-freq-{plan}.json"
+            spec.write_text(json.dumps(inputs.sweep_freq_spec(plan)), encoding="utf-8")
+            report = capture(["sweep", "--spec", str(spec), "--cache-dir", str(work / "cache")])
+            digests["sweep-freq"][str(plan)] = checks.digest(report)
+            print(f"sweep-freq plan {plan}: {digests['sweep-freq'][str(plan)][:12]}", file=sys.stderr)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     checks.DIGESTS_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")

@@ -18,23 +18,20 @@ from perfbench.run import MAIN_LAYER
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "benchmarks" / "reports"
-ORDER = checks.EXPERIMENTS
-TABLE5 = "Table 5 -- accuracy with the PE approximations\nCaps-MN1  MNIST  0.475"
+ORDER = tuple(checks.GOLDEN_REPORTS)
 
 
 def _combined(bodies):
-    """A ``repro reproduce`` stdout built the way the CLI prints it."""
+    """A ``repro reproduce --skip table5`` stdout built the way the CLI prints it."""
     sections = [f"{'=' * 78}\n{name}\n{'=' * 78}\n{bodies[name]}" for name in ORDER]
     return "\n\n".join(sections) + "\n"
 
 
 def _golden_bodies():
-    bodies = {
+    return {
         name: (GOLDEN_DIR / filename).read_text(encoding="utf-8")[:-1]
         for name, filename in checks.GOLDEN_REPORTS.items()
     }
-    bodies["table5"] = TABLE5
-    return bodies
 
 
 def _flip(text: str, index: int) -> str:
@@ -53,25 +50,24 @@ def test_benchmark_json_lists_the_reported_metrics():
     ]
 
 
-def test_reproduce_check_accepts_the_golden_report():
-    text = _combined(_golden_bodies())
-    assert checks.check_reproduce(text, GOLDEN_DIR, checks.digest(TABLE5)) == []
+def test_golden_check_accepts_the_golden_reports():
+    assert checks.check_golden(_combined(_golden_bodies()), GOLDEN_DIR) == []
 
 
 @pytest.mark.parametrize("name", ORDER)
-def test_reproduce_check_rejects_an_altered_section(name):
+def test_golden_check_rejects_an_altered_section(name):
     bodies = _golden_bodies()
     bodies[name] = _flip(bodies[name], len(bodies[name]) // 2)
-    problems = checks.check_reproduce(_combined(bodies), GOLDEN_DIR, checks.digest(TABLE5))
+    problems = checks.check_golden(_combined(bodies), GOLDEN_DIR)
     assert len(problems) == 1 and name in problems[0]
 
 
-def test_reproduce_check_rejects_a_renamed_section_or_stray_text():
+def test_golden_check_rejects_a_renamed_section_or_stray_text():
     text = _combined(_golden_bodies())
     renamed = text.replace(f"{'=' * 78}\nfig07\n", f"{'=' * 78}\nfig07x\n")
-    assert checks.check_reproduce(renamed, GOLDEN_DIR, checks.digest(TABLE5))
+    assert checks.check_golden(renamed, GOLDEN_DIR)
     for altered in ("warning\n" + text, text + "\n", text.replace("\n\n" + "=" * 78, "\n" + "=" * 78, 1)):
-        assert checks.check_reproduce(altered, GOLDEN_DIR, checks.digest(TABLE5))
+        assert checks.check_golden(altered, GOLDEN_DIR)
 
 
 def test_digest_and_warm_checks_reject_altered_bytes():
@@ -119,9 +115,8 @@ def test_run_response_check():
 
 def test_recorded_digests_cover_every_plan():
     digests = checks.load_digests()
-    assert len(digests["table5"]) == 64
-    for workload in ("sweep-freq", "sweep-axes"):
-        assert sorted(digests[workload], key=int) == [str(plan) for plan in range(inputs.PLANS)]
+    assert len(digests["reproduce"]) == 64
+    assert sorted(digests["sweep-freq"], key=int) == [str(plan) for plan in range(inputs.PLANS)]
 
 
 def test_self_time_subtracts_children_and_coverage_merges_threads():
@@ -170,7 +165,6 @@ def test_inputs_are_seeded():
     assert inputs.sweep_freq_spec(3) == inputs.sweep_freq_spec(3 + inputs.PLANS)
     assert inputs.sweep_freq_spec(3) != inputs.sweep_freq_spec(4)
     assert len(inputs.sweep_freq_spec(5)["axes"][0]["values"]) == inputs.FREQUENCIES
-    assert inputs.sweep_axes_spec(7) == inputs.sweep_axes_spec(7)
     first, second = inputs.RequestPlan(9), inputs.RequestPlan(9)
     drawn = [first.next() for _ in range(2000)]
     assert drawn == [second.next() for _ in range(2000)]
