@@ -39,10 +39,10 @@ END_TO_END: List[EndToEnd] = [
              "answers /healthz (median of the run's launches)"),
     EndToEnd("cold_s", "s", "lower", 0.25,
              "the job on empty caches: a CLI pass, or the median request for a scenario the "
-             "server has not answered yet (fastest of the run's passes or server instances)"),
+             "server has not answered yet (mean over the run's passes or server instances)"),
     EndToEnd("warm_s", "s", "lower", 0.25,
              "the job again on the caches it left: a CLI pass, or the median request for an "
-             "answered scenario (fastest of the run's passes or server instances)"),
+             "answered scenario (mean over the run's passes or server instances)"),
     EndToEnd("peak_rss_mb", "MB", "lower", 0.25,
              "peak resident memory of the process under test and its workers"),
 ]
@@ -119,6 +119,10 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 def median(samples: Sequence[float]) -> float:
     return statistics.median(samples)
+
+
+def mean(samples: Sequence[float]) -> float:
+    return statistics.fmean(samples)
 
 
 def layer_metrics(self_times: Dict[str, float], counts: Dict[str, float]) -> Dict[str, float]:

@@ -70,6 +70,12 @@ def test_golden_check_rejects_a_renamed_section_or_stray_text():
         assert checks.check_golden(altered, GOLDEN_DIR)
 
 
+def test_golden_check_rejects_an_extra_section():
+    # A full `repro reproduce` report is not the `--skip table5` one.
+    extra = _combined(_golden_bodies()) + f"\n{'=' * 78}\ntable5\n{'=' * 78}\nTable 5\n"
+    assert checks.check_golden(extra, GOLDEN_DIR) == ["reproduce: sections out of order, or text outside them"]
+
+
 def test_digest_and_warm_checks_reject_altered_bytes():
     report = "Sweep 'perfbench' -- end-to-end speedup\n1.25 2.5\n"
     assert checks.check_digest("sweep", report, checks.digest(report)) == []
