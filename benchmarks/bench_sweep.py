@@ -4,7 +4,8 @@ Times five configurations:
 
 * ``cold_serial``   -- fixed reference grid, fresh cache, scalar path,
   ``jobs=1`` (the baseline the acceptance criteria compare against),
-* ``cold_parallel`` -- reference grid, fresh cache, process pool,
+* ``cold_parallel`` -- reference grid, fresh cache, scalar path over a
+  process pool of ``jobs`` workers,
 * ``warm``          -- same cache as ``cold_parallel``; must execute zero
   simulations.  ``warm_seconds / cells`` is the scalar warm per-cell
   overhead: pure Python bookkeeping, every result a cache hit.
@@ -40,8 +41,8 @@ import time
 from pathlib import Path
 
 from repro import __version__
-from repro.engine.context import default_worker_count
 from repro.sweep import SweepRunner, SweepSpec, run_queued_sweep
+from repro.sweep.runner import default_worker_count
 
 #: The fixed reference grid -- keep it stable so BENCH numbers stay comparable.
 SPEC = SweepSpec.from_axes(
@@ -85,13 +86,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as serial_dir, \
             tempfile.TemporaryDirectory(prefix="bench-sweep-") as parallel_dir, \
             tempfile.TemporaryDirectory(prefix="bench-sweep-") as queue_dir:
-        # Scalar reference numbers: explicit executors keep the scalar path
-        # even now that eligible auto sweeps vectorize.
-        serial, serial_s = _timed(jobs=1, executor="serial", cache_dir=serial_dir)
+        # Scalar reference numbers: the reference grid has a frequency axis,
+        # so backend="scalar" keeps it off the vectorized path.
+        serial, serial_s = _timed(jobs=1, backend="scalar", cache_dir=serial_dir)
         print(f"cold serial:   {serial_s:.3f}s  ({serial.describe_stats()})")
-        parallel, parallel_s = _timed(jobs=jobs, executor="process", cache_dir=parallel_dir)
+        parallel, parallel_s = _timed(
+            jobs=jobs, backend="scalar", cache_dir=parallel_dir
+        )
         print(f"cold parallel: {parallel_s:.3f}s  ({parallel.describe_stats()})")
-        warm, warm_s = _timed(jobs=jobs, executor="process", cache_dir=parallel_dir)
+        warm, warm_s = _timed(jobs=jobs, backend="scalar", cache_dir=parallel_dir)
         print(f"warm:          {warm_s:.3f}s  ({warm.describe_stats()})")
 
         # Vectorized backend on a 100k+-cell grid.  Cache off: this times the
@@ -124,7 +127,10 @@ def main() -> int:
     if warm.simulations_executed != 0 or warm.cache.misses != 0:
         raise SystemExit("warm run was not fully cached -- the cache is broken")
     if not (serial.format_report() == parallel.format_report() == warm.format_report()):
-        raise SystemExit("executors disagreed -- sweep results are not deterministic")
+        raise SystemExit(
+            "serial and process-pool runs disagreed -- sweep results are not "
+            "deterministic"
+        )
     if queue_resume.simulations_executed != 0 or queue_resume.cache.misses != 0:
         raise SystemExit(
             "resumed queued sweep re-executed simulations -- resume is broken"

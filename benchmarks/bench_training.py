@@ -39,7 +39,7 @@ from repro.experiments import table05_accuracy
 
 
 def _timed_run(cache_dir):
-    context = SimulationContext(max_workers=1, model_cache=TrainedModelCache(cache_dir))
+    context = SimulationContext(model_cache=TrainedModelCache(cache_dir))
     training.reset_train_step_count()
     start = time.perf_counter()
     result = table05_accuracy.run(context=context)

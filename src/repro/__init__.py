@@ -16,7 +16,7 @@ Networks Processing Through A PIM-Based Architecture Design"* (HPCA 2020):
 * :mod:`repro.core`       -- the PIM-CapsNet accelerator: inter-/intra-vault
   workload distribution, RMAS, pipelining and design-point comparisons.
 * :mod:`repro.engine`     -- the experiment engine: pluggable design-point
-  strategies, the memoizing simulation context and the concurrent runner.
+  strategies, the memoizing simulation context and the experiment runner.
 * :mod:`repro.experiments`-- drivers reproducing every evaluation figure and
   table of the paper.
 * :mod:`repro.api`        -- the stable public API: typed hardware

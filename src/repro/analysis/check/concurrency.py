@@ -2,7 +2,7 @@
 
 * ``RPR-T001`` -- in modules that import ``threading`` or
   ``concurrent.futures`` (i.e. whose functions run on many threads:
-  serve handlers, sweep executors, cache flushers), module-level mutable
+  serve handlers, queue heartbeats, cache flushers), module-level mutable
   state must only be mutated inside a ``with <lock>:`` block.  This is the
   pattern the experiment/strategy registries already follow
   (``with _REGISTRY_LOCK: _REGISTRY[name] = ...``).

@@ -105,7 +105,7 @@ RULES: Tuple[Rule, ...] = (
         summary="module-level state mutated outside a lock in a threaded module",
         rationale=(
             "Modules that import threading/concurrent.futures run their "
-            "functions on many threads (serve handlers, sweep executors, "
+            "functions on many threads (serve handlers, queue heartbeats, "
             "cache flushers).  Module-level registries, caches and flags in "
             "those modules must only be mutated inside a `with <lock>:` "
             "block, the pattern the experiment/strategy registries and both "

@@ -12,8 +12,9 @@ Everything a library consumer needs lives here:
 * :func:`compare_scenarios` -- the engine behind ``repro compare``: the same
   experiment selection under N scenarios, aligned into a delta table.
 * :class:`SweepSpec` / :class:`SweepRunner` -- declarative design-space
-  sweeps over scenario axes with process-parallel execution and a persistent
-  on-disk result cache (the engine behind ``repro sweep --spec/--axis``).
+  sweeps over scenario axes with process-parallel scalar points, batched
+  numpy evaluation and a persistent on-disk result cache (the engine behind
+  ``repro sweep --spec/--axis``).
 
 Quickstart::
 

@@ -17,16 +17,15 @@ the session memoizes whole runs, so nothing is ever simulated twice for one
 scenario.
 
 :func:`compare_scenarios` runs the same experiment selection under several
-scenarios concurrently (one cached session each) and aligns their headline
-metrics into a side-by-side delta table (text or JSON) -- the engine behind
-``repro compare``.
+scenarios, one after another (one cached session each), and aligns their
+headline metrics into a side-by-side delta table (text or JSON) -- the
+engine behind ``repro compare``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -99,7 +98,6 @@ class Session:
 
     Args:
         scenario: hardware scenario (the paper default when omitted).
-        max_workers: thread-pool width of the owned context (``1`` = serial).
         context: adopt an existing context instead of creating one (its
             scenario must match; used by tests and advanced embedding).
     """
@@ -108,15 +106,12 @@ class Session:
         self,
         scenario: Optional[Scenario] = None,
         *,
-        max_workers: Optional[int] = None,
         context: Optional[SimulationContext] = None,
     ) -> None:
         self.scenario = scenario if scenario is not None else Scenario.default()
         if context is not None and context.scenario != self.scenario:
             raise ValueError("the adopted context simulates a different scenario")
-        self.context = context or SimulationContext(
-            max_workers=max_workers, scenario=self.scenario
-        )
+        self.context = context or SimulationContext(scenario=self.scenario)
         self._runs: Dict[Tuple, SessionResult] = {}
 
     def run(
@@ -158,7 +153,7 @@ class Session:
         """Run a design-space sweep with this session's scenario as the base.
 
         ``spec`` is a :class:`~repro.sweep.spec.SweepSpec`, a preset name or
-        a JSON spec file path; keyword arguments (``jobs``, ``executor``,
+        a JSON spec file path; keyword arguments (``jobs``, ``backend``,
         ``cache_dir``, ``use_cache``) pass through to
         :class:`~repro.sweep.runner.SweepRunner`.  Returns the
         :class:`~repro.sweep.runner.SweepResult`.
@@ -291,15 +286,14 @@ def compare_scenarios(
     only: Optional[Sequence[str]] = None,
     skip: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
     sessions: Optional[Sequence[Session]] = None,
 ) -> ScenarioComparison:
     """Run one experiment selection under several scenarios and align results.
 
-    Scenarios run concurrently, each over its own cached session (pass
-    ``sessions`` to reuse already-warm ones).  Unless ``only`` names them
-    explicitly, slow experiments (Table 5 trains networks and is
-    hardware-insensitive) are skipped.
+    Scenarios run one after another in the calling thread, each over its
+    own cached session (pass ``sessions`` to reuse already-warm ones).
+    Unless ``only`` names them explicitly, slow experiments (Table 5 trains
+    networks and is hardware-insensitive) are skipped.
 
     Args:
         scenarios: the scenarios to compare (at least one; ``repro compare``
@@ -308,7 +302,6 @@ def compare_scenarios(
         skip: additional experiments to skip.
         benchmarks: restrict every run to these Table-1 benchmarks
             (defaults to each scenario's own selection).
-        jobs: per-session thread-pool width.
         sessions: existing sessions to reuse, matched to ``scenarios`` by
             position (missing/None entries get fresh sessions).
     """
@@ -318,24 +311,16 @@ def compare_scenarios(
         slow = [name for name in experiment_names() if get_experiment(name).slow]
         skip = sorted(set(skip or []) | set(slow))
     labels = _unique_labels([scenario.name for scenario in scenarios])
-    pool_of_sessions: List[Session] = []
+    results: List[SessionResult] = []
     for index, scenario in enumerate(scenarios):
         existing = sessions[index] if sessions is not None and index < len(sessions) else None
         if existing is not None:
             if existing.scenario != scenario:
                 raise ValueError(f"session {index} was built for a different scenario")
-            pool_of_sessions.append(existing)
+            session = existing
         else:
-            pool_of_sessions.append(Session(scenario, max_workers=jobs))
-
-    def _run(session: Session) -> SessionResult:
-        return session.run(only, skip=skip, benchmarks=benchmarks)
-
-    if len(pool_of_sessions) == 1:
-        results = [_run(pool_of_sessions[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(pool_of_sessions)) as pool:
-            results = list(pool.map(_run, pool_of_sessions))
+            session = Session(scenario)
+        results.append(session.run(only, skip=skip, benchmarks=benchmarks))
 
     return ScenarioComparison(
         labels=labels,

@@ -33,8 +33,9 @@ SIGINT/SIGTERM drain in-flight work before exiting 0.
 ``sweep`` without ``--spec``/``--axis`` prints the classic Fig. 18 frequency
 heat map.  With them it runs a generalized design-space sweep: every axis is
 a dotted scenario override path with the values to try, the grid is their
-cartesian product, points execute process-parallel (``--jobs``/``--executor``)
-and every simulation is memoized in a persistent on-disk cache
+cartesian product, eligible grids evaluate as whole numpy planes and the
+rest point by point over ``--jobs`` worker processes, and every simulation
+is memoized in a persistent on-disk cache
 (``--cache-dir``, ``--no-cache``), so repeated and overlapping sweeps are
 incremental -- a fully warm sweep executes zero simulations.  Execution
 statistics (cache hits/misses, wall clock) go to stderr; stdout stays
@@ -49,8 +50,8 @@ Every command also accepts a hardware scenario: ``--scenario PATH|PRESET``
 loads a preset (``paper-default``, ``v100-host``, ...) or a JSON scenario
 file, and repeatable ``--set KEY=VALUE`` options apply dotted-path overrides
 (``--set hmc.pe_frequency_mhz=625 --set gpu=V100``).  ``compare`` runs the
-selected experiments under several scenarios concurrently (one cached
-simulation context each) and renders a side-by-side delta table; with a
+selected experiments under several scenarios (one cached simulation context
+each) and renders a side-by-side delta table; with a
 single ``--scenario`` plus ``--set`` it compares the base scenario against
 the overridden variant.
 
@@ -62,8 +63,9 @@ comparison next to the Table-1 benchmarks; ``repro workloads list`` shows
 the resulting catalog and ``repro workloads show NAME`` one spec.
 
 ``reproduce`` (alias ``run``) shares one simulation context across all
-experiments (identical simulations run once) and executes independent
-experiments concurrently; ``--jobs 1`` forces a serial run.
+experiments, so identical simulations run once.  Every command except a
+``sweep`` grid simulates in the calling thread: the analytic models are pure
+Python, so a thread pool would only contend for the interpreter lock.
 
 ``check`` runs the repo's own static-analysis rules
 (:mod:`repro.analysis.check`) over the given paths (default: ``src`` and
@@ -186,10 +188,7 @@ def _run_and_emit(
         disk_cache = SimulationCache(cache_dir)
         model_cache = TrainedModelCache(cache_dir)
     context = SimulationContext(
-        max_workers=args.jobs,
-        scenario=scenario,
-        disk_cache=disk_cache,
-        model_cache=model_cache,
+        scenario=scenario, disk_cache=disk_cache, model_cache=model_cache
     )
     result = run_experiments(only=only, skip=skip, benchmarks=benchmarks, context=context)
     if disk_cache is not None:
@@ -284,7 +283,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
                 spec,
                 base,
                 jobs=args.jobs,
-                executor=args.executor,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
                 backend=args.backend,
@@ -489,7 +487,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         only=args.only,
         skip=args.skip or None,
         benchmarks=benchmarks,
-        jobs=args.jobs,
     )
     if args.format == "json":
         text = json.dumps(comparison.to_dict(), indent=2)
@@ -570,7 +567,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scenario=scenario,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            jobs=args.jobs,
             max_sessions=args.max_sessions,
             drain_timeout=args.drain_timeout,
             quiet=args.quiet,
@@ -589,11 +585,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for ``--jobs``: a strictly positive integer.
-
-    Zero and negative values used to be silently clamped to ``1`` deep
-    inside :class:`~repro.engine.context.SimulationContext`; the CLI now
-    rejects them up front with a clear message.
+    """Argparse type for counts (``--jobs``, ``--workers``, ...): a strictly
+    positive integer, so zero and negative values are rejected up front with
+    a clear message instead of being clamped deep inside the engine.
     """
     try:
         value = int(text)
@@ -620,13 +614,6 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="write the output to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="worker count (1 = serial; default: bounded CPU count)",
     )
 
 
@@ -756,8 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help=(
             "design-space sweep: --spec/--axis run a grid of scenario "
-            "variants (process-parallel, persistently cached); without "
-            "them the classic Fig. 18 frequency sweep runs"
+            "variants (vectorized or process-parallel, persistently "
+            "cached); without them the classic Fig. 18 frequency sweep runs"
         ),
     )
     sweep.add_argument("--benchmarks", nargs="*", default=None)
@@ -800,12 +787,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent simulation cache for this run",
     )
     sweep.add_argument(
-        "--executor",
-        choices=("auto", "process", "thread", "serial"),
-        default="auto",
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        metavar="N",
         help=(
-            "how grid points execute (default auto: processes when "
-            "--jobs allows, else serial)"
+            "worker processes for grids evaluated point by point (1 = in "
+            "this process; default: bounded CPU count); vectorized grids "
+            "and the classic Fig. 18 sweep ignore it"
         ),
     )
     sweep.add_argument(
@@ -1038,13 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help="seconds shutdown waits for in-flight requests (default 30)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="per-session worker count (1 = serial; default: bounded CPU count)",
     )
     serve.add_argument(
         "--quiet",

@@ -179,9 +179,9 @@ class PIMCapsNet:
         # Memoized simulation results.  The model is immutable in practice,
         # so every (kind, design) simulation is deterministic and can be
         # cached per instance; ``clear_cache`` resets it after a manual
-        # attribute mutation.  The RLock makes the cache safe under the
-        # engine's thread pool (reentrant because end-to-end strategies call
-        # back into ``simulate_routing``).
+        # attribute mutation.  The RLock makes the cache safe under serve's
+        # handler threads, which share a warm session's models (reentrant
+        # because end-to-end strategies call back into ``simulate_routing``).
         self._simulation_lock = threading.RLock()
         self._result_cache: Dict[tuple, object] = {}
         self._host_stage_cache: Optional[Dict[str, float]] = None

@@ -11,14 +11,17 @@ The engine splits the reproduction harness into three pluggable layers:
   :class:`~repro.engine.context.SimulationContext` memoizes
   :class:`~repro.core.accelerator.PIMCapsNet` instances and their
   ``(benchmark, design)`` routing / end-to-end results so independent
-  experiments never pay for the same simulation twice, and provides the
-  thread pool used to run independent work concurrently.
+  experiments never pay for the same simulation twice.
 * :mod:`repro.engine.experiment` -- the *experiment* layer: an
   :class:`~repro.engine.experiment.Experiment` base class plus a registry
-  (absorbing the old ``runner.EXPERIMENTS`` table) with structured
-  :meth:`~repro.engine.experiment.Experiment.to_dict` output next to the
-  plain-text reports, and :mod:`repro.engine.runner` to execute any subset
-  of experiments over a shared context.
+  with structured :meth:`~repro.engine.experiment.Experiment.to_dict`
+  output next to the plain-text reports, and :mod:`repro.engine.runner` to
+  execute any subset of experiments over a shared context.
+
+Every simulation runs in the thread that asks for it: the analytic models
+are pure Python, so a thread pool would only add interpreter-lock
+contention.  The shared state stays lock-protected because serve's handler
+threads share one context per warm scenario.
 """
 
 from repro.engine.context import CacheStats, SimulationContext

@@ -5,9 +5,10 @@ PIMCapsNet` instance built during a run and memoizes the ``(benchmark,
 design)`` routing / end-to-end results, so experiments that look at the same
 design points (Figs. 15, 16 and 17 all need the GPU baseline and the
 PIM-CapsNet routing numbers, for example) never pay for the same simulation
-twice.  It also carries the engine's thread pool: :meth:`SimulationContext.map`
-runs a per-item function concurrently while preserving input order, which
-keeps reports deterministic.
+twice.  Simulations run in the thread that asks for them: the analytic
+models are pure Python, so threads would only contend for the interpreter
+lock.  The context is still thread-safe, because serve's handler threads
+share one context per warm scenario.
 
 Every context simulates exactly one hardware
 :class:`~repro.api.scenario.Scenario` (the paper default when none is
@@ -19,11 +20,9 @@ builds, so experiments never assume hardware defaults themselves.
 from __future__ import annotations
 
 import copy
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.accelerator import EndToEndComparison, PIMCapsNet, RoutingComparison
 from repro.engine.strategies import DesignLike, design_key
@@ -34,19 +33,6 @@ from repro.workloads.parallelism import Dimension
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.scenario import Scenario
     from repro.engine.diskcache import SimulationCache, TrainedModelCache
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Upper bound on the engine's default worker count; the simulations are
-#: numpy-light analytical models, so a modest pool already saturates them.
-MAX_DEFAULT_WORKERS = 8
-
-
-def default_worker_count() -> int:
-    """Default thread-pool size (bounded CPU count)."""
-    return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
-
 
 @dataclass
 class CacheStats:
@@ -80,8 +66,6 @@ class SimulationContext:
         model_factory: constructor used for new accelerator models
             (:class:`~repro.core.accelerator.PIMCapsNet` by default; tests can
             substitute a stub).
-        max_workers: thread-pool width used by :meth:`map`; ``1`` disables
-            concurrency entirely, ``None`` picks a bounded CPU count.
         scenario: hardware scenario every model is built from (the paper
             default when ``None``).
         disk_cache: optional persistent
@@ -98,7 +82,6 @@ class SimulationContext:
     def __init__(
         self,
         model_factory: Optional[Callable[..., PIMCapsNet]] = None,
-        max_workers: Optional[int] = None,
         scenario: Optional["Scenario"] = None,
         disk_cache: Optional["SimulationCache"] = None,
         model_cache: Optional["TrainedModelCache"] = None,
@@ -116,7 +99,6 @@ class SimulationContext:
         self.disk_cache = disk_cache
         #: Persistent trained-model store (``None`` disables model caching).
         self.trained_models = model_cache
-        self.max_workers = default_worker_count() if max_workers is None else max(1, max_workers)
         self._lock = threading.RLock()
         self._models: Dict[tuple, PIMCapsNet] = {}
         self._results: Dict[tuple, object] = {}
@@ -260,11 +242,11 @@ class SimulationContext:
                 with self._lock:
                     self._results.setdefault(key, copy.deepcopy(persisted))
                 return persisted
-        # Simulate outside the context lock so different benchmarks run
-        # concurrently; concurrent lookups of the *same* key are deduplicated
-        # by the model's own per-instance cache (each caller already holds a
-        # private copy of the result, so keeping the first stored pristine
-        # object is safe).
+        # Simulate outside the context lock so serve's handler threads never
+        # queue behind another request's simulation; concurrent lookups of
+        # the *same* key are deduplicated by the model's own per-instance
+        # cache (each caller already holds a private copy of the result, so
+        # keeping the first stored pristine object is safe).
         model = self.model(
             benchmark,
             pe_frequency_mhz=pe_frequency_mhz,
@@ -305,18 +287,3 @@ class SimulationContext:
         if self.disk_cache is None:
             return CacheStats()
         return self.disk_cache.stats
-
-    # -------------------------------------------------------------- parallel map
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        """Apply ``fn`` to every item, concurrently when the pool allows it.
-
-        Results come back in input order regardless of completion order, so
-        report generation stays deterministic.  With ``max_workers == 1`` (or
-        a single item) this is a plain serial loop.
-        """
-        items = list(items)
-        if self.max_workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_workers, len(items))) as pool:
-            return list(pool.map(fn, items))

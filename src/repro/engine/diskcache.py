@@ -227,14 +227,14 @@ class SimulationCache:
     def _shard_write_lock(self, path: Path):
         """Exclusive advisory lock serializing read-merge-publish on a shard.
 
-        Without it two writers sharing a shard (thread- or process-parallel
-        sweep points, e.g. over a ``benchmarks`` axis that keeps the hardware
-        hash constant) can interleave ``_read_disk`` and ``os.replace`` so
-        that the slower writer publishes a merge that never saw the faster
-        writer's entries -- a classic lost update, observed as a warm sweep
-        re-running simulations.  On platforms without :mod:`fcntl` the flush
-        stays best-effort (the cache remains correct, merely lossy under
-        concurrency).
+        Without it two writers sharing a shard (process-parallel sweep
+        points, e.g. over a ``benchmarks`` axis that keeps the hardware hash
+        constant, or serve's handler threads) can interleave ``_read_disk``
+        and ``os.replace`` so that the slower writer publishes a merge that
+        never saw the faster writer's entries -- a classic lost update,
+        observed as a warm sweep re-running simulations.  On platforms
+        without :mod:`fcntl` the flush stays best-effort (the cache remains
+        correct, merely lossy under concurrency).
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield

@@ -2,9 +2,8 @@
 
 Every reproduction experiment (one per evaluation figure/table of the paper)
 is an :class:`Experiment` subclass registered under its short name
-(``"fig15"``, ``"table5"``, ...).  The registry absorbs the old
-``repro.experiments.runner.EXPERIMENTS`` function table: the engine runner,
-the CLI and the library API all resolve experiments here.
+(``"fig15"``, ``"table5"``, ...).  The engine runner, the CLI and the
+library API all resolve experiments here.
 
 An experiment implements
 
@@ -101,12 +100,12 @@ class Experiment:
         }
 
     def run_standalone(self, benchmarks: Optional[List[str]] = None, scenario=None):
-        """Run with a private, serial context (library convenience).
+        """Run with a private context (library convenience).
 
         ``scenario`` optionally picks the hardware
         :class:`~repro.api.scenario.Scenario` (paper default otherwise).
         """
-        context = SimulationContext(max_workers=1, scenario=scenario)
+        context = SimulationContext(scenario=scenario)
         if benchmarks is None:
             benchmarks = context.scenario.benchmark_selection()
         return self.run(context, benchmarks=benchmarks)

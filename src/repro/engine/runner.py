@@ -2,21 +2,19 @@
 
 :func:`run_experiments` resolves names against the experiment registry,
 validates them (unknown names raise :class:`ValueError` -- they used to be
-silently ignored by the old ``runner.run_all``), runs the selected
-experiments concurrently over one shared
+silently ignored), runs the selected experiments one after another in the
+calling thread over one shared
 :class:`~repro.engine.context.SimulationContext`, and returns a
-:class:`RunnerResult` whose reports always come back in registry (report)
-order regardless of completion order.
+:class:`RunnerResult` whose reports come back in registry (report) order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.engine.context import SimulationContext
-from repro.engine.experiment import Experiment, experiment_names, get_experiment
+from repro.engine.experiment import experiment_names, get_experiment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
@@ -29,6 +27,7 @@ class RunnerResult:
     results: Dict[str, object] = field(default_factory=dict)
     reports: Dict[str, str] = field(default_factory=dict)
     context: Optional[SimulationContext] = None
+    _dict: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def combined_report(self) -> str:
         """All reports concatenated with separators."""
@@ -38,11 +37,18 @@ class RunnerResult:
         return "\n\n".join(sections)
 
     def to_dict(self) -> dict:
-        """Structured output of every executed experiment, in report order."""
-        return {
-            name: get_experiment(name).to_dict(result)
-            for name, result in self.results.items()
-        }
+        """Structured output of every executed experiment, in report order.
+
+        Built once and shared by later calls, so treat it as read-only:
+        serve answers every repeat of a memoized run from the same result,
+        and lowering it is most of a warm request's work.
+        """
+        if self._dict is None:
+            self._dict = {
+                name: get_experiment(name).to_dict(result)
+                for name, result in self.results.items()
+            }
+        return self._dict
 
 
 def select_experiments(
@@ -80,7 +86,6 @@ def run_experiments(
     skip: Optional[List[str]] = None,
     benchmarks: Optional[List[str]] = None,
     context: Optional[SimulationContext] = None,
-    max_workers: Optional[int] = None,
     scenario: Optional["Scenario"] = None,
 ) -> RunnerResult:
     """Run the selected experiments over one shared simulation context.
@@ -90,11 +95,8 @@ def run_experiments(
         skip: experiment names to skip.
         benchmarks: restrict every experiment to these Table-1 benchmarks
             (defaults to the scenario's own selection, then all of Table 1).
-        context: shared simulation context (a fresh one by default).  Its
-            ``max_workers`` also parallelizes the per-benchmark loops inside
-            each experiment, and its scenario supplies the hardware.
-        max_workers: pool width for the new default context (ignored when
-            ``context`` is passed); ``1`` runs everything serially.
+        context: shared simulation context (a fresh one by default); its
+            scenario supplies the hardware.
         scenario: hardware scenario for the new default context.  When
             ``context`` is also passed the two must agree -- a differing
             scenario raises :class:`ValueError` (it used to be silently
@@ -112,34 +114,18 @@ def run_experiments(
             f"({scenario.name!r}); pass one of them, or a context built "
             f"from that scenario"
         )
-    ctx = (
-        context
-        if context is not None
-        else SimulationContext(max_workers=max_workers, scenario=scenario)
-    )
+    ctx = context if context is not None else SimulationContext(scenario=scenario)
     if benchmarks is None:
         benchmarks = ctx.scenario.benchmark_selection()
     result = RunnerResult(context=ctx)
     if not names:
         return result
 
-    experiments: List[Experiment] = [get_experiment(name) for name in names]
-
-    def _run_one(experiment: Experiment):
+    for name in names:
+        experiment = get_experiment(name)
         experiment_result = experiment.run(ctx, benchmarks=benchmarks)
-        return experiment_result, experiment.format_report(experiment_result)
-
-    if ctx.max_workers <= 1 or len(experiments) == 1:
-        outcomes = [_run_one(experiment) for experiment in experiments]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(ctx.max_workers, len(experiments))
-        ) as pool:
-            outcomes = list(pool.map(_run_one, experiments))
-
-    for name, (experiment_result, report) in zip(names, outcomes):
         result.results[name] = experiment_result
-        result.reports[name] = report
+        result.reports[name] = experiment.format_report(experiment_result)
     if ctx.disk_cache is not None:
         # Publish buffered entries so the next process starts warm.
         ctx.disk_cache.flush()

@@ -15,8 +15,11 @@ reports.  The mapping to the paper is:
 :mod:`repro.experiments.fig18_frequency_sweep`   Fig. 18 (distribution dim. vs. PE frequency)
 :mod:`repro.experiments.table05_accuracy`        Table 5 (approximation accuracy)
 :mod:`repro.experiments.overhead`                Sec. 6.5 (area / power / thermal overhead)
-:mod:`repro.experiments.runner`                  runs everything
 =========================================  =====================================
+
+:func:`repro.engine.run_experiments` runs any selection of them over one
+shared simulation context, in the calling thread (``repro reproduce`` on the
+command line).
 """
 
 __all__ = [
@@ -30,5 +33,4 @@ __all__ = [
     "fig18_frequency_sweep",
     "table05_accuracy",
     "overhead",
-    "runner",
 ]

@@ -62,10 +62,10 @@ def run(
         device: GPU model (the context scenario's host GPU by default).
         benchmarks: benchmark names (the scenario's selection, then all of
             Table 1, by default).
-        context: engine context supplying the scenario and the thread pool
-            (paper-default scenario, serial, when omitted).
+        context: engine context supplying the scenario (paper-default
+            scenario when omitted).
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     scenario = ctx.scenario
     gpu = device if device is not None else scenario.gpu
     names = ctx.select_benchmarks(benchmarks)
@@ -84,7 +84,7 @@ def run(
             fraction_fc=fractions[LayerKind.FULLY_CONNECTED],
         )
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     average = arithmetic_mean([row.fraction_routing for row in rows])
     return LayerBreakdownResult(rows=rows, average_routing_fraction=average)
 

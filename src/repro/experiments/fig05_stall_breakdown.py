@@ -48,7 +48,7 @@ def run(
     context: Optional[SimulationContext] = None,
 ) -> StallBreakdownResult:
     """Run the Fig. 5 characterization (on the context scenario's host GPU)."""
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     scenario = ctx.scenario
     gpu = device if device is not None else scenario.gpu
     names = ctx.select_benchmarks(benchmarks)
@@ -64,7 +64,7 @@ def run(
             ldst_utilization=profile.ldst_utilization,
         )
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     return StallBreakdownResult(
         rows=rows,
         average_memory_fraction=arithmetic_mean(

@@ -54,7 +54,7 @@ def run(
     only changes the on-chip storage, isolating the variable the figure
     studies.
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     scenario = ctx.scenario
     names = ctx.select_benchmarks(benchmarks)
     device_names = devices or list(ONCHIP_STORAGE_SWEEP)
@@ -81,7 +81,7 @@ def run(
             normalized_performance_by_device=performance,
         )
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     return OnChipStorageResult(
         rows=rows,
         devices=device_names,

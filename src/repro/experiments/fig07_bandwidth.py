@@ -45,7 +45,7 @@ def run(
     context: Optional[SimulationContext] = None,
 ) -> BandwidthResult:
     """Run the Fig. 7 sweep (bandwidth only; compute and storage stay at the scenario host)."""
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     scenario = ctx.scenario
     names = ctx.select_benchmarks(benchmarks)
     device_names = devices or list(BANDWIDTH_SWEEP)
@@ -70,7 +70,7 @@ def run(
             normalized[technology] = reference_time / time
         return BandwidthRow(benchmark=name, normalized_performance=normalized)
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     return BandwidthResult(
         rows=rows,
         technologies=technologies,

@@ -54,12 +54,12 @@ def run(
     Args:
         benchmarks: benchmark names (the scenario's selection, then all of
             Table 1, by default).
-        context: shared simulation context (a private serial one by default);
+        context: shared simulation context (a private one by default);
             its scenario supplies the hardware and the optional design-point
             selection, and routing results already computed by other
             experiments are reused.
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     names = ctx.select_benchmarks(benchmarks)
     designs = resolve_designs(ctx.scenario.designs, FIG15_DESIGNS)
     headline = headline_design(designs)
@@ -80,7 +80,7 @@ def run(
             chosen_dimension=chosen.value if chosen else "-",
         )
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     pim_speedups = [row.speedup[headline] for row in rows]
     pim_savings = [1.0 - row.normalized_energy[headline] for row in rows]
     return RPAccelerationResult(

@@ -56,10 +56,15 @@ def run(
     The hardware comes from the context scenario; the design points stay
     fixed (the breakdown components are specific to these three designs).
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     names = ctx.select_benchmarks(benchmarks)
 
-    def _one(name: str):
+    rows: List[PIMBreakdownRow] = []
+    intra_shares: List[float] = []
+    inter_shares: List[float] = []
+    speedup_vs_intra: List[float] = []
+    speedup_vs_inter: List[float] = []
+    for name in names:
         baseline = ctx.routing(name, DesignPoint.BASELINE_GPU)
         results = {design: ctx.routing(name, design) for design in FIG16_DESIGNS}
         normalized_time: Dict[DesignPoint, Dict[str, float]] = {}
@@ -73,28 +78,20 @@ def run(
                 component: value / baseline.energy_joules
                 for component, value in result.energy_components.items()
             }
-        row = PIMBreakdownRow(
-            benchmark=name,
-            normalized_time=normalized_time,
-            normalized_energy=normalized_energy,
+        rows.append(
+            PIMBreakdownRow(
+                benchmark=name,
+                normalized_time=normalized_time,
+                normalized_energy=normalized_energy,
+            )
         )
         intra = results[DesignPoint.PIM_INTRA]
         inter = results[DesignPoint.PIM_INTER]
         pim = results[DesignPoint.PIM_CAPSNET]
-        return (
-            row,
-            intra.time_components["xbar"] / intra.time_seconds,
-            inter.time_components["vrs"] / inter.time_seconds,
-            intra.time_seconds / pim.time_seconds,
-            inter.time_seconds / pim.time_seconds,
-        )
-
-    outcomes = ctx.map(_one, names)
-    rows = [outcome[0] for outcome in outcomes]
-    intra_shares = [outcome[1] for outcome in outcomes]
-    inter_shares = [outcome[2] for outcome in outcomes]
-    speedup_vs_intra = [outcome[3] for outcome in outcomes]
-    speedup_vs_inter = [outcome[4] for outcome in outcomes]
+        intra_shares.append(intra.time_components["xbar"] / intra.time_seconds)
+        inter_shares.append(inter.time_components["vrs"] / inter.time_seconds)
+        speedup_vs_intra.append(intra.time_seconds / pim.time_seconds)
+        speedup_vs_inter.append(inter.time_seconds / pim.time_seconds)
     return PIMBreakdownResult(
         rows=rows,
         average_intra_crossbar_share=arithmetic_mean(intra_shares),

@@ -61,7 +61,7 @@ def run(
 ) -> EndToEndResult:
     """Run the Fig. 17 comparison (hardware and design selection from the
     context scenario)."""
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     names = ctx.select_benchmarks(benchmarks)
     designs = resolve_designs(ctx.scenario.designs, FIG17_DESIGNS)
     headline = headline_design(designs)
@@ -77,7 +77,7 @@ def run(
             },
         )
 
-    rows = ctx.map(_row, names)
+    rows = [_row(name) for name in names]
     pim_speedups = [row.speedup[headline] for row in rows]
     pim_savings = [1.0 - row.normalized_energy[headline] for row in rows]
     return EndToEndResult(

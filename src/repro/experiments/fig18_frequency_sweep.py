@@ -72,12 +72,12 @@ def run(
     Each swept frequency applies on top of the context scenario's HMC
     configuration (geometry, bandwidth and PE count stay scenario-defined).
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     names = ctx.select_benchmarks(benchmarks)
 
-    def _benchmark_cells(name: str):
-        bench_cells: List[FrequencySweepCell] = []
-        bench_best: Dict[Tuple[str, float], Dimension] = {}
+    cells: List[FrequencySweepCell] = []
+    best: Dict[Tuple[str, float], Dimension] = {}
+    for name in names:
         for frequency in frequencies_mhz:
             baseline = ctx.routing(
                 name, DesignPoint.BASELINE_GPU, pe_frequency_mhz=frequency
@@ -91,7 +91,7 @@ def run(
                     force_dimension=dimension,
                 )
                 value = result.speedup_over(baseline)
-                bench_cells.append(
+                cells.append(
                     FrequencySweepCell(
                         benchmark=name,
                         frequency_mhz=frequency,
@@ -101,14 +101,7 @@ def run(
                 )
                 if value > best_speedup:
                     best_speedup = value
-                    bench_best[(name, frequency)] = dimension
-        return bench_cells, bench_best
-
-    cells: List[FrequencySweepCell] = []
-    best: Dict[Tuple[str, float], Dimension] = {}
-    for bench_cells, bench_best in ctx.map(_benchmark_cells, names):
-        cells.extend(bench_cells)
-        best.update(bench_best)
+                    best[(name, frequency)] = dimension
     return FrequencySweepResult(
         cells=cells,
         best_dimension=best,

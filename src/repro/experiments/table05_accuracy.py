@@ -191,7 +191,7 @@ def run(
     The accuracy comparison is hardware-insensitive: only the scenario's
     benchmark selection (taken from ``context`` when given) affects it.
     """
-    ctx = context or SimulationContext(max_workers=1)
+    ctx = context or SimulationContext()
     names = ctx.select_benchmarks(benchmarks)
     model_cache = ctx.trained_models
     # Built once: every context is deterministic, and re-running the

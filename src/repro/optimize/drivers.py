@@ -210,9 +210,7 @@ class OptimizeDriver:
         # over the same grid would produce.
         ordered = {key: assignment[key] for key in self.space.axis_keys}
         variant = self.space.scenario_for(self.base, ordered)
-        context = SimulationContext(
-            max_workers=1, scenario=variant, disk_cache=self._cache
-        )
+        context = SimulationContext(scenario=variant, disk_cache=self._cache)
         runner = run_experiments(
             only=self.experiments, benchmarks=self.benchmarks, context=context
         )

@@ -194,6 +194,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     """Routes requests onto the shared :class:`ServerState`."""
 
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as separate writes; with Nagle on, a
+    #: keep-alive client waits for its delayed ACK (~40 ms) before the body.
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> ServerState:

@@ -20,7 +20,7 @@ grid, so :func:`optimize_events` runs the search on a worker thread and
 relays its ``on_probe`` callbacks; a closed consumer (disconnected client)
 stops the search through its ``should_stop`` hook.
 
-Every point runs over its own single-threaded
+Every point runs over its own
 :class:`~repro.engine.context.SimulationContext` sharing the server's
 process-wide :class:`~repro.engine.diskcache.SimulationCache`, so streamed
 sweeps warm the same cache ``/v1/run`` and the CLI use.
@@ -81,9 +81,7 @@ def sweep_events(
             "scenario": variant.name,
         }
         point_started = time.perf_counter()
-        context = SimulationContext(
-            max_workers=1, scenario=variant, disk_cache=disk_cache
-        )
+        context = SimulationContext(scenario=variant, disk_cache=disk_cache)
         cells = _point_cells(context, spec.kind, spec.designs, benchmarks)
         simulations = context.simulations_executed
         total_cells += len(cells)

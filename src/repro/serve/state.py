@@ -53,7 +53,6 @@ class ServeConfig:
         cache_dir: persistent cache root (``None``: ``$REPRO_CACHE_DIR`` or
             ``~/.cache/repro``).
         use_cache: disable both persistent caches with ``False``.
-        jobs: per-session thread-pool width (``None``: bounded CPU count).
         max_sessions: warm sessions kept in the LRU.
         drain_timeout: seconds shutdown waits for in-flight work before
             closing anyway.
@@ -71,7 +70,6 @@ class ServeConfig:
     scenario: Optional[Scenario] = None
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    jobs: Optional[int] = None
     max_sessions: int = DEFAULT_MAX_SESSIONS
     drain_timeout: float = 30.0
     quiet: bool = False
@@ -208,7 +206,6 @@ class ServerState:
                 # keep the replacement warm.
                 del self._sessions[key]
             context = SimulationContext(
-                max_workers=self.config.jobs,
                 scenario=scenario,
                 disk_cache=self.disk_cache,
                 model_cache=self.model_cache,

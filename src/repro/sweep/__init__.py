@@ -12,11 +12,13 @@ package is the exploration tool for the rest of it:
   :class:`~repro.workloads.catalog.WorkloadSpec`; :func:`~repro.sweep.spec.
   sweep_presets` ships Fig. 18 as the ``fig18-frequency`` preset.
 * :class:`~repro.sweep.runner.SweepRunner` expands the grid against a base
-  scenario, executes the points serially, over a thread pool, or over a
-  ``ProcessPoolExecutor`` (scenarios and results are frozen/JSON-serializable
-  and cross process boundaries cleanly), and memoizes every simulation in the
-  persistent :class:`~repro.engine.diskcache.SimulationCache`, so repeated
-  and overlapping sweeps are incremental.
+  scenario, executes the points in the calling process or, with ``jobs``
+  above one, over a ``ProcessPoolExecutor`` (scenarios and results are
+  frozen/JSON-serializable and cross process boundaries cleanly; the models
+  are pure Python, so points never fan out over threads), and memoizes
+  every simulation in the persistent
+  :class:`~repro.engine.diskcache.SimulationCache`, so repeated and
+  overlapping sweeps are incremental.
 * :mod:`~repro.sweep.vectorized` batches eligible sweeps: whole frequency
   planes evaluate as single numpy expressions, bit-exact against the scalar
   path (a hard equivalence gate re-checks fresh points).  ``SweepRunner``

@@ -1,6 +1,6 @@
 """Sharded, resumable sweep execution over a filesystem work queue.
 
-Huge grids need two properties the in-process executors cannot give:
+Huge grids need two properties the in-process sweep runner cannot give:
 
 * **scale-out** -- N independent worker *processes* (same host or many, on a
   shared filesystem) chew through one grid without any shared runtime, and
@@ -54,7 +54,7 @@ import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Union
 
@@ -704,10 +704,10 @@ def run_queued_sweep(
     """Execute a sweep through the sharded work queue and merge the result.
 
     Creates (or, with ``resume=True``, re-opens) the workdir, drives
-    ``workers`` worker processes against it (degrading to threads where the
-    platform lacks process pools), runs one final in-process drain to pick up
-    shards orphaned by killed workers, then merges every done-file into a
-    :class:`~repro.sweep.runner.SweepResult`.
+    ``workers`` worker processes against it (running them one after another
+    in this process where the platform lacks process pools), runs one final
+    in-process drain to pick up shards orphaned by killed workers, then
+    merges every done-file into a :class:`~repro.sweep.runner.SweepResult`.
 
     A shard that keeps raising is retired after ``max_attempts`` recorded
     failures and reported in the result's ``failed_shards`` (an explicit
@@ -836,15 +836,14 @@ def _clear_queue_state(
 
 
 def _run_workers(payloads: List[dict]):
-    """Run worker entries over a process pool, degrading like the runner."""
-    if len(payloads) <= 1:
-        return [_worker_entry(payload) for payload in payloads], "serial"
-    try:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            return list(pool.map(_worker_entry, payloads)), "process"
-    except (OSError, NotImplementedError):
-        with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
-            return list(pool.map(_worker_entry, payloads)), "thread"
+    """Run worker entries over a process pool, or in-process like the runner."""
+    if len(payloads) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+                return list(pool.map(_worker_entry, payloads)), "process"
+        except (OSError, NotImplementedError):
+            pass
+    return [_worker_entry(payload) for payload in payloads], "serial"
 
 
 def _merge(workdir: Path, spec: SweepSpec, base: Scenario, manifest: dict) -> SweepResult:

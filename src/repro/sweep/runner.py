@@ -5,15 +5,17 @@
 
 * the grid is expanded to one variant scenario per point
   (:meth:`SweepSpec.scenario_for`),
-* points execute serially, over a thread pool, or over a
-  ``ProcessPoolExecutor`` -- scenarios cross the process boundary as plain
-  JSON dictionaries and workers send back plain metric dictionaries, so the
+* eligible grids evaluate whole planes at once through
+  :mod:`repro.sweep.vectorized`; every other grid evaluates point by point,
+  in the calling process with ``jobs=1`` or over a ``ProcessPoolExecutor``
+  of ``jobs`` workers -- scenarios cross the process boundary as plain JSON
+  dictionaries and workers send back plain metric dictionaries, so the
   process path needs no custom pickling.  The simulations are pure-Python
-  analytical models (GIL-bound), which is exactly why processes beat the
-  thread pool on cold multi-point sweeps; ``executor="auto"`` picks processes
-  whenever more than one job is requested.  (The process path relies on the
+  analytical models (GIL-bound), which is why the points fan out over
+  processes and never threads.  Where the platform cannot provide a process
+  pool the points run in-process instead.  (The process path relies on the
   ``fork`` start method to inherit custom strategy/experiment registrations;
-  on spawn-only platforms use the thread or serial path for custom designs.)
+  on spawn-only platforms use ``jobs=1`` for custom designs.)
 * every simulation is memoized in the persistent
   :class:`~repro.engine.diskcache.SimulationCache`, so a repeated or
   overlapping sweep re-runs only the points it has never seen.  A fully warm
@@ -28,8 +30,9 @@ between cold and warm runs; execution statistics live in
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
@@ -37,21 +40,25 @@ from typing import Dict, List, Mapping, Optional, Union
 from repro.analysis.tables import format_table
 from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
-from repro.engine.context import CacheStats, SimulationContext, default_worker_count
+from repro.engine.context import CacheStats, SimulationContext
 from repro.engine.diskcache import CACHE_SCHEMA_VERSION, SimulationCache
 from repro.faults import point as fault_point
 from repro.sweep.spec import SweepSpec, _format_value
 from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
 
-#: Executor modes accepted by :class:`SweepRunner`.
-EXECUTORS = ("auto", "process", "thread", "serial")
-
 #: Evaluation backends: ``"auto"`` batches whole grid planes through
-#: :mod:`repro.sweep.vectorized` whenever the sweep is eligible (and no
-#: explicit scalar executor was requested), ``"vectorized"`` demands the
-#: batched path (erroring with the blocker reason when ineligible) and
-#: ``"scalar"`` always evaluates point by point.
+#: :mod:`repro.sweep.vectorized` whenever the sweep is eligible,
+#: ``"vectorized"`` demands the batched path (erroring with the blocker
+#: reason when ineligible) and ``"scalar"`` always evaluates point by point.
 BACKENDS = ("auto", "vectorized", "scalar")
+
+#: Upper bound on the default worker-process count of scalar sweeps.
+MAX_DEFAULT_WORKERS = 8
+
+
+def default_worker_count() -> int:
+    """Default worker-process count of scalar sweeps (bounded CPU count)."""
+    return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -255,10 +262,9 @@ class SweepRunner:
             name, or a JSON spec file path).
         base: base scenario every grid point overrides (paper default when
             ``None``).
-        jobs: worker count (``None`` picks a bounded CPU count; ``1`` runs
-            serially).
-        executor: ``"auto"`` (processes when ``jobs > 1``), ``"process"``,
-            ``"thread"`` or ``"serial"``.
+        jobs: worker processes for point-by-point grids (``None`` picks a
+            bounded CPU count; ``1`` runs every point in the calling
+            process).  Vectorized grids ignore it.
         cache_dir: persistent cache root
             (:func:`~repro.engine.diskcache.default_cache_dir` when ``None``).
         use_cache: disable the persistent cache entirely with ``False``.
@@ -275,7 +281,6 @@ class SweepRunner:
         base: Optional[Scenario] = None,
         *,
         jobs: Optional[int] = None,
-        executor: str = "auto",
         cache_dir: Optional[Union[str, Path]] = None,
         use_cache: bool = True,
         cache_version: int = CACHE_SCHEMA_VERSION,
@@ -285,10 +290,6 @@ class SweepRunner:
         self.spec = spec if isinstance(spec, SweepSpec) else SweepSpec.load(str(spec))
         self.base = base if base is not None else Scenario.default()
         self.jobs = default_worker_count() if jobs is None else max(1, int(jobs))
-        executor = str(executor).strip().lower()
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; choose from {list(EXECUTORS)}")
-        self.executor = executor
         backend = str(backend).strip().lower()
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {list(BACKENDS)}")
@@ -343,12 +344,7 @@ class SweepRunner:
             }
             for variant in variants
         ]
-        mode = self.executor
-        if mode == "auto":
-            mode = "process" if self.jobs > 1 and len(payloads) > 1 else "serial"
-        if mode != "serial" and (self.jobs <= 1 or len(payloads) <= 1):
-            mode = "serial"
-        outcomes, mode = _execute(payloads, mode, self.jobs)
+        outcomes, mode = _execute(payloads, self.jobs)
         result = SweepResult(
             spec=self.spec,
             base=self.base,
@@ -370,14 +366,12 @@ class SweepRunner:
         """Whether this run takes the batched plane evaluator.
 
         ``backend="vectorized"`` forces it (:func:`evaluate_grid` raises the
-        blocker reason when the sweep is ineligible).  ``"auto"`` takes it
-        only for eligible sweeps when no explicit executor was requested --
-        asking for ``executor="process"`` & friends keeps the per-point path
-        so executor comparisons keep comparing what they claim to.
+        blocker reason when the sweep is ineligible), ``"scalar"`` forbids
+        it and ``"auto"`` takes it for eligible sweeps.
         """
         if self.backend == "vectorized":
             return True
-        if self.backend == "scalar" or self.executor != "auto":
+        if self.backend == "scalar":
             return False
         return vectorization_blocker(self.spec, self.base) is None
 
@@ -450,24 +444,22 @@ def run_sweep(
 _NO_CACHE = "__no_cache__"
 
 
-def _execute(payloads: List[dict], mode: str, jobs: int):
-    """Run every payload under the requested executor, preserving order.
+def _execute(payloads: List[dict], jobs: int):
+    """Run every payload, over ``jobs`` worker processes when there are more
+    than one of each, preserving order; returns ``(outcomes, mode)``.
 
-    The process pool degrades to threads when the platform cannot provide
-    one (sandboxes without semaphores, missing ``/dev/shm``); results are
-    identical either way, only wall-clock differs.
+    Where the platform cannot provide a process pool (sandboxes without
+    semaphores, missing ``/dev/shm``) the points run in this process;
+    results are identical either way, only wall-clock differs.
     """
-    if mode == "serial":
-        return [_execute_point(payload) for payload in payloads], mode
     workers = min(jobs, len(payloads))
-    if mode == "process":
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_execute_point, payloads)), mode
+                return list(pool.map(_execute_point, payloads)), "process"
         except (OSError, NotImplementedError):
-            mode = "thread"
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_point, payloads)), mode
+            pass
+    return [_execute_point(payload) for payload in payloads], "serial"
 
 
 def _execute_point(payload: Mapping[str, object]) -> dict:
@@ -480,7 +472,7 @@ def _execute_point(payload: Mapping[str, object]) -> dict:
         if cache_dir == _NO_CACHE
         else SimulationCache(cache_dir, version=int(payload["cache_version"]))  # type: ignore[arg-type]
     )
-    context = SimulationContext(max_workers=1, scenario=scenario, disk_cache=cache)
+    context = SimulationContext(scenario=scenario, disk_cache=cache)
     benchmarks = context.select_benchmarks(payload["benchmarks"])  # type: ignore[arg-type]
     simulate = context.routing if payload["kind"] == "routing" else context.end_to_end
     cells: List[dict] = []

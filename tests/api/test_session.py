@@ -19,7 +19,7 @@ GOLDEN_SUBSET = {
 
 @pytest.fixture(scope="module")
 def default_session():
-    return Session(max_workers=1)
+    return Session()
 
 
 def test_default_scenario_reproduces_golden_reports(default_session):
@@ -46,7 +46,7 @@ def test_repeated_runs_are_cache_hits(default_session):
 def test_session_rejects_mismatched_context():
     from repro.engine.context import SimulationContext
 
-    context = SimulationContext(max_workers=1, scenario=Scenario.preset("v100-host"))
+    context = SimulationContext(scenario=Scenario.preset("v100-host"))
     with pytest.raises(ValueError, match="different scenario"):
         Session(Scenario.default(), context=context)
 
@@ -62,10 +62,10 @@ def test_session_result_structure(default_session):
 
 
 def test_scenario_hardware_changes_results():
-    base = Session(max_workers=1).run(["fig15"], benchmarks=["Caps-MN1"])
-    fast = Session(
-        Scenario.default().with_set(["hmc.pe_frequency_mhz=625"]), max_workers=1
-    ).run(["fig15"], benchmarks=["Caps-MN1"])
+    base = Session().run(["fig15"], benchmarks=["Caps-MN1"])
+    fast = Session(Scenario.default().with_set(["hmc.pe_frequency_mhz=625"])).run(
+        ["fig15"], benchmarks=["Caps-MN1"]
+    )
     assert (
         fast.results["fig15"].average_speedup > base.results["fig15"].average_speedup
     )
@@ -75,7 +75,7 @@ def test_scenario_design_selection_threads_through_fig15_and_fig17():
     scenario = Scenario.default().with_overrides(
         {"designs": "pim-capsnet,all-in-pim"}
     )
-    result = Session(scenario, max_workers=1).run(
+    result = Session(scenario).run(
         ["fig15", "fig17"], benchmarks=["Caps-MN1"]
     )
     fig15 = result.results["fig15"]
@@ -87,7 +87,7 @@ def test_scenario_design_selection_threads_through_fig15_and_fig17():
 
 def test_scenario_benchmark_selection_is_the_default():
     scenario = Scenario.default().with_overrides({"benchmarks": "Caps-MN1"})
-    result = Session(scenario, max_workers=1).run(["fig04"])
+    result = Session(scenario).run(["fig04"])
     assert [row.benchmark for row in result.results["fig04"].rows] == ["Caps-MN1"]
 
 

@@ -97,7 +97,7 @@ def test_workloads_are_hashable_scenario_fields():
 
 
 def test_context_resolves_custom_workloads():
-    ctx = SimulationContext(max_workers=1, scenario=Scenario(workloads=(CUSTOM,)))
+    ctx = SimulationContext(scenario=Scenario(workloads=(CUSTOM,)))
     assert ctx.select_benchmarks() == benchmark_names() + ["Caps-TS43"]
     config = ctx.benchmark_config("caps-ts43")
     assert config.num_high_capsules == 43
@@ -108,7 +108,7 @@ def test_context_resolves_custom_workloads():
 def test_custom_workload_appears_in_experiments():
     from repro.experiments import fig04_layer_breakdown, fig15_rp_acceleration
 
-    ctx = SimulationContext(max_workers=1, scenario=Scenario(workloads=(CUSTOM,)))
+    ctx = SimulationContext(scenario=Scenario(workloads=(CUSTOM,)))
     fig04 = fig04_layer_breakdown.run(benchmarks=["Caps-TS43"], context=ctx)
     assert fig04.rows[0].benchmark == "Caps-TS43"
     assert fig04.rows[0].total_time_s > 0
@@ -118,7 +118,7 @@ def test_custom_workload_appears_in_experiments():
 
 def test_session_runs_custom_workload_only():
     scenario = Scenario(name="ts43-only", workloads=(CUSTOM,), benchmarks=("Caps-TS43",))
-    result = Session(scenario, max_workers=1).run(["fig15"])
+    result = Session(scenario).run(["fig15"])
     rows = result.results["fig15"].rows
     assert [row.benchmark for row in rows] == ["Caps-TS43"]
 
@@ -126,7 +126,7 @@ def test_session_runs_custom_workload_only():
 def test_compare_scenarios_aligns_custom_workloads():
     base = Scenario(name="base", workloads=(CUSTOM,), benchmarks=("Caps-TS43",))
     fast = base.with_set(["hmc.pe_frequency_mhz=625"])
-    comparison = compare_scenarios([base, fast], only=["fig15"], jobs=1)
+    comparison = compare_scenarios([base, fast], only=["fig15"])
     assert "Caps-TS43" not in comparison.labels  # labels are scenario names
     report = comparison.format_report()
     assert "average_speedup" in report

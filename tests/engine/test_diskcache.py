@@ -30,12 +30,12 @@ def workload():
 
 
 def _routing(scenario, workload):
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     return context.routing(workload.name, DesignPoint.PIM_CAPSNET)
 
 
 def _end_to_end(scenario, workload):
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     return context.end_to_end(workload.name, DesignPoint.PIM_CAPSNET)
 
 
@@ -163,14 +163,12 @@ def test_uncacheable_results_are_skipped(tmp_path, scenario, workload):
 
 def test_context_warms_and_reads_the_disk_cache(tmp_path, scenario):
     cold_cache = SimulationCache(tmp_path)
-    cold = SimulationContext(max_workers=1, scenario=scenario, disk_cache=cold_cache)
+    cold = SimulationContext(scenario=scenario, disk_cache=cold_cache)
     result = cold.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     assert cold.simulations_executed > 0
     cold_cache.flush()
 
-    warm = SimulationContext(
-        max_workers=1, scenario=scenario, disk_cache=SimulationCache(tmp_path)
-    )
+    warm = SimulationContext(scenario=scenario, disk_cache=SimulationCache(tmp_path))
     cached = warm.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     assert cached == result
     # A disk hit skips model construction entirely: zero simulations ran.
@@ -179,7 +177,7 @@ def test_context_warms_and_reads_the_disk_cache(tmp_path, scenario):
 
 
 def test_context_without_disk_cache_reports_zero_stats(scenario):
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     assert context.disk_stats.requests == 0
 
 

@@ -25,7 +25,7 @@ SMALL_RUN = dict(benchmarks=["Caps-MN1"], epochs=1, num_train=60, num_test=40)
 
 
 def _context(cache: TrainedModelCache) -> SimulationContext:
-    return SimulationContext(max_workers=1, model_cache=cache)
+    return SimulationContext(model_cache=cache)
 
 
 @pytest.fixture
@@ -60,13 +60,13 @@ def test_warm_run_report_is_byte_identical(cache):
 
 
 def test_without_cache_every_run_trains():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     assert ctx.trained_models is None
     training.reset_train_step_count()
     table05_accuracy.run(context=ctx, **SMALL_RUN)
     first = training.train_steps_executed()
     assert first > 0
-    table05_accuracy.run(context=SimulationContext(max_workers=1), **SMALL_RUN)
+    table05_accuracy.run(context=SimulationContext(), **SMALL_RUN)
     assert training.train_steps_executed() == 2 * first
 
 

@@ -1,11 +1,10 @@
-"""Tests for the engine runner and the runner compatibility shim."""
+"""Tests for the engine runner and the experiment registry."""
 
 import pytest
 
 from repro.engine.context import SimulationContext
 from repro.engine.experiment import experiment_names, get_experiment
 from repro.engine.runner import run_experiments, select_experiments
-from repro.experiments import runner
 
 
 def test_registry_order_matches_report_order():
@@ -35,22 +34,22 @@ def test_select_experiments_resolves_only_and_skip():
 
 def test_run_all_unknown_only_raises_value_error():
     with pytest.raises(ValueError, match="fig99"):
-        runner.run_all(only=["fig99"])
+        run_experiments(only=["fig99"])
 
 
 def test_run_all_unknown_skip_raises_value_error():
     with pytest.raises(ValueError, match="valid names"):
-        runner.run_all(skip=["not-an-experiment"])
+        run_experiments(skip=["not-an-experiment"])
 
 
 def test_run_all_only_selection():
-    result = runner.run_all(only=["overhead"])
+    result = run_experiments(only=["overhead"])
     assert set(result.results) == {"overhead"}
     assert "overhead" in result.combined_report()
 
 
 def test_run_experiments_shares_one_context():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     result = run_experiments(
         only=["fig15", "fig16"], benchmarks=["Caps-MN1"], context=ctx
     )
@@ -60,34 +59,14 @@ def test_run_experiments_shares_one_context():
     assert ctx.stats.hits > 0
 
 
-def test_parallel_runner_matches_serial_reports():
-    serial = run_experiments(
-        only=["fig15", "fig16", "fig17"],
-        benchmarks=["Caps-MN1", "Caps-SV1"],
-        max_workers=1,
-    )
-    parallel = run_experiments(
-        only=["fig15", "fig16", "fig17"],
-        benchmarks=["Caps-MN1", "Caps-SV1"],
-        max_workers=4,
-    )
-    assert serial.reports == parallel.reports
-    assert list(serial.reports) == ["fig15", "fig16", "fig17"]
-
-
 def test_runner_result_to_dict_contains_each_experiment():
     result = run_experiments(only=["overhead"])
     payload = result.to_dict()
     assert set(payload) == {"overhead"}
     assert payload["overhead"]["experiment"] == "overhead"
     assert "data" in payload["overhead"]
-
-
-def test_legacy_experiments_table_matches_registry():
-    assert list(runner.EXPERIMENTS) == experiment_names()
-    run_fn, format_fn = runner.EXPERIMENTS["overhead"]
-    report = format_fn(run_fn())
-    assert "mm^2" in report
+    # Repeat calls (serve's warm requests) reuse the lowered output.
+    assert result.to_dict() is payload
 
 
 def test_context_with_conflicting_scenario_raises():
@@ -95,7 +74,7 @@ def test_context_with_conflicting_scenario_raises():
     # context was passed, running under the wrong hardware unnoticed.
     from repro.api.scenario import Scenario
 
-    context = SimulationContext(max_workers=1)
+    context = SimulationContext()
     other = Scenario.preset("hmc-625mhz")
     with pytest.raises(ValueError, match="different scenario"):
         run_experiments(only=["overhead"], context=context, scenario=other)
@@ -105,6 +84,6 @@ def test_context_with_matching_scenario_is_accepted():
     from repro.api.scenario import Scenario
 
     scenario = Scenario.default()
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     result = run_experiments(only=["overhead"], context=context, scenario=scenario)
     assert result.context is context

@@ -13,7 +13,7 @@ BENCHMARKS = ["Caps-MN1", "Caps-SV1"]
 
 @pytest.fixture(scope="module")
 def context():
-    return SimulationContext(max_workers=1)
+    return SimulationContext()
 
 
 @pytest.fixture(scope="module")

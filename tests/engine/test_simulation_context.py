@@ -8,7 +8,7 @@ from repro.workloads.parallelism import Dimension
 
 
 def test_model_is_memoized_per_benchmark():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     first = ctx.model("Caps-MN1")
     second = ctx.model("Caps-MN1")
     other = ctx.model("Caps-MN2")
@@ -19,7 +19,7 @@ def test_model_is_memoized_per_benchmark():
 
 
 def test_model_variants_are_distinct():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     base = ctx.model("Caps-MN1")
     fast = ctx.model("Caps-MN1", pe_frequency_mhz=937.5)
     forced = ctx.model("Caps-MN1", force_dimension=Dimension.HIGH)
@@ -30,7 +30,7 @@ def test_model_variants_are_distinct():
 
 
 def test_routing_cache_hit_and_miss():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     first = ctx.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     assert ctx.stats.misses == 1 and ctx.stats.hits == 0
     second = ctx.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
@@ -44,7 +44,7 @@ def test_routing_cache_hit_and_miss():
 
 
 def test_end_to_end_and_routing_are_cached_separately():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     routing = ctx.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     end_to_end = ctx.end_to_end("Caps-MN1", DesignPoint.PIM_CAPSNET)
     assert routing is not end_to_end
@@ -52,7 +52,7 @@ def test_end_to_end_and_routing_are_cached_separately():
 
 
 def test_end_to_end_reuses_cached_routing_of_same_model():
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     ctx.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     model = ctx.model("Caps-MN1")
     executed = model.simulations_executed
@@ -70,14 +70,14 @@ def test_shared_context_executes_fewer_simulations_than_isolated_runs():
     )
 
     benchmarks = ["Caps-MN1", "Caps-SV1"]
-    shared = SimulationContext(max_workers=1)
+    shared = SimulationContext()
     fig15_rp_acceleration.run(benchmarks=benchmarks, context=shared)
     fig16_pim_breakdown.run(benchmarks=benchmarks, context=shared)
     fig17_end_to_end.run(benchmarks=benchmarks, context=shared)
 
     isolated = 0
     for module in (fig15_rp_acceleration, fig16_pim_breakdown, fig17_end_to_end):
-        ctx = SimulationContext(max_workers=1)
+        ctx = SimulationContext()
         module.run(benchmarks=benchmarks, context=ctx)
         isolated += ctx.simulations_executed
 
@@ -90,7 +90,7 @@ def test_custom_config_does_not_alias_canonical_benchmark():
 
     from repro.workloads.benchmarks import BENCHMARKS
 
-    ctx = SimulationContext(max_workers=1)
+    ctx = SimulationContext()
     canonical = ctx.routing("Caps-MN1", DesignPoint.PIM_CAPSNET)
     custom_config = dataclasses.replace(BENCHMARKS["Caps-MN1"], batch_size=64)
     custom = ctx.routing(custom_config, DesignPoint.PIM_CAPSNET)
@@ -99,22 +99,6 @@ def test_custom_config_does_not_alias_canonical_benchmark():
     assert ctx.stats.misses == 2
     assert custom.time_seconds != pytest.approx(canonical.time_seconds)
     assert len(ctx.models()) == 2
-
-
-def test_parallel_map_preserves_input_order():
-    ctx = SimulationContext(max_workers=4)
-    items = list(range(20))
-    assert ctx.map(lambda x: x * x, items) == [x * x for x in items]
-
-
-def test_parallel_and_serial_contexts_agree():
-    from repro.experiments import fig15_rp_acceleration
-
-    serial = fig15_rp_acceleration.run(context=SimulationContext(max_workers=1))
-    parallel = fig15_rp_acceleration.run(context=SimulationContext(max_workers=4))
-    assert fig15_rp_acceleration.format_report(serial) == fig15_rp_acceleration.format_report(
-        parallel
-    )
 
 
 def test_cache_stats_defaults():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import runner, table05_accuracy
+from repro.engine import experiment_names, run_experiments
+from repro.experiments import table05_accuracy
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def test_table5_report_mentions_paper_targets(small_accuracy_result):
 
 
 def test_runner_registry_covers_all_figures():
-    assert set(runner.EXPERIMENTS) == {
+    assert set(experiment_names()) == {
         "fig04",
         "fig05",
         "fig06",
@@ -58,18 +59,11 @@ def test_runner_registry_covers_all_figures():
 
 
 def test_runner_only_selection():
-    result = runner.run_all(only=["overhead"])
+    result = run_experiments(only=["overhead"])
     assert set(result.results) == {"overhead"}
     assert "overhead" in result.combined_report()
 
 
 def test_runner_skip_selection():
-    result = runner.run_all(only=["fig07", "overhead"], skip=["fig07"])
+    result = run_experiments(only=["fig07", "overhead"], skip=["fig07"])
     assert set(result.results) == {"overhead"}
-
-
-def test_runner_main_cli(capsys):
-    exit_code = runner.main(["--only", "overhead"])
-    assert exit_code == 0
-    captured = capsys.readouterr()
-    assert "overhead" in captured.out

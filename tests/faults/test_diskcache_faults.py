@@ -29,7 +29,7 @@ def workload():
 
 @pytest.fixture
 def result(scenario, workload):
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     return context.routing(workload.name, DesignPoint.PIM_CAPSNET)
 
 

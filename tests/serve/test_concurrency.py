@@ -38,7 +38,7 @@ def test_shared_session_threads_match_serial_byte_for_byte():
     benchmarks = ["Caps-MN1", "Caps-SV1"]
 
     serial = {
-        selection: Session(max_workers=1)
+        selection: Session()
         .run(list(selection), benchmarks=benchmarks)
         .report()
         for selection in selections
@@ -73,7 +73,7 @@ def test_threaded_same_shard_writers_lose_no_entries(tmp_path):
     # concurrently -- the read-merge-publish flush must keep every entry.
     scenario = Scenario.default()
     workload = get_benchmark("Caps-MN1")
-    context = SimulationContext(max_workers=1, scenario=scenario)
+    context = SimulationContext(scenario=scenario)
     result = context.routing(workload.name, DesignPoint.PIM_CAPSNET)
 
     writers = 8

@@ -8,7 +8,10 @@ and the graceful drain lifecycle.
 
 from __future__ import annotations
 
+import http.client
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,6 +30,26 @@ def test_healthz_reports_ok(client):
     assert payload["status"] == "ok"
     assert payload["active_work"] == 0
     assert payload["uptime_seconds"] >= 0
+
+
+def test_keep_alive_connection_answers_without_delayed_ack_stalls(server):
+    # Responses leave as two writes (headers, then body).  With Nagle's
+    # algorithm on, every response on a reused connection waited for the
+    # client's delayed ACK (~40 ms on Linux) before its body went out.
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    latencies = []
+    try:
+        for _ in range(10):
+            started = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200
+            assert not response.will_close
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.02, latencies
 
 
 def test_workloads_lists_the_catalog(client):

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.sweep.runner` (execution, caching, executors)."""
+"""Tests for :mod:`repro.sweep.runner` (execution, caching, worker processes)."""
 
 import pytest
 
@@ -58,16 +58,49 @@ def test_overlapping_sweeps_are_incremental(tmp_path):
 
 
 def test_executors_produce_identical_output(tmp_path, small_spec):
+    # backend="scalar": the frequency axis would otherwise vectorize.
     outputs = []
-    for index, executor in enumerate(("serial", "thread", "process")):
+    for jobs in (1, 2):
         result = SweepRunner(
             small_spec,
-            jobs=2,
-            executor=executor,
-            cache_dir=tmp_path / str(index),  # separate cold caches
+            jobs=jobs,
+            backend="scalar",
+            cache_dir=tmp_path / str(jobs),  # separate cold caches
         ).run()
         outputs.append((result.format_report(), result.to_dict()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
+
+
+def test_sweeps_run_in_process_without_a_process_pool(
+    tmp_path, small_spec, monkeypatch
+):
+    import repro.sweep.queue as queue_module
+    import repro.sweep.runner as runner_module
+    from repro.sweep import run_queued_sweep
+
+    reference = SweepRunner(
+        small_spec, jobs=1, backend="scalar", cache_dir=tmp_path / "ref"
+    ).run()
+
+    def no_process_pool(*args, **kwargs):
+        raise OSError("process pools are unavailable on this platform")
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_process_pool)
+    monkeypatch.setattr(queue_module, "ProcessPoolExecutor", no_process_pool)
+    scalar = SweepRunner(
+        small_spec, jobs=2, backend="scalar", cache_dir=tmp_path / "scalar"
+    ).run()
+    queued = run_queued_sweep(
+        small_spec,
+        workers=2,
+        shard_size=1,
+        backend="scalar",
+        cache_dir=tmp_path / "queued",
+    )
+    assert scalar.executor_used == "serial"
+    assert queued.executor_used == "queue-serial"
+    assert scalar.format_report() == reference.format_report()
+    assert queued.format_report() == reference.format_report()
 
 
 def test_schema_version_bump_invalidates_sweep_cache(tmp_path, small_spec):
@@ -104,11 +137,6 @@ def test_unknown_benchmark_fails_before_execution(tmp_path):
         SweepRunner(spec, cache_dir=tmp_path)
 
 
-def test_unknown_executor_rejected(small_spec):
-    with pytest.raises(ValueError, match="unknown executor"):
-        SweepRunner(small_spec, executor="gpu")
-
-
 def test_end_to_end_kind_and_multiple_designs(tmp_path):
     spec = SweepSpec.from_axes(
         {"pipeline_batches": [4, 8]},
@@ -140,9 +168,10 @@ def test_custom_workloads_flow_through_the_sweep(tmp_path):
     spec = SweepSpec.from_axes(
         {"hmc.pe_frequency_mhz": [312.5, 625.0]}, benchmarks=("Caps-Sweep",)
     )
-    # Custom workloads must survive the (JSON) process boundary too.
+    # Custom workloads must survive the (JSON) process boundary too;
+    # backend="scalar" keeps the frequency axis from vectorizing.
     result = SweepRunner(
-        spec, base, jobs=2, executor="process", cache_dir=tmp_path
+        spec, base, jobs=2, backend="scalar", cache_dir=tmp_path
     ).run()
     assert result.benchmarks == ["Caps-Sweep"]
     assert all(cell.speedup > 0 for point in result.points for cell in point.cells)
@@ -169,8 +198,9 @@ def test_selection_axes_share_one_shard_without_losing_entries(tmp_path):
     # A benchmarks axis keeps the hardware hash constant, so every grid
     # point writes the same cache shard; the warm run must still be free.
     spec = SweepSpec.from_axes({"benchmarks": ["Caps-MN1", "Caps-SV1"]})
-    cold = SweepRunner(spec, jobs=2, executor="thread", cache_dir=tmp_path).run()
-    warm = SweepRunner(spec, jobs=2, executor="thread", cache_dir=tmp_path).run()
+    # The two points are written from two worker processes.
+    cold = SweepRunner(spec, jobs=2, cache_dir=tmp_path).run()
+    warm = SweepRunner(spec, jobs=2, cache_dir=tmp_path).run()
     assert cold.simulations_executed > 0
     assert warm.simulations_executed == 0
     assert warm.cache.misses == 0

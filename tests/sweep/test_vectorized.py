@@ -70,7 +70,7 @@ def test_vectorized_equals_scalar_on_every_preset(preset, kind):
     base = Scenario.preset(preset)
     spec = _spec(kind=kind)
     vectorized = _run(spec, base, backend="vectorized", verify="full")
-    scalar = _run(spec, base, backend="scalar", executor="serial")
+    scalar = _run(spec, base, backend="scalar")
     assert vectorized.executor_used == "vectorized"
     assert vectorized.to_dict() == scalar.to_dict()
     assert vectorized.format_report() == scalar.format_report()
@@ -82,7 +82,7 @@ def test_vectorized_covers_every_table1_workload():
         {"hmc.pe_frequency_mhz": [312.5, 1250.0]}, designs=ALL_DESIGNS
     )
     vectorized = _run(spec, backend="vectorized", verify="full")
-    scalar = _run(spec, backend="scalar", executor="serial")
+    scalar = _run(spec, backend="scalar")
     assert len(vectorized.benchmarks) == 12
     assert vectorized.to_dict() == scalar.to_dict()
 
@@ -104,7 +104,7 @@ def test_vectorized_handles_em_routing_workloads(kind):
     )
     spec = _spec(kind=kind, benchmarks=("Caps-EM",))
     vectorized = _run(spec, base, backend="vectorized", verify="full")
-    scalar = _run(spec, base, backend="scalar", executor="serial")
+    scalar = _run(spec, base, backend="scalar")
     assert vectorized.to_dict() == scalar.to_dict()
 
 
@@ -118,7 +118,7 @@ def test_vectorized_matches_across_plane_axes():
             axes, benchmarks=("Caps-MN1",), designs=("pim-capsnet", "all-in-pim")
         )
         vectorized = _run(spec, backend="vectorized", verify="full")
-        scalar = _run(spec, backend="scalar", executor="serial")
+        scalar = _run(spec, backend="scalar")
         assert vectorized.to_dict() == scalar.to_dict()
 
 
@@ -169,10 +169,10 @@ def test_selection_axes_block_vectorization():
     assert "selection" in vectorization_blocker(spec)
 
 
-def test_explicit_executor_requests_keep_the_scalar_path(tmp_path):
+def test_scalar_backend_requests_keep_the_scalar_path(tmp_path):
     spec = _spec(benchmarks=("Caps-MN1",), designs=("pim-capsnet",))
     result = SweepRunner(
-        spec, jobs=1, executor="serial", cache_dir=tmp_path
+        spec, jobs=1, backend="scalar", cache_dir=tmp_path
     ).run()
     assert result.executor_used == "serial"
 
@@ -210,7 +210,7 @@ def test_custom_strategies_trigger_the_scalar_fallback(tmp_path, custom_design):
     auto = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "auto").run()
     assert auto.executor_used != "vectorized"  # fallback engaged
     scalar = SweepRunner(
-        spec, jobs=1, executor="serial", cache_dir=tmp_path / "scalar"
+        spec, jobs=1, backend="scalar", cache_dir=tmp_path / "scalar"
     ).run()
     assert auto.to_dict() == scalar.to_dict()
     with pytest.raises(ValueError, match="custom strategy"):
@@ -262,7 +262,7 @@ def test_vectorized_and_scalar_share_one_cache(tmp_path):
     """Entries written by either backend are warm hits for the other."""
     spec = _spec(benchmarks=("Caps-MN1",), designs=("pim-capsnet", "all-in-pim"))
     cold = SweepRunner(
-        spec, jobs=1, executor="serial", cache_dir=tmp_path
+        spec, jobs=1, backend="scalar", cache_dir=tmp_path
     ).run()  # scalar writes
     warm = SweepRunner(
         spec, jobs=1, backend="vectorized", cache_dir=tmp_path
@@ -277,7 +277,7 @@ def test_vectorized_and_scalar_share_one_cache(tmp_path):
     other = tmp_path / "reverse"
     SweepRunner(spec, jobs=1, backend="vectorized", cache_dir=other).run()
     scalar_warm = SweepRunner(
-        spec, jobs=1, executor="serial", backend="scalar", cache_dir=other
+        spec, jobs=1, backend="scalar", cache_dir=other
     ).run()
     assert scalar_warm.simulations_executed == 0
     assert scalar_warm.cache.misses == 0

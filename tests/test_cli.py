@@ -93,8 +93,11 @@ def test_output_writes_file(tmp_path, capsys):
 
 
 def test_serial_jobs_flag(capsys):
-    assert main(["evaluate", "--benchmarks", "Caps-MN1", "--jobs", "1"]) == 0
-    assert "Fig. 15" in capsys.readouterr().out
+    # Experiments always run in the calling thread; only sweep sizes a pool.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--benchmarks", "Caps-MN1", "--jobs", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_build_parser_does_not_import_experiment_modules():
@@ -464,28 +467,49 @@ def test_classic_sweep_unchanged_without_spec_or_axis(capsys):
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_jobs_rejects_non_positive_values(capsys, value):
-    with pytest.raises(SystemExit):
-        main(["reproduce", "--only", "overhead", "--jobs", value])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--axis", "hmc.pes_per_vault=8,16", "--jobs", value])
+    assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "positive integer" in err
 
 
 def test_jobs_rejected_across_subcommands(capsys):
+    # Only sweep sizes a worker pool; every other subcommand has no --jobs.
     for argv in (
-        ["characterize", "--jobs", "0"],
-        ["evaluate", "--jobs", "-1"],
-        ["sweep", "--jobs", "0"],
-        ["compare", "--jobs", "0"],
-        ["workloads", "list", "--jobs", "0"],
+        ["characterize", "--jobs", "2"],
+        ["reproduce", "--jobs", "2"],
+        ["compare", "--jobs", "2"],
+        ["optimize", "--jobs", "2"],
+        ["serve", "--jobs", "2"],
+        ["workloads", "list", "--jobs", "2"],
     ):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        assert "positive integer" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--jobs", "0"])
+    assert exit_info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
-def test_jobs_one_still_accepted(capsys):
-    assert main(["reproduce", "--only", "overhead", "--jobs", "1"]) == 0
-    assert "mm^2" in capsys.readouterr().out
+def test_jobs_one_still_accepted(tmp_path, capsys):
+    argv = [
+        "sweep",
+        "--axis",
+        "hmc.pes_per_vault=8,16",
+        "--benchmarks",
+        "Caps-MN1",
+        "--cache-dir",
+        str(tmp_path),
+    ]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr()
+    assert "(serial, jobs=1)" in serial.err
+    assert main(argv + ["--jobs", "2", "--no-cache"]) == 0
+    parallel = capsys.readouterr()
+    assert parallel.out == serial.out
 
 
 def test_sweep_bad_axis_value_exits_cleanly(capsys, tmp_path):
