@@ -1,4 +1,4 @@
-"""Persistent, content-addressed on-disk cache for simulation results.
+"""Persistent, scenario-sharded on-disk cache for simulation results.
 
 The in-memory caches (:class:`~repro.engine.context.SimulationContext`,
 :class:`~repro.core.accelerator.PIMCapsNet`) only live for one process; a
@@ -7,22 +7,21 @@ points across invocations -- or fanning points out over a process pool --
 pays for every simulation again.  :class:`SimulationCache` memoizes those
 results on disk instead:
 
-* **Content-addressed keys.**  An entry is keyed by the SHA-256 digest of a
-  canonical JSON payload: the cache schema version, the scenario's hardware
-  hash (:meth:`~repro.api.scenario.Scenario.hardware_hash`), the resolved
-  benchmark's content hash, the simulation kind (``routing`` /
-  ``end_to_end``), the design-point key and the per-call overrides
-  (``pe_frequency_mhz``, ``force_dimension``).  Two scenarios that differ
-  only in their *name* share entries; any hardware or workload change misses.
 * **Scenario-sharded, versioned layout.**  All entries of one scenario live
   in a single shard file, ``<dir>/v<schema>/<aa>/<scenario-hash>.json``
   (``~/.cache/repro`` by default; override with ``directory=`` /
-  ``--cache-dir`` / ``$REPRO_CACHE_DIR``).  A sweep point touches exactly one
-  shard, so a whole grid costs one small file per point instead of one file
-  per simulation -- the difference between write-bound and compute-bound
-  cold runs.  Bumping :data:`CACHE_SCHEMA_VERSION` orphans old trees instead
-  of misreading them; stale trees can simply be deleted (every entry is
-  re-creatable).
+  ``--cache-dir`` / ``$REPRO_CACHE_DIR``), named by the scenario's hardware
+  hash (:meth:`~repro.api.scenario.Scenario.hardware_hash`), so scenarios
+  differing only in *name* share entries.  A whole grid costs one small
+  file per point instead of one per simulation.  Bumping
+  :data:`CACHE_SCHEMA_VERSION` orphans old trees instead of misreading them
+  (every entry is re-creatable, so stale trees can simply be deleted).
+* **Entries keyed by their fields.**  A shard's ``entries`` are rows
+  ``[workload_hash, kind, design_key, pe_frequency_mhz, force_dimension,
+  result]``, loaded into a dict keyed by the tuple of the first five: a
+  lookup is one tuple build and one dict probe, with no per-entry digest,
+  and each key is stored once.  Shards that are not JSON, or whose rows are
+  malformed, are quarantined.
 * **Buffered writes, atomic publish.**  ``put`` buffers in memory;
   :meth:`SimulationCache.flush` merges each dirty shard with whatever
   reached disk meanwhile (buffered entries win on conflict) and publishes it
@@ -58,7 +57,7 @@ try:  # POSIX-only; shard flushes degrade to best-effort elsewhere.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.accelerator import EndToEndComparison, RoutingComparison
 from repro.core.pipeline import PipelineTiming
@@ -72,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
     from repro.engine.context import CacheStats
 
-#: Version of the on-disk shard format.  Bump whenever the key payload or the
-#: result encoding changes shape; old shards are then never consulted.
-CACHE_SCHEMA_VERSION = 1
+#: Version of the on-disk shard format (2: field-keyed rows).  Bump whenever
+#: the rows or the result encoding change shape; old shards are then ignored.
+CACHE_SCHEMA_VERSION = 2
 
 #: Version of the trained-model artifact format (:class:`TrainedModelCache`).
 #: Bump whenever the key payload, the training pipeline's arithmetic, or the
@@ -155,8 +154,27 @@ def benchmark_hash(config: BenchmarkConfig) -> str:
     return canonical_digest(dataclasses.asdict(config))
 
 
+def _parse_rows(rows: list) -> Dict[tuple, dict]:
+    """Shard rows as ``{entry key: result payload}``; raises on a malformed row."""
+    entries: Dict[tuple, dict] = {}
+    for row in rows:
+        # Unpacking rejects non-6-sequences; the type checks reject the rest.
+        workload, kind, design, frequency, dimension, payload = row
+        if not (
+            isinstance(workload, str)
+            and isinstance(kind, str)
+            and isinstance(design, str)
+            and (frequency is None or type(frequency) in (int, float))
+            and (dimension is None or isinstance(dimension, str))
+            and isinstance(payload, dict)
+        ):
+            raise ValueError("malformed cache shard row")
+        entries[(workload, kind, design, frequency, dimension)] = payload
+    return entries
+
+
 class SimulationCache:
-    """Content-addressed on-disk memo of ``(scenario, benchmark, design)`` results.
+    """On-disk memo of ``(scenario, benchmark, design)`` simulation results.
 
     Args:
         directory: cache root (:func:`default_cache_dir` when ``None``);
@@ -186,39 +204,38 @@ class SimulationCache:
         #: cache to read-only: gets still work, flushes become no-ops.
         self.read_only = False
         self._lock = threading.RLock()
-        #: scenario hash -> {entry digest: {"key": ..., "result": ...}}
-        self._shards: Dict[str, Dict[str, dict]] = {}
+        #: scenario hash -> {entry key: result payload}
+        self._shards: Dict[str, Dict[tuple, dict]] = {}
         self._dirty: Dict[str, bool] = {}
 
     # ----------------------------------------------------------------- keying
 
-    def entry_key(
-        self,
+    @staticmethod
+    def _key(
         scenario: Union["Scenario", str],
         benchmark: BenchmarkConfig,
         kind: str,
         design: DesignLike,
-        pe_frequency_mhz: Optional[float],
-        force_dimension: Optional[Dimension],
-    ) -> dict:
-        """The canonical (JSON) key payload of one simulation.
+        pe_frequency_mhz: Optional[float] = None,
+        force_dimension: Optional[Dimension] = None,
+    ) -> Tuple[str, tuple]:
+        """The shard (scenario hardware hash) and entry key of one simulation.
 
-        ``scenario`` may be a :class:`~repro.api.scenario.Scenario` or an
-        already-computed hardware hash string -- bulk callers (the vectorized
-        sweep backend) key thousands of grid points without building a
-        scenario object per point.
+        ``scenario`` may be a :class:`~repro.api.scenario.Scenario` or its
+        hardware hash string (bulk callers key thousands of grid points
+        without a scenario object per point).  Both hashes are memoized, so
+        keying an entry computes no digest.
         """
-        return {
-            "schema": self.version,
-            "scenario": scenario if isinstance(scenario, str) else scenario.hardware_hash(),
-            "workload": benchmark_hash(benchmark),
-            "kind": str(kind),
-            "design": design_key(design),
-            "pe_frequency_mhz": pe_frequency_mhz,
-            "force_dimension": (
-                force_dimension.value if force_dimension is not None else None
+        return (
+            scenario if isinstance(scenario, str) else scenario.hardware_hash(),
+            (
+                benchmark_hash(benchmark),
+                str(kind),
+                design_key(design),
+                pe_frequency_mhz,
+                force_dimension.value if force_dimension is not None else None,
             ),
-        }
+        )
 
     def _shard_path(self, scenario_hash: str) -> Path:
         return self.directory / scenario_hash[:2] / f"{scenario_hash}.json"
@@ -247,14 +264,14 @@ class SimulationCache:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _read_disk(self, scenario_hash: str) -> Dict[str, dict]:
-        """One scenario's entry map as currently on disk (fresh read).
+    def _read_disk(self, scenario_hash: str) -> Dict[tuple, dict]:
+        """One scenario's entries as currently on disk (fresh read).
 
         Missing or unreadable shards count as empty.  A shard that exists
-        but holds invalid JSON (a torn write from a non-atomic producer, or
-        real disk corruption) is quarantined to ``<root>/corrupt/`` and
-        counted, so it is warned about once instead of silently re-missed
-        on every lookup forever.
+        but does not parse -- invalid JSON (a torn write from a non-atomic
+        producer, or real disk corruption) or malformed rows -- is
+        quarantined to ``<root>/corrupt/`` and counted, so it is warned
+        about once instead of silently re-missed on every lookup forever.
         """
         path = self._shard_path(scenario_hash)
         try:
@@ -266,7 +283,17 @@ class SimulationCache:
             data = json.loads(text)
             if not isinstance(data, dict):
                 raise ValueError("shard payload is not a JSON object")
-        except ValueError:
+            rows = data.get("entries")
+            if (
+                data.get("schema") != self.version
+                or data.get("scenario") != scenario_hash
+                or not isinstance(rows, list)
+            ):
+                # Valid JSON of another shape or version (a v1 entry map, say)
+                # is a foreign file, not corruption: the next flush rewrites it.
+                return {}
+            return _parse_rows(rows)
+        except (ValueError, TypeError):
             self.stats.corrupt_artifacts += 1
             quarantined = _quarantine(path, self.root)
             where = f"quarantined to {quarantined}" if quarantined else "dropped"
@@ -276,17 +303,8 @@ class SimulationCache:
                 f"its entries will be recomputed",
             )
             return {}
-        if (
-            data.get("schema") == self.version
-            and data.get("scenario") == scenario_hash
-            and isinstance(data.get("entries"), dict)
-        ):
-            return data["entries"]
-        # Valid JSON of the wrong shape/version: not corruption, just a
-        # foreign file; treat as empty and let the next flush rewrite it.
-        return {}
 
-    def _shard(self, scenario_hash: str) -> Dict[str, dict]:
+    def _shard(self, scenario_hash: str) -> Dict[tuple, dict]:
         """The (memoized) entry map of one scenario, loaded from disk once."""
         with self._lock:
             shard = self._shards.get(scenario_hash)
@@ -296,6 +314,19 @@ class SimulationCache:
             return shard
 
     # ---------------------------------------------------------------- get/put
+
+    def _decode(self, payload: Optional[dict]) -> Optional[object]:
+        """Decode one looked-up payload; missing or undecodable ones miss."""
+        if payload is not None:
+            try:
+                result = decode_result(payload)
+            except (ValueError, KeyError, TypeError):
+                pass
+            else:
+                self.stats.hits += 1
+                return result
+        self.stats.misses += 1
+        return None
 
     def get(
         self,
@@ -310,20 +341,20 @@ class SimulationCache:
 
         Unreadable, corrupt or schema-mismatched entries count as misses.
         """
-        key = self.entry_key(
+        scenario_hash, key = self._key(
             scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
         )
-        shard = self._shard(key["scenario"])
-        entry = shard.get(canonical_digest(key))
-        try:
-            if entry is None or entry.get("key") != key:
-                raise ValueError("missing or mismatched cache entry")
-            result = decode_result(entry["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        return self._decode(self._shard(scenario_hash).get(key))
+
+    def _store(self, scenario_hash: str, key: tuple, result: object) -> bool:
+        """Buffer one result under its key; ``False`` if its type is uncacheable."""
+        payload = encode_result(result)
+        if payload is None:
+            return False
+        with self._lock:
+            self._shard(scenario_hash)[key] = payload
+            self._dirty[scenario_hash] = True
+        return True
 
     def put(
         self,
@@ -340,57 +371,26 @@ class SimulationCache:
         Buffered entries are immediately visible to :meth:`get` on this
         instance and reach disk on the next :meth:`flush`.
         """
-        payload = encode_result(result)
-        if payload is None:
-            return False
-        key = self.entry_key(
+        scenario_hash, key = self._key(
             scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
         )
-        with self._lock:
-            shard = self._shard(key["scenario"])
-            shard[canonical_digest(key)] = {"key": key, "result": payload}
-            self._dirty[key["scenario"]] = True
-        return True
+        return self._store(scenario_hash, key, result)
 
     # -------------------------------------------------------------- bulk I/O
-
-    @staticmethod
-    def _split_request(request: Sequence[object]):
-        """Unpack one bulk request tuple, defaulting the per-call overrides."""
-        scenario, benchmark, kind, design = request[:4]
-        pe_frequency_mhz = request[4] if len(request) > 4 else None
-        force_dimension = request[5] if len(request) > 5 else None
-        return scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
 
     def get_many(self, requests: Iterable[Sequence[object]]) -> List[Optional[object]]:
         """Bulk :meth:`get`: one result (or ``None``) per request, in order.
 
         Each request is a ``(scenario, benchmark, kind, design)`` tuple,
         optionally extended with ``pe_frequency_mhz`` and ``force_dimension``;
-        ``scenario`` may be a hardware-hash string.  Requests are grouped by
-        scenario shard so a whole grid plane costs one shard load and one key
-        pass instead of a dictionary walk per entry.  Hit/miss accounting is
-        identical to issuing the gets one by one.
+        ``scenario`` may be a hardware-hash string.  Each shard is loaded once
+        per cache instance; hit/miss accounting is identical to issuing the
+        gets one by one.
         """
-        requests = list(requests)
-        results: List[Optional[object]] = [None] * len(requests)
-        grouped: Dict[str, List[tuple]] = {}
-        for index, request in enumerate(requests):
-            key = self.entry_key(*self._split_request(request))
-            grouped.setdefault(key["scenario"], []).append((index, key))
-        for scenario_hash, entries in grouped.items():
-            shard = self._shard(scenario_hash)
-            for index, key in entries:
-                entry = shard.get(canonical_digest(key))
-                try:
-                    if entry is None or entry.get("key") != key:
-                        raise ValueError("missing or mismatched cache entry")
-                    result = decode_result(entry["result"])
-                except (ValueError, KeyError, TypeError):
-                    self.stats.misses += 1
-                    continue
-                self.stats.hits += 1
-                results[index] = result
+        results = []
+        for request in requests:
+            scenario_hash, key = self._key(*request)
+            results.append(self._decode(self._shard(scenario_hash).get(key)))
         return results
 
     def put_many(self, entries: Iterable[Sequence[object]]) -> int:
@@ -401,20 +401,11 @@ class SimulationCache:
         be a hardware-hash string.  Uncacheable result types are skipped, like
         :meth:`put` returning ``False``.
         """
-        stored = 0
         with self._lock:
-            for entry in entries:
-                request, result = (*entry[:4], *entry[5:]), entry[4]
-                payload = encode_result(result)
-                if payload is None:
-                    continue
-                scenario, benchmark, kind, design, pe, dim = self._split_request(request)
-                key = self.entry_key(scenario, benchmark, kind, design, pe, dim)
-                shard = self._shard(key["scenario"])
-                shard[canonical_digest(key)] = {"key": key, "result": payload}
-                self._dirty[key["scenario"]] = True
-                stored += 1
-        return stored
+            return sum(
+                self._store(*self._key(*entry[:4], *entry[5:]), entry[4])
+                for entry in entries
+            )
 
     def flush(self) -> int:
         """Publish every dirty shard atomically; returns shards written.
@@ -446,13 +437,13 @@ class SimulationCache:
                         # buffered entries win on conflict, and nothing
                         # another writer published is lost.
                         on_disk = self._read_disk(scenario_hash)
+                        shard = self._shards[scenario_hash]
                         if on_disk:
-                            merged = {**on_disk, **self._shards[scenario_hash]}
-                            self._shards[scenario_hash] = merged
+                            shard = self._shards[scenario_hash] = {**on_disk, **shard}
                         data = {
                             "schema": self.version,
                             "scenario": scenario_hash,
-                            "entries": self._shards[scenario_hash],
+                            "entries": [[*key, result] for key, result in shard.items()],
                         }
                         # Atomic publish: readers (which take no lock) never
                         # see partial files.

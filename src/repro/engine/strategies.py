@@ -28,6 +28,7 @@ and ``"pim-capsnet"`` name the same strategy.
 
 from __future__ import annotations
 
+import functools
 import threading
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Union
@@ -51,12 +52,15 @@ def design_key(design: DesignLike) -> str:
     return str(design)
 
 
+@functools.lru_cache(maxsize=256)
 def resolve_design(design: DesignLike) -> DesignLike:
     """Map a design key onto its :class:`~repro.core.accelerator.DesignPoint`.
 
     Keys naming a paper design point come back as the enum member (so result
     dictionaries keyed by design stay uniform); keys of custom registered
-    strategies come back as their canonical string.
+    strategies come back as their canonical string.  Memoized: the disk
+    cache resolves a design key per decoded hit, and the answer depends only
+    on the ``DesignPoint`` enum, never on the strategy registry.
     """
     from repro.core.accelerator import DesignPoint  # lazy: import cycle guard
 

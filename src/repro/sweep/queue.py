@@ -40,10 +40,14 @@ channel (the batch-job pattern of condor/slurm runners):
 Shards are deterministic, contiguous slices of the row-major grid
 (``spec.assignments()``), so any worker can recompute the whole partition
 from the manifest alone.  Results additionally flow into the shared
-content-addressed :class:`~repro.engine.diskcache.SimulationCache`, which
-means a *resumed* sweep finishes from done-files and cache hits with zero
-re-executed simulations -- and an unrelated ``repro compare`` benefits from a
-sweep that already visited its scenario.
+:class:`~repro.engine.diskcache.SimulationCache`, which means a *resumed*
+sweep finishes from done-files and cache hits with zero re-executed
+simulations -- and an unrelated ``repro compare`` benefits from a sweep that
+already visited its scenario.
+
+The manifest digest covers the cache schema version, so after a schema bump
+(v1 -> v2) a bare ``--resume`` of an older sweep starts clean in a new
+default workdir, and resuming an older explicit ``--workdir`` is refused.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ Two guard rails keep this honest:
   float equality.  Any difference raises :class:`VectorizedMismatchError` --
   divergence is a bug, never something to silently fall back from.
 
-Results flow through the same content-addressed
+Results flow through the same
 :class:`~repro.engine.diskcache.SimulationCache` entries as the scalar path
 (bulk ``get_many``/``put_many``), so vectorized, scalar, process-pool and
 work-queue executions all share one cache, and a warm vectorized sweep
