@@ -132,6 +132,11 @@ class PIMCapsNet:
         gpu_device: host GPU (defaults to the paper's P100 baseline).
         gpu_params: GPU cost-model calibration.
         hmc_config: HMC configuration (32 vaults, 16 PEs/vault, 312.5 MHz).
+            Its PE frequency may be a float64 array: the built-in strategies
+            then return results whose times and energies are arrays, one
+            element per frequency.  Such a model needs ``force_dimension``,
+            since the best dimension can differ per frequency (read it from
+            ``distributor.scores()``).
         pipeline: batch-stream pipeline model.
         force_dimension: override the distributor's dimension choice
             (used by the Fig. 18 sweeps).

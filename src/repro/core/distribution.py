@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.intra_vault import IntraVaultDistributor, lower_routing_to_operations
+from repro.elementwise import maximum, reciprocal_or_inf
 from repro.hmc.config import HMCConfig
 from repro.hmc.crossbar import Crossbar
 from repro.hmc.dram import VaultMemoryModel
@@ -68,6 +69,10 @@ class DistributionPlan:
 class ExecutionScoreModel:
     """The paper's execution score ``S = 1 / (alpha E + beta M)``.
 
+    With a float64 array of PE frequencies in ``datapath``, the compute
+    time, the estimated time and the score are arrays with one value per
+    frequency.
+
     Args:
         config: HMC configuration.
         datapath: PE datapath (defines how expensive ``E`` is on this device).
@@ -112,12 +117,12 @@ class ExecutionScoreModel:
         with the conflict-free DRAM service (the slower of the two binds);
         ``M`` is the inter-vault communication.
         """
-        return max(self.compute_time(plan), self.memory_time(plan)) + self.communication_time(plan)
+        execution = maximum(self.compute_time(plan), self.memory_time(plan))
+        return execution + self.communication_time(plan)
 
     def score(self, plan: DistributionPlan) -> float:
-        """The execution score ``S`` (higher is better)."""
-        time = self.estimated_time(plan)
-        return 1.0 / time if time > 0 else float("inf")
+        """The execution score ``S`` (higher is better); ``inf`` for a zero time."""
+        return reciprocal_or_inf(self.estimated_time(plan))
 
 
 class WorkloadDistributor:
@@ -337,7 +342,12 @@ class WorkloadDistributor:
         return {dim: self.plan_for_dimension(dim) for dim in Dimension}
 
     def scores(self) -> Dict[Dimension, float]:
-        """Execution score of every dimension."""
+        """Execution score of every dimension, in ``Dimension`` order.
+
+        Each score is an array when the PE frequency is one; a keep-first
+        ``argmax`` over the scores then picks per frequency what
+        :meth:`best_plan` picks for one.
+        """
         return {dim: self.score_model.score(plan) for dim, plan in self.all_plans().items()}
 
     def best_plan(self) -> DistributionPlan:

@@ -18,10 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.elementwise import any_true, maximum
+
 
 @dataclass
 class PipelineTiming:
     """Latency of processing ``num_batches`` batch groups.
+
+    The stage times may be float64 arrays (one element per PE frequency of a
+    vectorized sweep); every derived time is then an array too.
 
     Attributes:
         host_stage_time: per-batch host stage time (after contention).
@@ -39,7 +44,7 @@ class PipelineTiming:
     def steady_state_time(self) -> float:
         """Per-batch latency once the pipeline is full."""
         if self.pipelined:
-            return max(self.host_stage_time, self.routing_stage_time)
+            return maximum(self.host_stage_time, self.routing_stage_time)
         return self.host_stage_time + self.routing_stage_time
 
     @property
@@ -90,7 +95,10 @@ class PipelineModel:
             raise ValueError("num_batches must be >= 1")
 
     def serial(self, host_time: float, routing_time: float) -> PipelineTiming:
-        """Non-pipelined execution (GPU baseline, All-in-PIM)."""
+        """Non-pipelined execution (GPU baseline, All-in-PIM).
+
+        Either stage time may be a float64 array; no element may be negative.
+        """
         self._validate(host_time, routing_time)
         return PipelineTiming(
             host_stage_time=host_time,
@@ -100,7 +108,10 @@ class PipelineModel:
         )
 
     def pipelined(self, host_time: float, routing_time: float) -> PipelineTiming:
-        """Pipelined host + HMC execution (PIM-CapsNet)."""
+        """Pipelined host + HMC execution (PIM-CapsNet).
+
+        Either stage time may be a float64 array; no element may be negative.
+        """
         self._validate(host_time, routing_time)
         return PipelineTiming(
             host_stage_time=host_time,
@@ -111,7 +122,7 @@ class PipelineModel:
 
     @staticmethod
     def _validate(host_time: float, routing_time: float) -> None:
-        if host_time < 0 or routing_time < 0:
+        if any_true(host_time < 0) or any_true(routing_time < 0):
             raise ValueError("stage times must be non-negative")
 
     @staticmethod

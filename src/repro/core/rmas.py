@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.elementwise import all_true, any_true, first_minimum, maximum
+
 
 class SchedulerPolicy(str, Enum):
     """Memory access scheduling policies compared in Fig. 17."""
@@ -145,8 +147,12 @@ class ContentionModel:
     residual_penalty: float = 0.10
 
     def slowdowns_for_share(self, host_share: float) -> tuple[float, float]:
-        """Slowdowns for a given fraction of vaults granting the host priority."""
-        if not 0.0 <= host_share <= 1.0:
+        """Slowdowns for a given fraction of vaults granting the host priority.
+
+        ``host_share`` may be a float64 array (every element in ``[0, 1]``);
+        the slowdowns are then arrays too.
+        """
+        if not all_true((0.0 <= host_share) & (host_share <= 1.0)):
             raise ValueError("host_share must be in [0, 1]")
         host_penalty = self.residual_penalty * host_share + self.queue_penalty * (1.0 - host_share)
         pim_penalty = self.residual_penalty * (1.0 - host_share) + self.queue_penalty * host_share
@@ -172,19 +178,17 @@ class ContentionModel:
         The RMAS re-evaluates its decision at runtime from the actual queue
         occupancy; at the model level that is equivalent to picking the
         ``n_h / n_max`` share whose contention slowdowns minimize
-        ``max(host_time * host_slowdown, routing_time * pim_slowdown)``.
+        ``max(host_time * host_slowdown, routing_time * pim_slowdown)``; ties
+        go to the smallest share.  With float64 arrays of stage times the
+        share is picked per element.
         """
-        if host_time < 0 or routing_time < 0:
+        if any_true(host_time < 0) or any_true(routing_time < 0):
             raise ValueError("stage times must be non-negative")
         if targeted_vaults < 1:
             raise ValueError("targeted_vaults must be positive")
-        best_share = 0.0
-        best_cost = float("inf")
-        for n_h in range(0, targeted_vaults + 1):
-            share = n_h / targeted_vaults
+        shares = [n_h / targeted_vaults for n_h in range(targeted_vaults + 1)]
+        costs = []
+        for share in shares:
             host_slowdown, pim_slowdown = self.slowdowns_for_share(share)
-            cost = max(host_time * host_slowdown, routing_time * pim_slowdown)
-            if cost < best_cost:
-                best_cost = cost
-                best_share = share
-        return best_share
+            costs.append(maximum(host_time * host_slowdown, routing_time * pim_slowdown))
+        return first_minimum(shares, costs)

@@ -14,6 +14,10 @@ registry.  Three families cover all eight built-in design points:
   the design's memory-arbitration policy.
 * :class:`AllInPIMStrategy` -- the whole network on the HMC, serial pipeline,
   power-gated GPU.
+
+The recipes run unchanged on a model whose PE frequency is a float64 array
+(the vectorized sweep backend): every frequency-dependent time and energy
+of the result is then an array, and the GPU-only results stay floats.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.core.accelerator import (
     RoutingComparison,
 )
 from repro.core.rmas import SchedulerPolicy
+from repro.elementwise import maximum
 from repro.engine.strategies import DesignLike, DesignPointStrategy, register_strategy
 from repro.gpu.simulator import GPUSimulator
 from repro.hmc.pe import OperationMix, PEOperation
@@ -225,7 +230,7 @@ class PIMPipelinedStrategy(DesignPointStrategy):
 
         host_energy = model.gpu_energy.phase_energy(host_time, host["flops"], host["traffic"])
         pim_energy_scale = pim_slowdown  # static HMC power accrues over the longer time
-        gpu_idle_time = max(0.0, timing.total_time - model.pipeline.num_batches * host_time)
+        gpu_idle_time = maximum(0.0, timing.total_time - model.pipeline.num_batches * host_time)
         energy = (
             model.pipeline.num_batches
             * (host_energy.total + rp.energy_joules * pim_energy_scale)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.elementwise import any_true
 from repro.gpu.devices import GPUDevice, baseline_device
 
 
@@ -85,11 +86,12 @@ class GPUEnergyModel:
         """Energy of one execution phase.
 
         Args:
-            duration_s: wall-clock duration of the phase.
+            duration_s: wall-clock duration of the phase; a float64 array of
+                durations makes the static energy an array.
             flops: floating point operations executed.
             dram_bytes: off-chip bytes moved.
         """
-        if duration_s < 0 or flops < 0 or dram_bytes < 0:
+        if any_true(duration_s < 0) or flops < 0 or dram_bytes < 0:
             raise ValueError("phase quantities must be non-negative")
         return EnergyBreakdown(
             static=self._background_power * duration_s,
@@ -98,7 +100,10 @@ class GPUEnergyModel:
         )
 
     def idle_energy(self, duration_s: float) -> EnergyBreakdown:
-        """Energy drawn while the GPU merely waits (e.g. for the HMC)."""
-        if duration_s < 0:
+        """Energy drawn while the GPU merely waits (e.g. for the HMC).
+
+        ``duration_s`` may be a float64 array; no element may be negative.
+        """
+        if any_true(duration_s < 0):
             raise ValueError("duration must be non-negative")
         return EnergyBreakdown(static=self.device.idle_watts * duration_s)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+from repro.elementwise import all_true
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,9 @@ class HMCConfig:
         packet_overhead_bytes: packet head + tail bytes added to each request
             crossing the crossbar (``SIZE_pkt`` in the paper's Eqs. 8/10/12).
         pes_per_vault: processing elements integrated per vault.
-        pe_frequency_mhz: PE clock frequency in MHz.
+        pe_frequency_mhz: PE clock frequency in MHz.  A float64 array holds
+            one frequency per element: the analytic models then evaluate
+            every frequency at once (vectorized sweeps), element by element.
     """
 
     num_vaults: int = 32
@@ -46,8 +51,9 @@ class HMCConfig:
             raise ValueError("invalid block / max-block sizes")
         if min(self.external_bandwidth_gbs, self.internal_bandwidth_gbs) <= 0:
             raise ValueError("bandwidths must be positive")
-        if self.pe_frequency_mhz <= 0:
-            raise ValueError("PE frequency must be positive")
+        # NaN fails both comparisons.
+        if not all_true((self.pe_frequency_mhz > 0) & (self.pe_frequency_mhz < math.inf)):
+            raise ValueError("PE frequency must be finite and positive")
 
     # -- derived quantities ----------------------------------------------------
 
@@ -95,8 +101,6 @@ class HMCConfig:
 
     def with_pe_frequency(self, frequency_mhz: float) -> "HMCConfig":
         """Return a copy with a different PE frequency (Fig. 18 sweeps)."""
-        if frequency_mhz <= 0:
-            raise ValueError("frequency must be positive")
         return replace(self, pe_frequency_mhz=frequency_mhz)
 
     def with_pes_per_vault(self, pes: int) -> "HMCConfig":

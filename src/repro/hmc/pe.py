@@ -17,9 +17,12 @@ numerical behaviour of the same flows lives in :mod:`repro.arithmetic`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Mapping
+
+from repro.elementwise import all_true
 
 
 class PEOperation(str, Enum):
@@ -126,7 +129,9 @@ class PEDatapath:
 
     Attributes:
         cycles_per_operation: cycles each operation type occupies the PE.
-        frequency_hz: PE clock frequency.
+        frequency_hz: PE clock frequency; a float64 array of frequencies makes
+            :meth:`time_for` and :meth:`throughput_ops` return one value per
+            element.
     """
 
     frequency_hz: float
@@ -135,8 +140,9 @@ class PEDatapath:
     )
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        # NaN fails both comparisons.
+        if not all_true((self.frequency_hz > 0) & (self.frequency_hz < math.inf)):
+            raise ValueError("frequency must be finite and positive")
         for op in PEOperation:
             if op not in self.cycles_per_operation:
                 raise ValueError(f"missing cycle cost for {op}")

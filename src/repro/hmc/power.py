@@ -97,7 +97,8 @@ class HMCPowerModel:
         """Energy of one distributed execution.
 
         Args:
-            execution: the timing result (its total time scales the static term).
+            execution: the timing result (its total time scales the static
+                term; a float64 array of times gives an array vault energy).
             total_operations: operations executed across *all* vaults.
             total_dram_bytes: DRAM bytes accessed across all vaults.
             crossbar_payload_bytes: bytes moved between vaults.

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.elementwise import maximum
 from repro.hmc.address import AddressMapping, CustomAddressMapping
 from repro.hmc.config import HMCConfig
 from repro.hmc.dram import VaultMemoryModel
@@ -56,6 +57,9 @@ class VaultWorkload:
 class VaultExecution:
     """Timing result of one vault executing its workload.
 
+    Every time is a float, or a float64 array when the PE frequency is one
+    (the compute time then varies per element).
+
     Attributes:
         compute_time: PE execution time (seconds).
         dram_time: conflict-free DRAM service time (seconds).
@@ -69,7 +73,7 @@ class VaultExecution:
     @property
     def execution_time(self) -> float:
         """Base execution time (compute overlapped with conflict-free DRAM)."""
-        return max(self.compute_time, self.dram_time)
+        return maximum(self.compute_time, self.dram_time)
 
     @property
     def total_time(self) -> float:

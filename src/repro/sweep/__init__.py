@@ -19,9 +19,10 @@ package is the exploration tool for the rest of it:
   every simulation in the persistent
   :class:`~repro.engine.diskcache.SimulationCache`, so repeated and
   overlapping sweeps are incremental.
-* :mod:`~repro.sweep.vectorized` batches eligible sweeps: whole frequency
-  planes evaluate as single numpy expressions, bit-exact against the scalar
-  path (a hard equivalence gate re-checks fresh points).  ``SweepRunner``
+* :mod:`~repro.sweep.vectorized` batches eligible sweeps: the registered
+  strategies run once per frequency plane on models whose PE frequency is a
+  numpy array, bit-exact against the scalar path (a hard equivalence gate
+  re-checks fresh points).  ``SweepRunner``
   picks it automatically (``backend="auto"``).
 * :mod:`~repro.sweep.queue` shards a grid into a filesystem work queue:
   independent worker processes lease shards via atomic lockfiles, publish

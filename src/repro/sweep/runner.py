@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
 from repro.analysis.tables import format_table
 from repro.api.scenario import Scenario
@@ -61,9 +61,13 @@ def default_worker_count() -> int:
     return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One ``(grid point, benchmark, design)`` measurement."""
+class SweepCell(NamedTuple):
+    """One ``(grid point, benchmark, design)`` measurement.
+
+    An immutable named tuple (grids build 100k+ of them, and a tuple builds
+    in about half the time of a frozen dataclass), so a cell compares equal
+    to a plain tuple of its fields.
+    """
 
     benchmark: str
     design: str

@@ -1,31 +1,35 @@
 """Vectorized (plane-batched) evaluation of sweep grids, bit-exact with the scalar path.
 
 The analytic models behind every design point are closed-form float
-arithmetic; a sweep grid only re-evaluates them with different scenario
-parameters.  This module exploits the structure of that arithmetic: of all
-swept quantities, only ``hmc.pe_frequency_mhz`` enters the models as a pure
-*scaling* input (``PEDatapath.time_for = cycles / (pes * frequency_hz)``) --
-every other quantity (distribution plans, operation mixes, DRAM and crossbar
-times, GPU simulations, power coefficients, scheduler decisions) is
-frequency-free.  The evaluator therefore
+arithmetic, and they accept the PE frequency as a float64 array as well as a
+Python float: elementwise ``+ - * /`` give the same bits in both forms, and
+the few comparisons on the frequency chain go through
+:mod:`repro.elementwise`.  Of all swept quantities only
+``hmc.pe_frequency_mhz`` is batched this way; the evaluator therefore
 
 1. groups the grid into **planes**: points sharing every non-frequency axis
    value.  Each plane is one frequency array.
-2. computes the frequency-free quantities of each plane **once**, via the
-   *actual scalar model code* on an anchor scenario (so they are identical to
-   the scalar path by construction), and
-3. re-expresses only the frequency-dependent chains as single numpy
-   expressions over the whole frequency array, replicating the scalar
-   operation order exactly.  IEEE-754 arithmetic is deterministic: the same
-   operations in the same order produce the same bits, so every cell equals
-   the scalar result **exactly** -- the same policy as the training kernels'
-   bit-exactness gate.
+2. builds, per ``(plane, benchmark)``, one
+   :class:`~repro.core.accelerator.PIMCapsNet` whose HMC frequency is that
+   array, reads the distributor's per-frequency execution scores, and picks
+   each point's distribution dimension with a keep-first ``argmax`` (what
+   ``best_plan``'s ``max`` picks for one frequency), and
+3. runs the **registered strategies themselves** on a model per winning
+   dimension, with ``force_dimension`` set, and scatters their array
+   results into per-point times, energies and (lazily) result objects.
+
+There is one copy of the model: a strategy patched or fixed is patched or
+fixed for both backends.  IEEE-754 arithmetic is deterministic, so every
+cell equals the scalar result **exactly** -- the same policy as the training
+kernels' bit-exactness gate.  An invalid frequency anywhere in a plane fails
+the model's own range check, exactly as the scalar path fails on it.
 
 Two guard rails keep this honest:
 
 * :func:`vectorization_blocker` refuses any sweep the batcher does not fully
-  understand (no frequency axis, selection axes, custom strategies); the
-  runner then falls back to the scalar path.
+  understand (no frequency axis, selection axes, custom strategies, whose
+  code may not accept frequency arrays); the runner then falls back to the
+  scalar path.
 * the **equivalence gate**: unless disabled, freshly computed points are
   re-simulated through the plain scalar path (all of them under
   ``verify="full"``, the first and last fresh frequency of every plane under
@@ -42,7 +46,8 @@ executes zero simulations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,19 +58,12 @@ from repro.core.accelerator import (
     PIMCapsNet,
     RoutingComparison,
 )
-from repro.core.rmas import SchedulerPolicy
+from repro.core.pipeline import PipelineTiming
 from repro.engine.diskcache import SimulationCache, canonical_digest
 from repro.engine.strategies import DesignLike, design_key, get_strategy
-from repro.hmc.address import CustomAddressMapping, DefaultAddressMapping
-from repro.hmc.dram import VaultMemoryModel
-from repro.hmc.pe import (
-    DEFAULT_CYCLES_PER_OPERATION,
-    STREAMING_MAC_CYCLES,
-    OperationMix,
-    PEDatapath,
-    PEOperation,
-)
+from repro.hmc.config import HMCConfig
 from repro.sweep.spec import SweepSpec
+from repro.workloads.benchmarks import BenchmarkConfig
 
 #: The axis broadcast as a numpy array; every other axis defines planes.
 FREQUENCY_AXIS = "hmc.pe_frequency_mhz"
@@ -167,383 +165,111 @@ def _strategy_blocker(design: DesignLike, kind: str) -> Optional[str]:
 # ------------------------------------------------------------- value batching
 
 
-def _select_rows(indices: np.ndarray, rows: Sequence[object]) -> np.ndarray:
-    """Per-point row selection: ``result[i] = rows[indices[i]][i]``.
-
-    Rows may be scalars or arrays; scalars broadcast.  Fancy indexing copies
-    the selected float64 values bit-for-bit.
-    """
-    stacked = np.stack(
-        [np.broadcast_to(np.asarray(row, dtype=np.float64), indices.shape) for row in rows]
-    )
-    return stacked[indices, np.arange(indices.shape[0])]
+def _at(value: object, j: int) -> object:
+    """Element ``j`` of a float64 array as a Python float; a float stays itself."""
+    return value.item(j) if isinstance(value, np.ndarray) else value
 
 
-class _DesignValues:
-    """Per-point times/energies of one design, plus a result materializer."""
-
-    __slots__ = ("times", "energies", "_materialize")
-
-    def __init__(
-        self,
-        times: List[float],
-        energies: List[float],
-        materialize: Callable[[int], object],
-    ) -> None:
-        self.times = times
-        self.energies = energies
-        self._materialize = materialize
-
-    @classmethod
-    def constant(cls, result: object, count: int) -> "_DesignValues":
-        return cls(
-            [result.time_seconds] * count,
-            [result.energy_joules] * count,
-            lambda index: result,
+def _result_at(result: object, j: int) -> object:
+    """One point's result: element ``j`` of a strategy result over an array."""
+    if isinstance(result, RoutingComparison):
+        return RoutingComparison(
+            design=result.design,
+            benchmark=result.benchmark,
+            time_seconds=_at(result.time_seconds, j),
+            energy_joules=_at(result.energy_joules, j),
+            time_components={k: _at(v, j) for k, v in result.time_components.items()},
+            energy_components={k: _at(v, j) for k, v in result.energy_components.items()},
+            dimension=result.dimension,
         )
+    timing = result.timing
+    return EndToEndComparison(
+        design=result.design,
+        benchmark=result.benchmark,
+        timing=PipelineTiming(
+            host_stage_time=_at(timing.host_stage_time, j),
+            routing_stage_time=_at(timing.routing_stage_time, j),
+            num_batches=timing.num_batches,
+            pipelined=timing.pipelined,
+        ),
+        energy_joules=_at(result.energy_joules, j),
+        host_stage_seconds=_at(result.host_stage_seconds, j),
+        routing_stage_seconds=_at(result.routing_stage_seconds, j),
+    )
+
+
+class _DesignValues(NamedTuple):
+    """Per-point times/energies of one design, plus per-point results on demand.
+
+    ``results`` holds one strategy result per dimension group; point ``i``
+    is element ``j`` of ``results[g]`` where ``where[i] == (g, j)``.
+    """
+
+    times: List[float]
+    energies: List[float]
+    results: List[object]
+    where: List[Tuple[int, int]]
 
     def result(self, index: int) -> object:
-        return self._materialize(index)
+        group, element = self.where[index]
+        return _result_at(self.results[group], element)
 
 
-class _BenchmarkPlane:
-    """All vectorized quantities of one ``(plane, benchmark)`` pair.
+def _plane_values(
+    config: BenchmarkConfig,
+    kwargs: Dict[str, object],
+    hmc: HMCConfig,
+    f_mhz: np.ndarray,
+    kind: str,
+    designs: List[DesignLike],
+) -> Dict[str, _DesignValues]:
+    """Every design's per-point values for one benchmark over one plane.
 
-    Frequency-free quantities come from ``model0`` -- the scalar model built
-    for the plane's anchor scenario -- so they are the scalar path's own
-    values; only frequency-dependent chains are recomputed as arrays.
+    The registered strategies run on models whose PE frequency is the
+    plane's frequency array.  The distribution dimension can differ per
+    frequency (the Fig. 18 effect) and a model simulates one dimension at a
+    time, so the points are grouped by the dimension that wins at their
+    frequency, one model each.  The strategies are called directly: the
+    model's memo would deep-copy every array result.
     """
-
-    def __init__(self, model0: PIMCapsNet, f_hz: np.ndarray, kind: str) -> None:
-        self.model0 = model0
-        self.f_hz = f_hz
-        self.n = int(f_hz.shape[0])
-        self.kind = kind  # "routing" | "end_to_end"
-        self._values: Dict[str, _DesignValues] = {}
-        self._plans: Optional[List[object]] = None
-        self._dim_idx: Optional[np.ndarray] = None
-        self._flavors: Dict[Tuple[bool, bool], Dict[str, object]] = {}
-        self._rp_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def values(self, design: DesignLike) -> _DesignValues:
-        key = design_key(design)
-        if key not in self._values:
-            self._values[key] = self._build(design)
-        return self._values[key]
-
-    # -------------------------------------------------------------- dispatch
-
-    def _build(self, design: DesignLike) -> _DesignValues:
-        dp = _design_points_module()
+    n = int(f_mhz.shape[0])
+    model = PIMCapsNet(
+        config, **kwargs, hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz)
+    )
+    scores = model.distributor.scores()
+    dimensions = list(scores)
+    # Keep-first argmax in Dimension order: what best_plan's max picks.
+    winners = np.argmax(np.stack(list(scores.values())), axis=0)
+    groups: List[Tuple[PIMCapsNet, np.ndarray]] = []
+    where: List[Tuple[int, int]] = [(0, 0)] * n
+    for group, winner in enumerate(np.unique(winners)):
+        positions = np.flatnonzero(winners == winner)
+        if positions.size < n:
+            model = PIMCapsNet(
+                config,
+                **kwargs,
+                hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz[positions]),
+            )
+        model.force_dimension = dimensions[winner]
+        groups.append((model, positions))
+        for element, index in enumerate(positions.tolist()):
+            where[index] = (group, element)
+    values: Dict[str, _DesignValues] = {}
+    for design in designs:
         strategy = get_strategy(design)
-        if type(strategy) is dp.GPUExecutionStrategy:
-            # GPU execution never touches the HMC: one scalar simulation of
-            # the anchor model covers the whole frequency plane.
-            result = (
-                self.model0.simulate_routing(design)
-                if self.kind == "routing"
-                else self.model0.simulate_end_to_end(design)
-            )
-            return _DesignValues.constant(result, self.n)
-        if self.kind == "routing":
-            if type(strategy) is dp.PIMPipelinedStrategy:
-                flags = (strategy.custom_mapping, strategy.interleaved_placement)
-            else:  # AllInPIMStrategy routes with routing_on_hmc defaults
-                flags = (True, False)
-            return self._routing_values(self._flavor(*flags), design)
-        if type(strategy) is dp.PIMPipelinedStrategy:
-            return self._pipelined_values(strategy, design)
-        return self._all_in_pim_values(strategy, design)
-
-    # ------------------------------------------------- plan/dimension choice
-
-    def _dim_selection(self) -> Tuple[List[object], np.ndarray]:
-        """The distribution plans and the per-frequency best-dimension index.
-
-        Replicates ``WorkloadDistributor.best_plan``: the plans themselves
-        are frequency-free; only the compute term of the estimated time
-        scales with frequency, so the winning dimension can flip across the
-        plane (the Fig. 18 effect).  Scores compare like the scalar path
-        (``1/t`` vs ``inf``), and ``argmax`` keeps the first winner on ties
-        exactly like ``max`` over the ``Dimension``-ordered plan dict.
-        """
-        if self._dim_idx is None:
-            model = self.model0
-            plans = model.distributor.all_plans()
-            self._plans = list(plans.values())
-            score_rows = []
-            for plan in self._plans:
-                cycles = model.datapath.cycles_for(plan.per_vault_operations)
-                pes = model.intra_vault.effective_pes(
-                    plan.per_vault_parallel_suboperations, plan.secondary_parallelism
-                )
-                compute = cycles / (pes * self.f_hz)
-                estimated = (
-                    np.maximum(compute, model.score_model.memory_time(plan))
-                    + model.score_model.communication_time(plan)
-                )
-                with np.errstate(divide="ignore"):
-                    score_rows.append(
-                        np.where(estimated > 0.0, 1.0 / estimated, np.inf)
-                    )
-            self._dim_idx = np.argmax(np.stack(score_rows), axis=0)
-        return self._plans, self._dim_idx
-
-    # --------------------------------------------------- routing on the HMC
-
-    def _flavor(self, custom_mapping: bool, interleaved: bool) -> Dict[str, object]:
-        """Per-point ``routing_on_hmc`` quantities for one placement flavor."""
-        flags = (custom_mapping, interleaved)
-        if flags in self._flavors:
-            return self._flavors[flags]
-        model = self.model0
-        cfg = model.hmc_config
-        plans, dim_idx = self._dim_selection()
-        mapping = (CustomAddressMapping if custom_mapping else DefaultAddressMapping)(cfg)
-        memory = VaultMemoryModel(cfg)
-        power = model.hmc_power
-        per_dim: List[Dict[str, object]] = []
-        for plan in plans:
-            if interleaved:
-                remote_fraction = (cfg.num_vaults - 1) / cfg.num_vaults
-                remote_bytes = plan.total_dram_bytes * remote_fraction
-                payload = remote_bytes
-                packets = remote_bytes / cfg.block_bytes
-                per_vault_dram = plan.total_dram_bytes / cfg.num_vaults
-                ports = cfg.num_vaults
-            else:
-                payload = plan.crossbar_payload_bytes
-                packets = plan.crossbar_packets
-                per_vault_dram = plan.per_vault_dram_bytes
-                ports = 1
-            utilization = model.intra_vault.utilization(
-                plan.per_vault_parallel_suboperations, plan.secondary_parallelism
-            )
-            pes = max(1, int(round(cfg.pes_per_vault * utilization)))
-            cycles = model.datapath.cycles_for(plan.per_vault_operations)
-            dram_time = memory.base_service_time(per_vault_dram)
-            conflict = mapping.bank_conflict_factor(cfg.pes_per_vault)
-            vrs = memory.stall_time(per_vault_dram, conflict)
-            xbar = model.crossbar.transfer(
-                payload, packets, receiver_ports=ports
-            ).total_time
-            execution = np.maximum(cycles / (pes * self.f_hz), dram_time)
-            total = (execution + vrs) + xbar
-            wire_bytes = payload * (1.0 + cfg.packet_overhead_bytes / float(cfg.block_bytes))
-            e_execution = power.pe_energy_per_op * plan.total_operations.total_operations
-            e_dram = power.dram_energy_per_byte * plan.total_dram_bytes
-            e_crossbar = power.crossbar_energy_per_byte * wire_bytes
-            e_vault = (power.static_power_watts + power.logic_power_watts) * total
-            energy = ((e_execution + e_dram) + e_crossbar) + e_vault
-            per_dim.append(
-                {
-                    "execution": execution,
-                    "vrs": vrs,
-                    "xbar": xbar,
-                    "time": total,
-                    "energy": energy,
-                    "e_execution": e_execution,
-                    "e_dram": e_dram,
-                    "e_crossbar": e_crossbar,
-                    "e_vault": e_vault,
-                    "dimension": plan.dimension,
-                }
-            )
-        flavor: Dict[str, object] = {
-            name: _select_rows(dim_idx, [entry[name] for entry in per_dim])
-            for name in (
-                "execution",
-                "vrs",
-                "xbar",
-                "time",
-                "energy",
-                "e_execution",
-                "e_dram",
-                "e_crossbar",
-                "e_vault",
-            )
-        }
-        flavor["dimension"] = [per_dim[j]["dimension"] for j in dim_idx.tolist()]
-        self._flavors[flags] = flavor
-        return flavor
-
-    def _routing_values(self, flavor: Dict[str, object], design: DesignLike) -> _DesignValues:
-        benchmark = self.model0.benchmark.name
-        times = flavor["time"].tolist()
-        energies = flavor["energy"].tolist()
-        execution = flavor["execution"].tolist()
-        vrs = flavor["vrs"].tolist()
-        xbar = flavor["xbar"].tolist()
-        e_execution = flavor["e_execution"].tolist()
-        e_dram = flavor["e_dram"].tolist()
-        e_crossbar = flavor["e_crossbar"].tolist()
-        e_vault = flavor["e_vault"].tolist()
-        dimensions = flavor["dimension"]
-
-        def materialize(i: int) -> RoutingComparison:
-            return RoutingComparison(
-                design=design,
-                benchmark=benchmark,
-                time_seconds=times[i],
-                energy_joules=energies[i],
-                time_components={
-                    "execution": execution[i],
-                    "xbar": xbar[i],
-                    "vrs": vrs[i],
-                },
-                energy_components={
-                    "execution": e_execution[i],
-                    "dram": e_dram[i],
-                    "crossbar": e_crossbar[i],
-                    "vault": e_vault[i],
-                },
-                dimension=dimensions[i],
-            )
-
-        return _DesignValues(times, energies, materialize)
-
-    def _rp(self, rp_design: DesignLike) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-point routing time/energy arrays of a pipeline's RP stage."""
-        dp = _design_points_module()
-        key = design_key(rp_design)
-        if key not in self._rp_cache:
-            strategy = get_strategy(rp_design)
-            if type(strategy) is dp.GPUExecutionStrategy:
-                result = self.model0.simulate_routing(rp_design)
-                pair = (
-                    np.full(self.n, result.time_seconds),
-                    np.full(self.n, result.energy_joules),
-                )
-            else:
-                if type(strategy) is dp.PIMPipelinedStrategy:
-                    flags = (strategy.custom_mapping, strategy.interleaved_placement)
-                else:
-                    flags = (True, False)
-                flavor = self._flavor(*flags)
-                pair = (flavor["time"], flavor["energy"])
-            self._rp_cache[key] = pair
-        return self._rp_cache[key]
-
-    # ------------------------------------------------------------ end-to-end
-
-    def _pipelined_values(self, strategy, design: DesignLike) -> _DesignValues:
-        model = self.model0
-        host = model.host_stage()
-        rp_time_raw, rp_energy = self._rp(strategy.rp_design)
-        num_vaults = model.hmc_config.num_vaults
-        if strategy.policy is SchedulerPolicy.RMAS:
-            # ContentionModel.optimal_share scans every host-priority vault
-            # count; the cost matrix compares all shares per point at once.
-            pairs = [
-                model.contention.slowdowns_for_share(n / num_vaults)
-                for n in range(num_vaults + 1)
-            ]
-            cost = np.stack(
-                [
-                    np.maximum(host["time"] * hs, rp_time_raw * ps)
-                    for hs, ps in pairs
-                ]
-            )
-            best = np.argmin(cost, axis=0)  # first minimum, like strict '<'
-            host_slowdown = np.asarray([hs for hs, _ in pairs])[best]
-            pim_slowdown = np.asarray([ps for _, ps in pairs])[best]
-        else:
-            decision = model.rmas.decide(
-                targeted_vaults=num_vaults, queue_depth=model.rmas_queue_depth
-            )
-            host_slowdown, pim_slowdown = model.contention.slowdowns(
-                strategy.policy, decision
-            )
-        host_time = host["time"] * host_slowdown
-        rp_time = rp_time_raw * pim_slowdown
-        num_batches = model.pipeline.num_batches
-        if num_batches == 1:
-            total = host_time + rp_time
-        else:
-            total = (
-                host_time + (num_batches - 1) * np.maximum(host_time, rp_time)
-            ) + rp_time
-        gpu_energy = model.gpu_energy
-        host_energy = (
-            gpu_energy._background_power * host_time
-            + gpu_energy.energy_per_flop * host["flops"]
-        ) + gpu_energy.energy_per_dram_byte * host["traffic"]
-        idle_time = np.maximum(0.0, total - num_batches * host_time)
-        idle_energy = (gpu_energy.device.idle_watts * idle_time + 0.0) + 0.0
-        energy = num_batches * (host_energy + rp_energy * pim_slowdown) + idle_energy
-        return self._end_to_end_values(
-            design, host_time, rp_time, total, energy, pipelined=True
+        simulate = (
+            strategy.simulate_routing if kind == "routing" else strategy.simulate_end_to_end
         )
-
-    def _all_in_pim_values(self, strategy, design: DesignLike) -> _DesignValues:
-        dp = _design_points_module()
-        model = self.model0
-        cfg = model.hmc_config
-        host = model.host_stage()
-        rp_time, rp_energy = self._rp(strategy.rp_design)
-        # HMCDevice.execute_dense: streaming MACs spread over every vault.
-        streaming_costs = dict(DEFAULT_CYCLES_PER_OPERATION)
-        streaming_costs[PEOperation.MAC] = STREAMING_MAC_CYCLES
-        datapath = PEDatapath(
-            frequency_hz=model.datapath.frequency_hz,
-            cycles_per_operation=streaming_costs,
+        results = [simulate(group_model, design) for group_model, _ in groups]
+        times = np.empty(n)
+        energies = np.empty(n)
+        for (_, positions), result in zip(groups, results):
+            times[positions] = result.time_seconds
+            energies[positions] = result.energy_joules
+        values[design_key(design)] = _DesignValues(
+            times.tolist(), energies.tolist(), results, where
         )
-        macs = host["flops"] / 2.0
-        mix = OperationMix().add(PEOperation.MAC, macs / cfg.num_vaults)
-        cycles = datapath.cycles_for(mix)
-        pes = max(1, int(round(cfg.pes_per_vault * 1.0)))
-        memory = VaultMemoryModel(cfg)
-        per_vault_bytes = host["traffic"] / cfg.num_vaults
-        dram_time = memory.base_service_time(per_vault_bytes)
-        conflict = CustomAddressMapping(cfg).bank_conflict_factor(cfg.pes_per_vault)
-        vrs = memory.stall_time(per_vault_bytes, conflict)
-        xbar = model.crossbar.transfer(0.0, 0.0).total_time
-        host_time = (np.maximum(cycles / (pes * self.f_hz), dram_time) + vrs) + xbar
-        num_batches = model.pipeline.num_batches
-        total = num_batches * (host_time + rp_time)
-        power = model.hmc_power
-        wire_bytes = 0.0 * (1.0 + cfg.packet_overhead_bytes / float(cfg.block_bytes))
-        e_execution = (
-            power.pe_energy_per_op * dp.dense_operation_mix(host["flops"]).total_operations
-        )
-        e_dram = power.dram_energy_per_byte * host["traffic"]
-        e_crossbar = power.crossbar_energy_per_byte * wire_bytes
-        e_vault = (power.static_power_watts + power.logic_power_watts) * host_time
-        host_energy = ((e_execution + e_dram) + e_crossbar) + e_vault
-        energy = num_batches * (host_energy + rp_energy)
-        return self._end_to_end_values(
-            design, host_time, rp_time, total, energy, pipelined=False
-        )
-
-    def _end_to_end_values(
-        self,
-        design: DesignLike,
-        host_time: np.ndarray,
-        rp_time: np.ndarray,
-        total: np.ndarray,
-        energy: np.ndarray,
-        *,
-        pipelined: bool,
-    ) -> _DesignValues:
-        model = self.model0
-        benchmark = model.benchmark.name
-        host_list = np.broadcast_to(host_time, total.shape).tolist()
-        rp_list = np.broadcast_to(rp_time, total.shape).tolist()
-        times = total.tolist()
-        energies = np.broadcast_to(energy, total.shape).tolist()
-        timing_of = model.pipeline.pipelined if pipelined else model.pipeline.serial
-
-        def materialize(i: int) -> EndToEndComparison:
-            return EndToEndComparison(
-                design=design,
-                benchmark=benchmark,
-                timing=timing_of(host_list[i], rp_list[i]),
-                energy_joules=energies[i],
-                host_stage_seconds=host_list[i],
-                routing_stage_seconds=rp_list[i],
-            )
-
-        return _DesignValues(times, energies, materialize)
+    return values
 
 
 # ------------------------------------------------------------ grid evaluation
@@ -674,13 +400,14 @@ def _evaluate_plane(
         any_miss = True
 
     # -- vectorized evaluation (only the planes' fresh cells need it) --------
-    bench_planes: Dict[str, _BenchmarkPlane] = {}
+    bench_values: Dict[str, Dict[str, _DesignValues]] = {}
     if any_miss:
-        f_hz = np.asarray(frequencies, dtype=np.float64) * 1e6
+        f_mhz = np.asarray(frequencies, dtype=np.float64)
         kwargs = anchor.model_kwargs()
+        kwargs.pop("hmc_config", None)
         for name in names:
-            bench_planes[name] = _BenchmarkPlane(
-                PIMCapsNet(configs[name], **kwargs), f_hz, kind
+            bench_values[name] = _plane_values(
+                configs[name], kwargs, anchor.hmc, f_mhz, kind, cell_designs
             )
 
     # Per-(benchmark, design) value arrays, hoisted out of the point loop:
@@ -691,11 +418,10 @@ def _evaluate_plane(
     per_bench: Dict[str, tuple] = {}
     for name in names:
         if any_miss:
-            plane = bench_planes[name]
-            baseline_values = plane.values(DesignPoint.BASELINE_GPU)
+            by_design = bench_values[name]
+            baseline_values = by_design[baseline_key]
             design_values = [
-                (design_str, dkey, plane.values(dkey))
-                for design_str, dkey in design_meta
+                (design_str, dkey, by_design[dkey]) for design_str, dkey in design_meta
             ]
         else:  # fully warm plane: every lookup hits, the arrays are unused
             baseline_values = None
@@ -805,7 +531,7 @@ def _evaluate_plane(
             lambda name, design, i=i: (
                 computed.get((i, name, design_key(design)))
                 if cache is not None
-                else bench_planes[name].values(design).result(i)
+                else bench_values[name][design_key(design)].result(i)
             ),
         )
         outcomes[positions[i]]["simulations"] += sims

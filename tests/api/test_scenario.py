@@ -108,8 +108,9 @@ def test_with_overrides_rejects_unknown_keys():
 
 
 def test_with_overrides_validates_values():
-    with pytest.raises(ValueError):
-        Scenario().with_overrides({"hmc.pe_frequency_mhz": "-1"})
+    for frequency in ("-1", "nan", "inf"):
+        with pytest.raises(ValueError):
+            Scenario().with_overrides({"hmc.pe_frequency_mhz": frequency})
     with pytest.raises(ValueError, match="invalid value"):
         Scenario().with_overrides({"hmc.pes_per_vault": "eight"})
     with pytest.raises(ValueError):

@@ -196,9 +196,10 @@ def test_unknown_scenario_preset_is_a_structured_400(client):
 
 
 def test_invalid_override_is_a_structured_400(client):
-    status, payload = client.post("/v1/run", {"set": ["hmc.warp_factor=9"]})
-    assert status == 400
-    assert _error_code(payload) == "invalid_override"
+    for override in ("hmc.warp_factor=9", "hmc.pe_frequency_mhz=nan"):
+        status, payload = client.post("/v1/run", {"set": [override]})
+        assert status == 400
+        assert _error_code(payload) == "invalid_override"
 
 
 def test_non_object_body_is_a_structured_400(client):

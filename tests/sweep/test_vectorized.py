@@ -7,12 +7,14 @@ import pytest
 from repro.api import Scenario
 from repro.api.scenario import preset_names
 from repro.core.accelerator import DesignPoint, PIMCapsNet
+from repro.core.pipeline import PipelineTiming
 from repro.engine.diskcache import SimulationCache
 from repro.engine.strategies import (
     DesignPointStrategy,
     register_strategy,
     unregister_strategy,
 )
+from repro.hmc.power import HMCPowerModel
 from repro.sweep import (
     SweepRunner,
     SweepSpec,
@@ -134,6 +136,53 @@ def test_vectorized_reproduces_the_dimension_flip():
     # verify="full" re-checks RoutingComparison.dimension at every point.
     result = _run(spec, backend="vectorized", verify="full")
     assert result.executor_used == "vectorized"
+
+
+def _scale_vault_energy(monkeypatch):
+    energy = HMCPowerModel.energy
+
+    def scaled(self, *args, **kwargs):
+        breakdown = energy(self, *args, **kwargs)
+        return dataclasses.replace(breakdown, vault=breakdown.vault * 1.5)
+
+    monkeypatch.setattr(HMCPowerModel, "energy", scaled)
+
+
+def _scale_total_time(monkeypatch):
+    total_time = PipelineTiming.total_time.fget
+    monkeypatch.setattr(
+        PipelineTiming, "total_time", property(lambda self: total_time(self) * 1.25)
+    )
+
+
+@pytest.mark.parametrize("patch", [_scale_vault_energy, _scale_total_time])
+@pytest.mark.parametrize("kind", ["routing", "end-to-end"])
+def test_vectorized_path_follows_the_model(monkeypatch, patch, kind):
+    """A changed model method changes both backends alike: the vectorized
+    evaluator runs the registered strategies, not a copy of their arithmetic."""
+    patch(monkeypatch)
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": [312.5, 625.0, 1250.0]},
+        benchmarks=("Caps-MN1", "Caps-EN1"),
+        designs=("pim-capsnet", "pim-intra", "all-in-pim", "rmas-gpu"),
+        kind=kind,
+    )
+    vectorized = _run(spec, backend="vectorized", verify="full")
+    assert vectorized.to_dict() == _run(spec, backend="scalar").to_dict()
+
+
+@pytest.mark.parametrize(
+    "frequencies",
+    [[312.5, 0, -5, 625], [312.5, float("nan")], [312.5, float("inf")]],
+    ids=["non-positive", "nan", "inf"],
+)
+@pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+def test_both_backends_reject_the_same_axis_values(backend, frequencies):
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": frequencies}, benchmarks=("Caps-MN1",)
+    )
+    with pytest.raises(ValueError, match="PE frequency must be finite and positive"):
+        _run(spec, backend=backend)
 
 
 # ------------------------------------------------------- eligibility/fallback

@@ -180,6 +180,13 @@ def test_malformed_set_rejected():
         main(["evaluate", "--set", "hmc.pe_frequency_mhz"])
 
 
+def test_non_finite_pe_frequency_rejected(capsys):
+    argv = ["reproduce", "--only", "fig15", "--benchmarks", "Caps-MN1", "--no-cache"]
+    with pytest.raises(SystemExit, match="PE frequency must be finite and positive"):
+        main(argv + ["--set", "hmc.pe_frequency_mhz=nan"])
+    assert capsys.readouterr().out == ""
+
+
 def test_compare_base_vs_set_variant(capsys):
     assert (
         main(
