@@ -17,8 +17,10 @@ Times five configurations:
   with 2 workers, then resumed; the resumed run must execute zero
   simulations (everything comes from done-files + disk cache).
 
-``parallel_speedup`` is only meaningful on multi-core machines; the report
-records ``cpu_count`` and the regression assertion is gated on it, so a
+Every configuration runs ``REPEATS`` times on fresh cache directories, and
+the report records the median time of each with ``repeats`` and
+``cpu_count``.  ``parallel_speedup`` is only meaningful on multi-core
+machines; the regression assertion is gated on ``cpu_count``, so a
 single-core container records ~1.0x as context instead of failing.
 
 The JSON report lands next to this script (``benchmarks/BENCH_sweep.json``
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -67,6 +70,10 @@ VECTORIZED_SPEC = SweepSpec.from_axes(
 )
 
 
+#: Timed runs of every configuration; the report records each one's median.
+REPEATS = 3
+
+
 def _timed(spec=SPEC, **kwargs):
     start = time.perf_counter()
     result = SweepRunner(spec, **kwargs).run()
@@ -78,51 +85,52 @@ def _cells(result) -> int:
     return sum(len(point.cells) for point in result.points)
 
 
-def main() -> int:
-    output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "BENCH_sweep.json"
-    jobs = default_worker_count()
-    cores = os.cpu_count() or 1
-    print(f"grid: {SPEC.describe()}")
+def _repeat_once(jobs: int) -> dict:
+    """Every configuration once, on fresh cache directories: results and seconds."""
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as serial_dir, \
             tempfile.TemporaryDirectory(prefix="bench-sweep-") as parallel_dir, \
             tempfile.TemporaryDirectory(prefix="bench-sweep-") as queue_dir:
         # Scalar reference numbers: the reference grid has a frequency axis,
         # so backend="scalar" keeps it off the vectorized path.
-        serial, serial_s = _timed(jobs=1, backend="scalar", cache_dir=serial_dir)
-        print(f"cold serial:   {serial_s:.3f}s  ({serial.describe_stats()})")
-        parallel, parallel_s = _timed(
-            jobs=jobs, backend="scalar", cache_dir=parallel_dir
-        )
-        print(f"cold parallel: {parallel_s:.3f}s  ({parallel.describe_stats()})")
-        warm, warm_s = _timed(jobs=jobs, backend="scalar", cache_dir=parallel_dir)
-        print(f"warm:          {warm_s:.3f}s  ({warm.describe_stats()})")
-
+        runs["serial"] = _timed(jobs=1, backend="scalar", cache_dir=serial_dir)
+        runs["parallel"] = _timed(jobs=jobs, backend="scalar", cache_dir=parallel_dir)
+        runs["warm"] = _timed(jobs=jobs, backend="scalar", cache_dir=parallel_dir)
         # Vectorized backend on a 100k+-cell grid.  Cache off: this times the
         # *computation* of every cell (plus the sampled scalar equivalence
         # gate), not cache hits.
-        vec, vec_s = _timed(
+        runs["vectorized"] = _timed(
             VECTORIZED_SPEC, jobs=1, backend="vectorized", use_cache=False
         )
-        vec_cells = _cells(vec)
-        print(f"vectorized:    {vec_s:.3f}s  ({vec.describe_stats()})")
-
         # Sharded queue: cold with 2 workers, then a resume that must be free.
-        queue_start = time.perf_counter()
-        queue_cold = run_queued_sweep(
-            SPEC, workers=2, shard_size=5, cache_dir=queue_dir
-        )
-        queue_cold_s = time.perf_counter() - queue_start
-        queue_start = time.perf_counter()
-        queue_resume = run_queued_sweep(
-            SPEC, workers=2, shard_size=5, cache_dir=queue_dir, resume=True
-        )
-        queue_resume_s = time.perf_counter() - queue_start
-        print(
-            f"queue cold:    {queue_cold_s:.3f}s  ({queue_cold.describe_stats()})"
-        )
-        print(
-            f"queue resume:  {queue_resume_s:.3f}s  ({queue_resume.describe_stats()})"
-        )
+        for name, resume in (("queue_cold", False), ("queue_resume", True)):
+            start = time.perf_counter()
+            result = run_queued_sweep(
+                SPEC, workers=2, shard_size=5, cache_dir=queue_dir, resume=resume
+            )
+            runs[name] = (result, time.perf_counter() - start)
+    return runs
+
+
+def main() -> int:
+    output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "BENCH_sweep.json"
+    jobs = default_worker_count()
+    cores = os.cpu_count() or 1
+    print(f"grid: {SPEC.describe()}; {REPEATS} repeats, medians")
+    repeats = [_repeat_once(jobs) for _ in range(REPEATS)]
+    seconds = {
+        name: statistics.median(runs[name][1] for runs in repeats) for name in repeats[0]
+    }
+    last = {name: result for name, (result, _) in repeats[-1].items()}
+    serial, parallel, warm = last["serial"], last["parallel"], last["warm"]
+    vec, queue_cold, queue_resume = last["vectorized"], last["queue_cold"], last["queue_resume"]
+    serial_s, parallel_s, warm_s = seconds["serial"], seconds["parallel"], seconds["warm"]
+    vec_s, queue_cold_s, queue_resume_s = (
+        seconds["vectorized"], seconds["queue_cold"], seconds["queue_resume"]
+    )
+    vec_cells = _cells(vec)
+    for name, result in last.items():
+        print(f"{name + ':':<14} {seconds[name]:.3f}s  ({result.describe_stats()})")
 
     if warm.simulations_executed != 0 or warm.cache.misses != 0:
         raise SystemExit("warm run was not fully cached -- the cache is broken")
@@ -172,6 +180,7 @@ def main() -> int:
         "version": __version__,
         "python": platform.python_version(),
         "cpu_count": cores,
+        "repeats": REPEATS,
         "jobs": jobs,
         "grid_points": len(serial.points),
         "cells": cells,

@@ -7,7 +7,7 @@ from repro.analysis.metrics import (
     percentage,
     speedup,
 )
-from repro.analysis.tables import format_table, transpose_rows
+from repro.analysis.tables import format_columns, format_table, transpose_rows
 
 __all__ = [
     "energy_saving",
@@ -15,6 +15,7 @@ __all__ = [
     "normalize",
     "percentage",
     "speedup",
+    "format_columns",
     "format_table",
     "transpose_rows",
 ]

@@ -287,19 +287,38 @@ class Scenario:
     def hardware_hash(self) -> str:
         """Content hash (SHA-256 hex) of :meth:`hardware_dict`.
 
-        The key the persistent simulation cache
-        (:class:`~repro.engine.diskcache.SimulationCache`) files results
-        under: scenarios that differ only in name (or in selections) share
-        cached simulations; any hardware change misses.  Memoized per
-        instance (the scenario is frozen) -- cache lookups hash in O(1).
+        Scenarios that differ only in name (or in selections) hash equal;
+        any hardware change differs.  Memoized per instance (the scenario is
+        frozen), so repeated calls hash in O(1).
         """
         cached = self.__dict__.get("_hardware_hash")
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._memoize_digest("_hardware_hash", self.hardware_dict())
+        return cached
+
+    def plane_hash(self) -> str:
+        """Content hash (SHA-256 hex) of :meth:`hardware_dict` without the PE frequency.
+
+        The shard the persistent simulation cache
+        (:class:`~repro.engine.diskcache.SimulationCache`) files results
+        under: scenarios differing at most in ``hmc.pe_frequency_mhz`` form
+        one frequency plane (the paper's Fig. 18 is such a plane), whose
+        results share one shard, keyed within it by frequency.  Memoized
+        like :meth:`hardware_hash`, so cache lookups hash in O(1).
+        """
+        cached = self.__dict__.get("_plane_hash")
+        if cached is None:
+            data = self.hardware_dict()
+            del data["hmc"]["pe_frequency_mhz"]
+            cached = self._memoize_digest("_plane_hash", data)
+        return cached
+
+    def _memoize_digest(self, attribute: str, payload: Dict[str, object]) -> str:
+        """Store ``canonical_digest(payload)`` on this (frozen) instance."""
         from repro.engine.diskcache import canonical_digest
 
-        digest = canonical_digest(self.hardware_dict())
-        object.__setattr__(self, "_hardware_hash", digest)
+        digest = canonical_digest(payload)
+        object.__setattr__(self, attribute, digest)
         return digest
 
     def content_hash(self) -> str:

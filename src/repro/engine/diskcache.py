@@ -1,4 +1,4 @@
-"""Persistent, scenario-sharded on-disk cache for simulation results.
+"""Persistent, plane-sharded on-disk cache for simulation results.
 
 The in-memory caches (:class:`~repro.engine.context.SimulationContext`,
 :class:`~repro.core.accelerator.PIMCapsNet`) only live for one process; a
@@ -7,31 +7,33 @@ points across invocations -- or fanning points out over a process pool --
 pays for every simulation again.  :class:`SimulationCache` memoizes those
 results on disk instead:
 
-* **Scenario-sharded, versioned layout.**  All entries of one scenario live
-  in a single shard file, ``<dir>/v<schema>/<aa>/<scenario-hash>.json``
-  (``~/.cache/repro`` by default; override with ``directory=`` /
-  ``--cache-dir`` / ``$REPRO_CACHE_DIR``), named by the scenario's hardware
-  hash (:meth:`~repro.api.scenario.Scenario.hardware_hash`), so scenarios
-  differing only in *name* share entries.  A whole grid costs one small
-  file per point instead of one per simulation.  Bumping
+* **Plane-sharded, versioned layout.**  A *plane* is a set of scenarios that
+  differ at most in ``hmc.pe_frequency_mhz`` -- the paper's Fig. 18 is one.
+  All entries of a plane live in a single shard file,
+  ``<dir>/v<schema>/<aa>/<plane-hash>.json`` (``~/.cache/repro`` by default;
+  override with ``directory=`` / ``--cache-dir`` / ``$REPRO_CACHE_DIR``),
+  named by :meth:`~repro.api.scenario.Scenario.plane_hash`, so scenarios
+  differing only in *name* share entries and a frequency sweep costs one
+  file per plane instead of one per point.  Bumping
   :data:`CACHE_SCHEMA_VERSION` orphans old trees instead of misreading them
   (every entry is re-creatable, so stale trees can simply be deleted).
-* **Entries keyed by their fields.**  A shard's ``entries`` are rows
-  ``[workload_hash, kind, design_key, pe_frequency_mhz, force_dimension,
-  result]``, loaded into a dict keyed by the tuple of the first five: a
-  lookup is one tuple build and one dict probe, with no per-entry digest,
-  and each key is stored once.  Shards that are not JSON, or whose rows are
-  malformed, are quarantined.
+* **Blocks of float64 columns.**  A shard holds one :class:`Block` per
+  ``(workload, kind, design, force_dimension)``.  Its rows are keyed by the
+  effective PE frequency -- Fig. 18's override when given, else the
+  scenario's own -- and share one result shape (type, design, benchmark,
+  component names, batch structure).  A row's frequency, distribution
+  dimension and float fields are little-endian float64 values, and a
+  block's rows pack into one base64 string, so a block encodes and decodes
+  in one call with exact bits.  A vectorized sweep reads and writes whole
+  blocks as arrays; a scalar lookup decodes one row.  Shards that are not
+  JSON, or whose blocks are malformed, are quarantined.
 * **Buffered writes, atomic publish.**  ``put`` buffers in memory;
   :meth:`SimulationCache.flush` merges each dirty shard with whatever
-  reached disk meanwhile (buffered entries win on conflict) and publishes it
-  through a temporary file and an atomic :func:`os.replace`.  Concurrent
-  workers therefore never observe half-written shards, and writers sharing a
-  shard keep each other's entries.  The engine flushes automatically at the
-  end of a runner/sweep-point execution.
-* **Exact round-trips.**  Results are stored with full float precision
-  (``repr`` round-trip through JSON is exact for IEEE doubles), so a report
-  rendered from a warm cache is byte-identical to a cold run's.
+  reached disk meanwhile, block by block (buffered rows win on conflict),
+  and publishes it through a temporary file and an atomic :func:`os.replace`.
+  Concurrent workers therefore never observe half-written shards, and
+  writers sharing a shard keep each other's rows.  The engine flushes
+  automatically at the end of a runner/sweep-point execution.
 
 Only the two engine result types (:class:`~repro.core.accelerator.
 RoutingComparison`, :class:`~repro.core.accelerator.EndToEndComparison`) are
@@ -41,6 +43,7 @@ the in-memory caches).
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
@@ -59,6 +62,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.accelerator import EndToEndComparison, RoutingComparison
 from repro.core.pipeline import PipelineTiming
 from repro.engine.strategies import DesignLike, design_key, resolve_design
@@ -71,9 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
     from repro.engine.context import CacheStats
 
-#: Version of the on-disk shard format (2: field-keyed rows).  Bump whenever
-#: the rows or the result encoding change shape; old shards are then ignored.
-CACHE_SCHEMA_VERSION = 2
+#: Version of the on-disk shard format (3: one shard per frequency plane,
+#: float64 column blocks).  Bump whenever the blocks or the result encoding
+#: change shape; old shards are then ignored.
+CACHE_SCHEMA_VERSION = 3
 
 #: Version of the trained-model artifact format (:class:`TrainedModelCache`).
 #: Bump whenever the key payload, the training pipeline's arithmetic, or the
@@ -154,23 +160,36 @@ def benchmark_hash(config: BenchmarkConfig) -> str:
     return canonical_digest(dataclasses.asdict(config))
 
 
-def _parse_rows(rows: list) -> Dict[tuple, dict]:
-    """Shard rows as ``{entry key: result payload}``; raises on a malformed row."""
-    entries: Dict[tuple, dict] = {}
+def _parse_blocks(rows: list) -> Dict[tuple, "Block"]:
+    """Shard blocks as ``{block key: Block}``; raises on a malformed block."""
+    blocks: Dict[tuple, Block] = {}
     for row in rows:
-        # Unpacking rejects non-6-sequences; the type checks reject the rest.
-        workload, kind, design, frequency, dimension, payload = row
+        # Unpacking rejects non-6-sequences; the checks reject the rest.
+        workload, kind, design, dimension, shape, packed = row
         if not (
             isinstance(workload, str)
             and isinstance(kind, str)
             and isinstance(design, str)
-            and (frequency is None or type(frequency) in (int, float))
             and (dimension is None or isinstance(dimension, str))
-            and isinstance(payload, dict)
         ):
-            raise ValueError("malformed cache shard row")
-        entries[(workload, kind, design, frequency, dimension)] = payload
-    return entries
+            raise ValueError("malformed cache shard block")
+        blocks[(workload, kind, design, dimension)] = Block.from_json(shape, packed)
+    return blocks
+
+
+def _shard_text(version: int, plane_hash: str, blocks: Dict[tuple, "Block"]) -> str:
+    """A shard's JSON text: ``{"schema", "plane", "blocks": [[*key, shape,
+    packed], ...]}``.
+
+    Base64 needs no JSON escaping, so each block's packed matrix is spliced
+    into the text rather than scanned by the encoder -- most of a shard's
+    bytes, and most of the time ``json.dumps`` would spend on it.
+    """
+    rows = ",".join(
+        f'{json.dumps([*key, block.shape])[:-1]},"{block.packed()}"]'
+        for key, block in blocks.items()
+    )
+    return f'{{"schema":{json.dumps(version)},"plane":{json.dumps(plane_hash)},"blocks":[{rows}]}}'
 
 
 class SimulationCache:
@@ -183,8 +202,8 @@ class SimulationCache:
             override it to exercise invalidation).
 
     Attributes:
-        stats: hit/miss counters of this cache instance
-            (:class:`~repro.engine.context.CacheStats`).
+        stats: hit/miss counters of this cache instance, one count per
+            entry (:class:`~repro.engine.context.CacheStats`).
     """
 
     def __init__(
@@ -204,9 +223,13 @@ class SimulationCache:
         #: cache to read-only: gets still work, flushes become no-ops.
         self.read_only = False
         self._lock = threading.RLock()
-        #: scenario hash -> {entry key: result payload}
-        self._shards: Dict[str, Dict[tuple, dict]] = {}
+        #: plane hash -> {block key: Block}
+        self._shards: Dict[str, Dict[tuple, Block]] = {}
         self._dirty: Dict[str, bool] = {}
+        #: plane hash -> identity of the shard file this instance last read
+        #: or published (``None``: there was none); unchanged, a flush need
+        #: not merge it again.
+        self._seen: Dict[str, Optional[tuple]] = {}
 
     # ----------------------------------------------------------------- keying
 
@@ -216,42 +239,63 @@ class SimulationCache:
         benchmark: BenchmarkConfig,
         kind: str,
         design: DesignLike,
-        pe_frequency_mhz: Optional[float] = None,
+        pe_frequency_mhz: object = None,
         force_dimension: Optional[Dimension] = None,
-    ) -> Tuple[str, tuple]:
-        """The shard (scenario hardware hash) and entry key of one simulation.
+    ) -> Tuple[str, tuple, object]:
+        """The shard (plane hash), block key and row frequency of one request.
 
-        ``scenario`` may be a :class:`~repro.api.scenario.Scenario` or its
-        hardware hash string (bulk callers key thousands of grid points
-        without a scenario object per point).  Both hashes are memoized, so
-        keying an entry computes no digest.
+        The row is the effective PE frequency: ``pe_frequency_mhz`` (Fig.
+        18's override) when given, else the scenario's own; a float64 array
+        names one row per element.  ``scenario`` may be a
+        :class:`~repro.api.scenario.Scenario` or its plane hash string (bulk
+        callers key a whole plane without a scenario per point), which then
+        needs ``pe_frequency_mhz``.  Both hashes are memoized, so keying an
+        entry computes no digest.
         """
+        if isinstance(scenario, str):
+            if pe_frequency_mhz is None:
+                raise ValueError("a plane-hash request needs its pe_frequency_mhz")
+            plane = scenario
+        else:
+            plane = scenario.plane_hash()
+            if pe_frequency_mhz is None:
+                pe_frequency_mhz = scenario.hmc.pe_frequency_mhz
         return (
-            scenario if isinstance(scenario, str) else scenario.hardware_hash(),
+            plane,
             (
                 benchmark_hash(benchmark),
                 str(kind),
                 design_key(design),
-                pe_frequency_mhz,
                 force_dimension.value if force_dimension is not None else None,
             ),
+            pe_frequency_mhz,
         )
 
-    def _shard_path(self, scenario_hash: str) -> Path:
-        return self.directory / scenario_hash[:2] / f"{scenario_hash}.json"
+    def _shard_path(self, plane_hash: str) -> Path:
+        return self.directory / plane_hash[:2] / f"{plane_hash}.json"
+
+    @staticmethod
+    def _identity(path: Path) -> Optional[tuple]:
+        """Which file is at ``path`` now (``None`` if none): every publish
+        replaces the shard by a new file, so this changes with each one."""
+        try:
+            stat = os.stat(path)
+        except OSError:
+            return None
+        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     @contextmanager
     def _shard_write_lock(self, path: Path):
         """Exclusive advisory lock serializing read-merge-publish on a shard.
 
         Without it two writers sharing a shard (process-parallel sweep
-        points, e.g. over a ``benchmarks`` axis that keeps the hardware hash
-        constant, or serve's handler threads) can interleave ``_read_disk``
-        and ``os.replace`` so that the slower writer publishes a merge that
-        never saw the faster writer's entries -- a classic lost update,
-        observed as a warm sweep re-running simulations.  On platforms
-        without :mod:`fcntl` the flush stays best-effort (the cache remains
-        correct, merely lossy under concurrency).
+        points of one frequency plane, queue workers, or serve's handler
+        threads) can interleave ``_read_disk`` and ``os.replace`` so that the
+        slower writer publishes a merge that never saw the faster writer's
+        rows -- a classic lost update, observed as a warm sweep re-running
+        simulations.  On platforms without :mod:`fcntl` the flush stays
+        best-effort (the cache remains correct, merely lossy under
+        concurrency).
         """
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
@@ -264,36 +308,43 @@ class SimulationCache:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _read_disk(self, scenario_hash: str) -> Dict[tuple, dict]:
-        """One scenario's entries as currently on disk (fresh read).
+    def _read_disk(self, plane_hash: str) -> Dict[tuple, "Block"]:
+        """One plane's blocks as currently on disk (fresh read).
 
         Missing or unreadable shards count as empty.  A shard that exists
         but does not parse -- invalid JSON (a torn write from a non-atomic
-        producer, or real disk corruption) or malformed rows -- is
+        producer, or real disk corruption) or malformed blocks -- is
         quarantined to ``<root>/corrupt/`` and counted, so it is warned
         about once instead of silently re-missed on every lookup forever.
         """
-        path = self._shard_path(scenario_hash)
+        path = self._shard_path(plane_hash)
+        # Identify the file before reading it: if another writer replaces it
+        # in between, the next flush sees a changed identity and merges again.
+        identity = self._identity(path)
         try:
             fault_point("diskcache.shard.read", path=path)
             text = path.read_text(encoding="utf-8")
         except OSError:
+            if identity is None:  # no shard yet: nothing to merge on flush
+                self._seen[plane_hash] = None
             return {}
         try:
             data = json.loads(text)
             if not isinstance(data, dict):
                 raise ValueError("shard payload is not a JSON object")
-            rows = data.get("entries")
+            blocks = data.get("blocks")
+            self._seen[plane_hash] = identity
             if (
                 data.get("schema") != self.version
-                or data.get("scenario") != scenario_hash
-                or not isinstance(rows, list)
+                or data.get("plane") != plane_hash
+                or not isinstance(blocks, list)
             ):
-                # Valid JSON of another shape or version (a v1 entry map, say)
+                # Valid JSON of another shape or version (a v2 row shard, say)
                 # is a foreign file, not corruption: the next flush rewrites it.
                 return {}
-            return _parse_rows(rows)
+            return _parse_blocks(blocks)
         except (ValueError, TypeError):
+            self._seen.pop(plane_hash, None)
             self.stats.corrupt_artifacts += 1
             quarantined = _quarantine(path, self.root)
             where = f"quarantined to {quarantined}" if quarantined else "dropped"
@@ -304,27 +355,40 @@ class SimulationCache:
             )
             return {}
 
-    def _shard(self, scenario_hash: str) -> Dict[tuple, dict]:
-        """The (memoized) entry map of one scenario, loaded from disk once."""
+    def _shard(self, plane_hash: str) -> Dict[tuple, "Block"]:
+        """The (memoized) block map of one plane, loaded from disk once."""
         with self._lock:
-            shard = self._shards.get(scenario_hash)
+            shard = self._shards.get(plane_hash)
             if shard is None:
-                shard = self._read_disk(scenario_hash)
-                self._shards[scenario_hash] = shard
+                shard = self._read_disk(plane_hash)
+                self._shards[plane_hash] = shard
             return shard
 
     # ---------------------------------------------------------------- get/put
 
-    def _decode(self, payload: Optional[dict]) -> Optional[object]:
-        """Decode one looked-up payload; missing or undecodable ones miss."""
-        if payload is not None:
-            try:
-                result = decode_result(payload)
-            except (ValueError, KeyError, TypeError):
-                pass
-            else:
-                self.stats.hits += 1
-                return result
+    def _lookup(self, block: Optional["Block"], frequency: object) -> Optional[object]:
+        """One request's result, counting a hit or miss per entry.
+
+        A scalar frequency decodes one row (``None`` when missing or
+        undecodable).  A frequency array returns the block of the rows found,
+        in request order (``None`` when none is).
+        """
+        if isinstance(frequency, np.ndarray):
+            found = block.select(frequency) if block is not None else None
+            hits = len(found) if found is not None else 0
+            self.stats.hits += hits
+            self.stats.misses += len(frequency) - hits
+            return found
+        if block is not None:
+            row = block.row_of(frequency)
+            if row is not None:
+                try:
+                    result = block.row(row)
+                except (ValueError, KeyError, TypeError):
+                    pass
+                else:
+                    self.stats.hits += 1
+                    return result
         self.stats.misses += 1
         return None
 
@@ -341,19 +405,21 @@ class SimulationCache:
 
         Unreadable, corrupt or schema-mismatched entries count as misses.
         """
-        scenario_hash, key = self._key(
+        plane, key, frequency = self._key(
             scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
         )
-        return self._decode(self._shard(scenario_hash).get(key))
+        return self._lookup(self._shard(plane).get(key), frequency)
 
-    def _store(self, scenario_hash: str, key: tuple, result: object) -> bool:
-        """Buffer one result under its key; ``False`` if its type is uncacheable."""
-        payload = encode_result(result)
-        if payload is None:
+    def _store(self, plane_hash: str, key: tuple, frequency: object, result: object) -> bool:
+        """Buffer result rows under their key; ``False`` if the type is uncacheable."""
+        block = Block.of(result, frequency)
+        if block is None:
             return False
         with self._lock:
-            self._shard(scenario_hash)[key] = payload
-            self._dirty[scenario_hash] = True
+            shard = self._shard(plane_hash)
+            mine = shard.get(key)
+            shard[key] = block if mine is None else mine.merged(block)
+            self._dirty[plane_hash] = True
         return True
 
     def put(
@@ -371,10 +437,10 @@ class SimulationCache:
         Buffered entries are immediately visible to :meth:`get` on this
         instance and reach disk on the next :meth:`flush`.
         """
-        scenario_hash, key = self._key(
-            scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
+        return self._store(
+            *self._key(scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension),
+            result,
         )
-        return self._store(scenario_hash, key, result)
 
     # -------------------------------------------------------------- bulk I/O
 
@@ -383,23 +449,26 @@ class SimulationCache:
 
         Each request is a ``(scenario, benchmark, kind, design)`` tuple,
         optionally extended with ``pe_frequency_mhz`` and ``force_dimension``;
-        ``scenario`` may be a hardware-hash string.  Each shard is loaded once
-        per cache instance; hit/miss accounting is identical to issuing the
-        gets one by one.
+        ``scenario`` may be a plane-hash string.  A float64 array as
+        ``pe_frequency_mhz`` asks for a whole block: its slot holds the
+        :class:`Block` of the rows found, in request order.  Each shard is
+        loaded once per cache instance; hit/miss accounting is per entry,
+        identical to issuing the gets one by one.
         """
         results = []
         for request in requests:
-            scenario_hash, key = self._key(*request)
-            results.append(self._decode(self._shard(scenario_hash).get(key)))
+            plane, key, frequency = self._key(*request)
+            results.append(self._lookup(self._shard(plane).get(key), frequency))
         return results
 
     def put_many(self, entries: Iterable[Sequence[object]]) -> int:
-        """Bulk :meth:`put` under one lock acquisition; returns entries stored.
+        """Bulk :meth:`put` under one lock acquisition; returns results stored.
 
         Each entry is a ``(scenario, benchmark, kind, design, result)`` tuple
         (optionally extended like :meth:`get_many` requests); ``scenario`` may
-        be a hardware-hash string.  Uncacheable result types are skipped, like
-        :meth:`put` returning ``False``.
+        be a plane-hash string.  A strategy's result over a float64 frequency
+        array stores one row per frequency.  Uncacheable result types are
+        skipped, like :meth:`put` returning ``False``.
         """
         with self._lock:
             return sum(
@@ -421,30 +490,31 @@ class SimulationCache:
             if self.read_only:
                 return 0
             dirty = [hash_ for hash_, flag in self._dirty.items() if flag]
-            for scenario_hash in dirty:
-                path = self._shard_path(scenario_hash)
+            for plane_hash in dirty:
+                path = self._shard_path(plane_hash)
 
                 def _publish() -> None:
                     path.parent.mkdir(parents=True, exist_ok=True)
                     # The read-merge-publish below must be one critical
                     # section: without the shard lock, two writers sharing a
                     # shard can both read, then both publish, and the second
-                    # replace silently drops the first writer's entries.
+                    # replace silently drops the first writer's rows.
                     with self._shard_write_lock(path):
                         # Merge what reached disk since we loaded (another
-                        # worker may share this shard -- e.g. sweep axes over
-                        # selections keep the hardware hash constant); our
-                        # buffered entries win on conflict, and nothing
-                        # another writer published is lost.
-                        on_disk = self._read_disk(scenario_hash)
-                        shard = self._shards[scenario_hash]
-                        if on_disk:
-                            shard = self._shards[scenario_hash] = {**on_disk, **shard}
-                        data = {
-                            "schema": self.version,
-                            "scenario": scenario_hash,
-                            "entries": [[*key, result] for key, result in shard.items()],
-                        }
+                        # worker may share this plane -- every point of a
+                        # frequency sweep does); our buffered rows win on
+                        # conflict, and nothing another writer published is
+                        # lost.  A shard file no one replaced since this
+                        # instance read or wrote it holds nothing new.
+                        shard = self._shards[plane_hash]
+                        if (
+                            plane_hash not in self._seen
+                            or self._identity(path) != self._seen[plane_hash]
+                        ):
+                            for key, block in self._read_disk(plane_hash).items():
+                                mine = shard.get(key)
+                                shard[key] = block if mine is None else block.merged(mine)
+                        text = _shard_text(self.version, plane_hash, shard)
                         # Atomic publish: readers (which take no lock) never
                         # see partial files.
                         fd, tmp = tempfile.mkstemp(
@@ -452,7 +522,7 @@ class SimulationCache:
                         )
                         try:
                             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                                handle.write(json.dumps(data))
+                                handle.write(text)
                             fault_point("diskcache.flush.write", path=tmp)
                             fault_point("diskcache.flush.replace")
                             os.replace(tmp, path)
@@ -462,6 +532,7 @@ class SimulationCache:
                             except OSError:
                                 pass
                             raise
+                        self._seen[plane_hash] = self._identity(path)
 
                 try:
                     with_retries(_publish)
@@ -471,7 +542,7 @@ class SimulationCache:
                         self._degrade(error)
                         break
                     continue
-                self._dirty[scenario_hash] = False
+                self._dirty[plane_hash] = False
                 written += 1
         return written
 
@@ -492,73 +563,228 @@ class SimulationCache:
 # ------------------------------------------------------------- result codecs
 
 
-def encode_result(result: object) -> Optional[dict]:
-    """Lower an engine result to its JSON entry payload (``None`` = uncacheable)."""
+def encode_result(result: object) -> Optional[Tuple[tuple, list, Optional[str]]]:
+    """An engine result as ``(shape, values, dimension)``; ``None`` if uncacheable.
+
+    ``shape`` is what every row of a :class:`Block` shares: the result type,
+    design, benchmark, component names and batch structure.  ``values`` are
+    the float fields in a fixed order, and ``dimension`` is the distribution
+    dimension's value.  A strategy's result over a frequency array encodes
+    the same way; its values are then float64 arrays.
+    """
     if type(result) is RoutingComparison:
-        return {
-            "type": "routing",
-            "design": design_key(result.design),
-            "benchmark": result.benchmark,
-            "time_seconds": result.time_seconds,
-            "energy_joules": result.energy_joules,
-            "time_components": dict(result.time_components),
-            "energy_components": dict(result.energy_components),
-            "dimension": result.dimension.value if result.dimension is not None else None,
-        }
+        shape = (
+            "routing",
+            design_key(result.design),
+            result.benchmark,
+            tuple(result.time_components),
+            tuple(result.energy_components),
+        )
+        values = [
+            result.time_seconds,
+            result.energy_joules,
+            *result.time_components.values(),
+            *result.energy_components.values(),
+        ]
+        dimension = result.dimension.value if result.dimension is not None else None
+        return shape, values, dimension
     if type(result) is EndToEndComparison:
-        return {
-            "type": "end_to_end",
-            "design": design_key(result.design),
-            "benchmark": result.benchmark,
-            "timing": {
-                "host_stage_time": result.timing.host_stage_time,
-                "routing_stage_time": result.timing.routing_stage_time,
-                "num_batches": result.timing.num_batches,
-                "pipelined": result.timing.pipelined,
-            },
-            "energy_joules": result.energy_joules,
-            "host_stage_seconds": result.host_stage_seconds,
-            "routing_stage_seconds": result.routing_stage_seconds,
-        }
+        timing = result.timing
+        shape = (
+            "end_to_end",
+            design_key(result.design),
+            result.benchmark,
+            int(timing.num_batches),
+            bool(timing.pipelined),
+        )
+        values = [
+            timing.host_stage_time,
+            timing.routing_stage_time,
+            result.energy_joules,
+            result.host_stage_seconds,
+            result.routing_stage_seconds,
+        ]
+        return shape, values, None
     return None
 
 
-def decode_result(payload: dict) -> object:
-    """Rebuild the typed engine result from its JSON entry payload."""
-    kind = payload["type"]
+def decode_result(
+    shape: Sequence[object], values: Sequence[object], dimension: Optional[str] = None
+) -> object:
+    """The engine result of one block row: the inverse of :func:`encode_result`.
+
+    Given float64 arrays as ``values`` it builds the array-valued result of
+    a whole block instead, as a strategy returns it over a frequency array.
+    """
+    kind = shape[0]
     if kind == "routing":
-        dimension = payload["dimension"]
+        _, design, benchmark, time_keys, energy_keys = shape
+        split = 2 + len(time_keys)
         return RoutingComparison(
-            design=resolve_design(payload["design"]),
-            benchmark=payload["benchmark"],
-            time_seconds=float(payload["time_seconds"]),
-            energy_joules=float(payload["energy_joules"]),
-            time_components={
-                str(key): float(value)
-                for key, value in payload["time_components"].items()
-            },
-            energy_components={
-                str(key): float(value)
-                for key, value in payload["energy_components"].items()
-            },
+            design=resolve_design(design),
+            benchmark=benchmark,
+            time_seconds=values[0],
+            energy_joules=values[1],
+            time_components=dict(zip(time_keys, values[2:split])),
+            energy_components=dict(zip(energy_keys, values[split:])),
             dimension=Dimension(dimension) if dimension is not None else None,
         )
     if kind == "end_to_end":
-        timing = payload["timing"]
+        _, design, benchmark, num_batches, pipelined = shape
+        host_time, routing_time, energy, host_seconds, routing_seconds = values
         return EndToEndComparison(
-            design=resolve_design(payload["design"]),
-            benchmark=payload["benchmark"],
+            design=resolve_design(design),
+            benchmark=benchmark,
             timing=PipelineTiming(
-                host_stage_time=float(timing["host_stage_time"]),
-                routing_stage_time=float(timing["routing_stage_time"]),
-                num_batches=int(timing["num_batches"]),
-                pipelined=bool(timing["pipelined"]),
+                host_stage_time=host_time,
+                routing_stage_time=routing_time,
+                num_batches=num_batches,
+                pipelined=pipelined,
             ),
-            energy_joules=float(payload["energy_joules"]),
-            host_stage_seconds=float(payload["host_stage_seconds"]),
-            routing_stage_seconds=float(payload["routing_stage_seconds"]),
+            energy_joules=energy,
+            host_stage_seconds=host_seconds,
+            routing_stage_seconds=routing_seconds,
         )
     raise ValueError(f"unknown cache entry type {kind!r}")
+
+
+#: Distribution dimensions by code: a block row stores its dimension as the
+#: index into this tuple, or NaN when it has none.
+_DIMENSION_VALUES = tuple(dimension.value for dimension in Dimension)
+
+
+def _field_count(shape: tuple) -> int:
+    """Float fields per row of a result ``shape``; raises on a malformed one."""
+    kind = shape[0]
+    if kind == "routing":
+        _, design, benchmark, time_keys, energy_keys = shape
+        names = (
+            time_keys + energy_keys
+            if isinstance(time_keys, tuple) and isinstance(energy_keys, tuple)
+            else None
+        )
+        valid = names is not None and all(isinstance(name, str) for name in names)
+        fields = 2 + len(names or ())
+    elif kind == "end_to_end":
+        _, design, benchmark, num_batches, pipelined = shape
+        valid = type(num_batches) is int and type(pipelined) is bool
+        fields = 5
+    else:
+        raise ValueError(f"unknown cache entry type {kind!r}")
+    if not (valid and isinstance(design, str) and isinstance(benchmark, str)):
+        raise ValueError("malformed result shape")
+    return fields
+
+
+class Block:
+    """The cached rows of one ``(workload, kind, design, force_dimension)`` in a plane.
+
+    Every row has the result ``shape``.  ``matrix`` holds one float64 column
+    per row: its PE frequency, its distribution dimension's code (the index
+    into the ``Dimension`` values, NaN for none), then its float fields.
+    Blocks are never modified in place; :meth:`merged` builds a new one.
+    """
+
+    __slots__ = ("shape", "matrix", "_rows")
+
+    def __init__(self, shape: tuple, matrix: np.ndarray) -> None:
+        self.shape = shape
+        self.matrix = matrix
+        self._rows: Optional[Dict[float, int]] = None
+
+    def __len__(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return self.matrix[0]
+
+    @classmethod
+    def of(cls, result: object, frequency: object) -> Optional["Block"]:
+        """The rows of a result at one frequency, or of a strategy's result
+        over a frequency array (``None`` if the result type is uncacheable)."""
+        encoded = encode_result(result)
+        if encoded is None:
+            return None
+        shape, values, dimension = encoded
+        code = np.nan if dimension is None else _DIMENSION_VALUES.index(dimension)
+        if not isinstance(frequency, np.ndarray):
+            return cls(shape, np.array([frequency, code, *values], dtype=np.float64)[:, None])
+        # Frequency-independent fields of an array result are plain floats.
+        matrix = np.empty((2 + len(values), len(frequency)))
+        matrix[0] = frequency
+        matrix[1] = code
+        for field, value in enumerate(values, start=2):
+            matrix[field] = value
+        return cls(shape, matrix)
+
+    def row(self, j: int) -> object:
+        """Row ``j`` as an engine result."""
+        _, code, *values = self.matrix[:, j].tolist()
+        return decode_result(
+            self.shape, values, None if code != code else _DIMENSION_VALUES[int(code)]
+        )
+
+    def arrays(self) -> object:
+        """Every row as one array-valued engine result (without dimensions)."""
+        return decode_result(self.shape, list(self.matrix[2:]))
+
+    def row_of(self, frequency: float) -> Optional[int]:
+        """The row at one frequency, or ``None``."""
+        if self._rows is None:
+            self._rows = dict(zip(self.frequencies.tolist(), range(len(self))))
+        return self._rows.get(frequency)
+
+    def select(self, frequencies: np.ndarray) -> Optional["Block"]:
+        """The rows at these frequencies, in their order; ``None`` if none is here."""
+        own = self.frequencies
+        if len(own) == len(frequencies) and np.array_equal(own, frequencies):
+            return self
+        order = np.argsort(own, kind="stable")
+        ordered = own[order]
+        at = np.minimum(np.searchsorted(ordered, frequencies), len(own) - 1)
+        rows = order[at][ordered[at] == frequencies]
+        return Block(self.shape, self.matrix[:, rows]) if len(rows) else None
+
+    def merged(self, newer: "Block") -> "Block":
+        """These rows updated with ``newer``'s: its rows win, and a changed
+        result shape replaces the whole block."""
+        if newer.shape != self.shape:
+            return newer
+        stale = [
+            row
+            for row in map(self.row_of, newer.frequencies.tolist())
+            if row is not None
+        ]
+        if len(stale) == len(self):
+            return newer
+        kept = np.delete(self.matrix, stale, axis=1) if stale else self.matrix
+        block = Block(self.shape, np.concatenate([kept, newer.matrix], axis=1))
+        if not stale:  # rows only appended: extend the row index
+            block._rows = dict(self._rows)  # type: ignore[arg-type]
+            block._rows.update(zip(newer.frequencies.tolist(), range(len(self), len(block))))
+        return block
+
+    def packed(self) -> str:
+        """The matrix as base64 text of little-endian float64."""
+        return base64.b64encode(self.matrix.astype("<f8").tobytes()).decode("ascii")
+
+    @classmethod
+    def from_json(cls, shape: object, packed: object) -> "Block":
+        """A block from its shard form: the JSON ``shape`` list and the
+        :meth:`packed` matrix; raises ``ValueError`` on malformed input."""
+        if not isinstance(shape, list) or not isinstance(packed, str):
+            raise ValueError("malformed cache block")
+        shape = tuple(tuple(part) if isinstance(part, list) else part for part in shape)
+        height = 2 + _field_count(shape)
+        matrix = np.frombuffer(base64.b64decode(packed), dtype="<f8")
+        if not matrix.size or matrix.size % height:
+            raise ValueError("malformed cache block")
+        matrix = matrix.reshape(height, -1)
+        codes = matrix[1]
+        if not np.all(np.isnan(codes) | np.isin(codes, range(len(_DIMENSION_VALUES)))):
+            raise ValueError("malformed cache block")
+        return cls(shape, matrix)
 
 
 # ---------------------------------------------------------- trained models

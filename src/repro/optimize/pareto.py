@@ -228,7 +228,7 @@ def cache_frontier(
     assignments = spec.assignments()
     variants = [spec.scenario_for(base, assignment) for assignment in assignments]
     requests = [
-        (variant.hardware_hash(), configs[name], kind, design)
+        (variant, configs[name], kind, design)
         for variant in variants
         for name in names
         for design in designs

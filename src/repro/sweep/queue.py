@@ -46,7 +46,7 @@ simulations -- and an unrelated ``repro compare`` benefits from a sweep that
 already visited its scenario.
 
 The manifest digest covers the cache schema version, so after a schema bump
-(v1 -> v2) a bare ``--resume`` of an older sweep starts clean in a new
+(v2 -> v3) a bare ``--resume`` of an older sweep starts clean in a new
 default workdir, and resuming an older explicit ``--workdir`` is refused.
 """
 
@@ -78,7 +78,7 @@ from repro.sweep.runner import (
     SweepPoint,
     SweepResult,
     SweepRunner,
-    _execute_point,
+    _execute_points,
 )
 from repro.sweep.spec import SweepSpec, _format_value
 from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
@@ -423,23 +423,19 @@ class _ShardQueue:
                 verify=verify,
             )
         else:
-            outcomes = []
-            for assignment in chunk:
-                variant = self.spec.scenario_for(self.base, assignment)
-                outcomes.append(
-                    _execute_point(
-                        {
-                            "scenario": variant.to_dict(),
-                            "benchmarks": self.benchmarks,
-                            "designs": list(self.spec.designs),
-                            "kind": self.spec.kind,
-                            "cache_dir": (
-                                manifest["cache_dir"] if use_cache else _NO_CACHE
-                            ),
-                            "cache_version": manifest["cache_version"],
-                        }
-                    )
-                )
+            outcomes = _execute_points(
+                [
+                    {
+                        "scenario": self.spec.scenario_for(self.base, assignment).to_dict(),
+                        "benchmarks": self.benchmarks,
+                        "designs": list(self.spec.designs),
+                        "kind": self.spec.kind,
+                        "cache_dir": manifest["cache_dir"] if use_cache else _NO_CACHE,
+                        "cache_version": manifest["cache_version"],
+                    }
+                    for assignment in chunk
+                ]
+            )
         payload = {
             "schema": QUEUE_SCHEMA_VERSION,
             "shard": shard,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
-from repro.analysis.tables import format_table
+from repro.analysis.tables import format_columns
 from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
 from repro.engine.context import CacheStats, SimulationContext
@@ -124,6 +124,8 @@ class SweepResult:
     :attr:`elapsed_seconds`, :attr:`executor_used`, :attr:`jobs`) are
     intentionally excluded from :meth:`format_report` and :meth:`to_dict`,
     keeping rendered output byte-identical between cold and warm runs.
+    :attr:`jobs` counts the processes that evaluated the grid: 1 for
+    in-process and vectorized runs.
     """
 
     spec: SweepSpec
@@ -153,29 +155,39 @@ class SweepResult:
         """Render the sweep as plain-text tables (grid data only)."""
         metric = "RP speedup" if self.spec.kind == "routing" else "end-to-end speedup"
         axis_headers = list(self.spec.axis_keys)
-        headers = axis_headers + ["Benchmark", "Design", "Speedup", "Energy saving"]
-        rows: List[List[object]] = []
-        for point in self.points:
-            prefix = [_axis_cell(point.assignment[key]) for key in self.spec.axis_keys]
-            for cell in point.cells:
-                rows.append(
-                    prefix
-                    + [cell.benchmark, cell.design, cell.speedup, cell.energy_saving]
-                )
-        table = format_table(
-            headers,
-            rows,
+        labels = [
+            [_axis_cell(point.assignment[key]) for key in axis_headers]
+            for point in self.points
+        ]
+        cells = [cell for point in self.points for cell in point.cells]
+        # One column per axis, then per cell field: each point's axis labels
+        # repeat on every one of its cells.
+        axis_columns = [
+            [
+                label[axis]
+                for label, point in zip(labels, self.points)
+                for _ in point.cells
+            ]
+            for axis in range(len(axis_headers))
+        ]
+        table = format_columns(
+            axis_headers + ["Benchmark", "Design", "Speedup", "Energy saving"],
+            axis_columns
+            + [
+                [cell.benchmark for cell in cells],
+                [cell.design for cell in cells],
+                [cell.speedup for cell in cells],
+                [cell.energy_saving for cell in cells],
+            ],
             title=f"Sweep {self.spec.name!r} -- {metric} over the GPU baseline",
         )
-        summary_rows: List[List[object]] = []
-        for point in self.points:
-            summary_rows.append(
-                [_axis_cell(point.assignment[key]) for key in self.spec.axis_keys]
-                + [point.average_speedup(design) for design in self.spec.designs]
-            )
-        summary = format_table(
+        summary = format_columns(
             axis_headers + [f"avg {design}" for design in self.spec.designs],
-            summary_rows,
+            [[label[axis] for label in labels] for axis in range(len(axis_headers))]
+            + [
+                [point.average_speedup(design) for point in self.points]
+                for design in self.spec.designs
+            ],
             title=f"Per-point average {metric} ({len(self.benchmarks)} benchmarks)",
         )
         lines = [
@@ -354,7 +366,7 @@ class SweepRunner:
             base=self.base,
             points=points,
             executor_used=mode,
-            jobs=self.jobs,
+            jobs=min(self.jobs, len(payloads)) if mode == "process" else 1,
         )
         for point, outcome in zip(points, outcomes):
             point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
@@ -423,7 +435,6 @@ class SweepRunner:
             base=self.base,
             points=points,
             executor_used="vectorized",
-            jobs=self.jobs,
         )
         for point, outcome in zip(points, outcomes):
             point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
@@ -448,34 +459,64 @@ def run_sweep(
 _NO_CACHE = "__no_cache__"
 
 
+#: Chunks of grid points per worker process: enough to balance the load,
+#: few enough that each chunk's cache publish covers many points.
+CHUNKS_PER_WORKER = 4
+
+
 def _execute(payloads: List[dict], jobs: int):
     """Run every payload, over ``jobs`` worker processes when there are more
     than one of each, preserving order; returns ``(outcomes, mode)``.
 
-    Where the platform cannot provide a process pool (sandboxes without
-    semaphores, missing ``/dev/shm``) the points run in this process;
-    results are identical either way, only wall-clock differs.
+    The pool runs contiguous chunks of points, a few per worker.  Where the
+    platform cannot provide a process pool (sandboxes without semaphores,
+    missing ``/dev/shm``) the points run in this process; results are
+    identical either way, only wall-clock differs.
     """
     workers = min(jobs, len(payloads))
     if workers > 1:
+        size = -(-len(payloads) // (workers * CHUNKS_PER_WORKER))
+        chunks = [payloads[start : start + size] for start in range(0, len(payloads), size)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_execute_point, payloads)), "process"
+                outcomes = [
+                    outcome
+                    for chunk in pool.map(_execute_points, chunks)
+                    for outcome in chunk
+                ]
+            return outcomes, "process"
         except (OSError, NotImplementedError):
             pass
-    return [_execute_point(payload) for payload in payloads], "serial"
+    return _execute_points(payloads), "serial"
 
 
-def _execute_point(payload: Mapping[str, object]) -> dict:
-    """Execute one grid point; plain dicts in, plain dicts out (picklable)."""
-    fault_point("sweep.point.execute")
-    scenario = Scenario.from_dict(payload["scenario"])  # type: ignore[arg-type]
-    cache_dir = payload["cache_dir"]
+def _execute_points(payloads: List[Mapping[str, object]]) -> List[dict]:
+    """Execute grid points of one sweep in order; plain dicts in and out (picklable).
+
+    The points share one cache instance, published once at the end (also
+    when a point fails): the points of a frequency plane share one shard,
+    which a publish per point would rewrite once per point.
+    """
+    cache_dir = payloads[0]["cache_dir"] if payloads else _NO_CACHE
     cache = (
         None
         if cache_dir == _NO_CACHE
-        else SimulationCache(cache_dir, version=int(payload["cache_version"]))  # type: ignore[arg-type]
+        else SimulationCache(cache_dir, version=int(payloads[0]["cache_version"]))  # type: ignore[arg-type]
     )
+    try:
+        return [_execute_point(payload, cache) for payload in payloads]
+    finally:
+        if cache is not None:
+            cache.flush()
+
+
+def _execute_point(
+    payload: Mapping[str, object], cache: Optional[SimulationCache]
+) -> dict:
+    """Execute one grid point against a shared (unflushed) cache."""
+    fault_point("sweep.point.execute")
+    scenario = Scenario.from_dict(payload["scenario"])  # type: ignore[arg-type]
+    hits, misses = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
     context = SimulationContext(scenario=scenario, disk_cache=cache)
     benchmarks = context.select_benchmarks(payload["benchmarks"])  # type: ignore[arg-type]
     simulate = context.routing if payload["kind"] == "routing" else context.end_to_end
@@ -494,13 +535,11 @@ def _execute_point(payload: Mapping[str, object]) -> dict:
                     "baseline_energy_joules": baseline.energy_joules,
                 }
             )
-    if cache is not None:
-        cache.flush()
     return {
         "cells": cells,
         "simulations": context.simulations_executed,
-        "disk_hits": context.disk_stats.hits,
-        "disk_misses": context.disk_stats.misses,
+        "disk_hits": context.disk_stats.hits - hits,
+        "disk_misses": context.disk_stats.misses - misses,
     }
 
 

@@ -16,7 +16,7 @@ the few comparisons on the frequency chain go through
    ``best_plan``'s ``max`` picks for one frequency), and
 3. runs the **registered strategies themselves** on a model per winning
    dimension, with ``force_dimension`` set, and scatters their array
-   results into per-point times, energies and (lazily) result objects.
+   results into per-point times and energies.
 
 There is one copy of the model: a strategy patched or fixed is patched or
 fixed for both backends.  IEEE-754 arithmetic is deterministic, so every
@@ -38,28 +38,24 @@ Two guard rails keep this honest:
   divergence is a bug, never something to silently fall back from.
 
 Results flow through the same
-:class:`~repro.engine.diskcache.SimulationCache` entries as the scalar path
-(bulk ``get_many``/``put_many``), so vectorized, scalar, process-pool and
-work-queue executions all share one cache, and a warm vectorized sweep
-executes zero simulations.
+:class:`~repro.engine.diskcache.SimulationCache` entries as the scalar path.
+A plane is one cache shard, and a strategy's array result over it is one
+cache block, so each plane is read with one ``get_many`` and written with
+one ``put_many`` of whole float64 columns.  Vectorized, scalar,
+process-pool and work-queue executions all share one cache, and a warm
+vectorized sweep executes zero simulations.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.api.scenario import Scenario
-from repro.core.accelerator import (
-    DesignPoint,
-    EndToEndComparison,
-    PIMCapsNet,
-    RoutingComparison,
-)
-from repro.core.pipeline import PipelineTiming
-from repro.engine.diskcache import SimulationCache, canonical_digest
+from repro.core.accelerator import DesignPoint, PIMCapsNet, RoutingComparison
+from repro.engine.diskcache import Block, SimulationCache, decode_result, encode_result
 from repro.engine.strategies import DesignLike, design_key, get_strategy
 from repro.hmc.config import HMCConfig
 from repro.sweep.spec import SweepSpec
@@ -165,65 +161,55 @@ def _strategy_blocker(design: DesignLike, kind: str) -> Optional[str]:
 # ------------------------------------------------------------- value batching
 
 
-def _at(value: object, j: int) -> object:
-    """Element ``j`` of a float64 array as a Python float; a float stays itself."""
-    return value.item(j) if isinstance(value, np.ndarray) else value
-
-
 def _result_at(result: object, j: int) -> object:
-    """One point's result: element ``j`` of a strategy result over an array."""
-    if isinstance(result, RoutingComparison):
-        return RoutingComparison(
-            design=result.design,
-            benchmark=result.benchmark,
-            time_seconds=_at(result.time_seconds, j),
-            energy_joules=_at(result.energy_joules, j),
-            time_components={k: _at(v, j) for k, v in result.time_components.items()},
-            energy_components={k: _at(v, j) for k, v in result.energy_components.items()},
-            dimension=result.dimension,
-        )
-    timing = result.timing
-    return EndToEndComparison(
-        design=result.design,
-        benchmark=result.benchmark,
-        timing=PipelineTiming(
-            host_stage_time=_at(timing.host_stage_time, j),
-            routing_stage_time=_at(timing.routing_stage_time, j),
-            num_batches=timing.num_batches,
-            pipelined=timing.pipelined,
-        ),
-        energy_joules=_at(result.energy_joules, j),
-        host_stage_seconds=_at(result.host_stage_seconds, j),
-        routing_stage_seconds=_at(result.routing_stage_seconds, j),
+    """One point's result: element ``j`` of a strategy result over an array.
+
+    The same row decoder as a cache block's
+    (:func:`~repro.engine.diskcache.decode_result`); frequency-independent
+    fields are plain floats and stay themselves.
+    """
+    shape, values, dimension = encode_result(result)
+    return decode_result(
+        shape,
+        [value.item(j) if isinstance(value, np.ndarray) else value for value in values],
+        dimension,
     )
 
 
-class _DesignValues(NamedTuple):
-    """Per-point times/energies of one design, plus per-point results on demand.
+class _PlaneResults(NamedTuple):
+    """Every design's strategy results over one plane for one benchmark.
 
-    ``results`` holds one strategy result per dimension group; point ``i``
-    is element ``j`` of ``results[g]`` where ``where[i] == (g, j)``.
+    The points are grouped by the distribution dimension that wins at their
+    frequency: ``results[design key][g]`` covers the points ``groups[g]``,
+    and point ``i`` is its element ``where[i][1]`` for ``g = where[i][0]``.
     """
 
-    times: List[float]
-    energies: List[float]
-    results: List[object]
+    groups: List[np.ndarray]
     where: List[Tuple[int, int]]
+    results: Dict[str, List[object]]
 
-    def result(self, index: int) -> object:
+    def column(self, design: str, field: str) -> np.ndarray:
+        """One field of one design at every point of the plane."""
+        values = np.empty(len(self.where))
+        for positions, result in zip(self.groups, self.results[design]):
+            values[positions] = getattr(result, field)
+        return values
+
+    def result(self, design: str, index: int) -> object:
+        """One design's result at one point."""
         group, element = self.where[index]
-        return _result_at(self.results[group], element)
+        return _result_at(self.results[design][group], element)
 
 
-def _plane_values(
+def _plane_results(
     config: BenchmarkConfig,
     kwargs: Dict[str, object],
     hmc: HMCConfig,
     f_mhz: np.ndarray,
     kind: str,
     designs: List[DesignLike],
-) -> Dict[str, _DesignValues]:
-    """Every design's per-point values for one benchmark over one plane.
+) -> _PlaneResults:
+    """Every design's results for one benchmark over one plane.
 
     The registered strategies run on models whose PE frequency is the
     plane's frequency array.  The distribution dimension can differ per
@@ -240,7 +226,8 @@ def _plane_values(
     dimensions = list(scores)
     # Keep-first argmax in Dimension order: what best_plan's max picks.
     winners = np.argmax(np.stack(list(scores.values())), axis=0)
-    groups: List[Tuple[PIMCapsNet, np.ndarray]] = []
+    models: List[PIMCapsNet] = []
+    groups: List[np.ndarray] = []
     where: List[Tuple[int, int]] = [(0, 0)] * n
     for group, winner in enumerate(np.unique(winners)):
         positions = np.flatnonzero(winners == winner)
@@ -251,25 +238,18 @@ def _plane_values(
                 hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz[positions]),
             )
         model.force_dimension = dimensions[winner]
-        groups.append((model, positions))
+        models.append(model)
+        groups.append(positions)
         for element, index in enumerate(positions.tolist()):
             where[index] = (group, element)
-    values: Dict[str, _DesignValues] = {}
+    results: Dict[str, List[object]] = {}
     for design in designs:
         strategy = get_strategy(design)
         simulate = (
             strategy.simulate_routing if kind == "routing" else strategy.simulate_end_to_end
         )
-        results = [simulate(group_model, design) for group_model, _ in groups]
-        times = np.empty(n)
-        energies = np.empty(n)
-        for (_, positions), result in zip(groups, results):
-            times[positions] = result.time_seconds
-            energies[positions] = result.energy_joules
-        values[design_key(design)] = _DesignValues(
-            times.tolist(), energies.tolist(), results, where
-        )
-    return values
+        results[design_key(design)] = [simulate(model, design) for model in models]
+    return _PlaneResults(groups, where, results)
 
 
 # ------------------------------------------------------------ grid evaluation
@@ -279,23 +259,6 @@ def _select_benchmarks(base: Scenario) -> List[str]:
     """The benchmark fallback chain, mirroring ``SimulationContext``."""
     selection = base.benchmark_selection()
     return selection if selection else base.catalog.names()
-
-
-def _plane_hashes(anchor: Scenario, frequencies: List[float]) -> List[str]:
-    """Per-frequency hardware hashes of one plane, without per-point scenarios.
-
-    Within a plane the variants differ *only* in ``hmc.pe_frequency_mhz``,
-    so one hardware dict is re-digested per frequency -- identical to
-    ``Scenario.hardware_hash()`` of the full variant, at a fraction of the
-    construction cost (a unit test pins the equivalence).
-    """
-    template = anchor.hardware_dict()
-    hmc = template["hmc"]
-    hashes = []
-    for value in frequencies:
-        hmc["pe_frequency_mhz"] = value
-        hashes.append(canonical_digest(template))
-    return hashes
 
 
 def evaluate_grid(
@@ -360,179 +323,111 @@ def _evaluate_plane(
     verify: str,
     outcomes: List[Optional[dict]],
 ) -> None:
-    """Evaluate one frequency plane into ``outcomes`` (in grid positions)."""
+    """Evaluate one frequency plane into ``outcomes`` (in grid positions).
+
+    Each ``(benchmark, design)`` of the plane is one cache block: the plane's
+    frequency array is looked up, and stored, as a whole.
+    """
     count = len(positions)
-    frequencies = [float(assignments[p][FREQUENCY_AXIS]) for p in positions]
+    f_mhz = np.array([float(assignments[p][FREQUENCY_AXIS]) for p in positions])
     anchor = spec.scenario_for(base, assignments[positions[0]])
     catalog = anchor.catalog
     configs = {name: catalog.benchmark(name) for name in names}
     cell_designs: List[DesignLike] = [DesignPoint.BASELINE_GPU]
     cell_designs.extend(str(design) for design in spec.designs)
-    baseline_key = design_key(DesignPoint.BASELINE_GPU)
+    pairs = [(name, design) for name in names for design in cell_designs]
 
-    # -- disk cache: one bulk lookup for the whole plane ----------------------
-    hit_results: Dict[Tuple[int, str, str], object] = {}
-    hits_per_point = [0] * count
-    misses_per_point = [0] * count
-    hashes: Optional[List[str]] = None
+    # -- disk cache: one bulk lookup of the plane's blocks --------------------
+    found = np.zeros((len(pairs), count), dtype=bool)
+    blocks: List[Optional[Block]] = [None] * len(pairs)
     if cache is not None:
-        hashes = _plane_hashes(anchor, frequencies)
-        requests = [
-            (hashes[i], configs[name], kind, design)
-            for i in range(count)
-            for name in names
-            for design in cell_designs
-        ]
-        found = cache.get_many(requests)
-        cursor = 0
-        for i in range(count):
-            for name in names:
-                for design in cell_designs:
-                    result = found[cursor]
-                    cursor += 1
-                    if result is None:
-                        misses_per_point[i] += 1
-                    else:
-                        hits_per_point[i] += 1
-                        hit_results[(i, name, design_key(design))] = result
-        any_miss = any(misses_per_point)
-    else:
-        any_miss = True
+        plane = anchor.plane_hash()
+        blocks = cache.get_many(
+            [(plane, configs[name], kind, design, f_mhz) for name, design in pairs]
+        )
+        for k, block in enumerate(blocks):
+            if block is not None:
+                # A block holds the rows found, in request order.
+                found[k] = len(block) == count or np.isin(f_mhz, block.frequencies)
+    fresh = ~found
 
-    # -- vectorized evaluation (only the planes' fresh cells need it) --------
-    bench_values: Dict[str, Dict[str, _DesignValues]] = {}
-    if any_miss:
-        f_mhz = np.asarray(frequencies, dtype=np.float64)
+    # -- vectorized evaluation (only planes with a fresh cell need it) -------
+    computed: Dict[str, _PlaneResults] = {}
+    if fresh.any():
         kwargs = anchor.model_kwargs()
         kwargs.pop("hmc_config", None)
-        for name in names:
-            bench_values[name] = _plane_values(
-                configs[name], kwargs, anchor.hmc, f_mhz, kind, cell_designs
+        computed = {
+            name: _plane_results(configs[name], kwargs, anchor.hmc, f_mhz, kind, cell_designs)
+            for name in names
+        }
+        if cache is not None:
+            cache.put_many(
+                [
+                    (plane, configs[name], kind, design, result, f_mhz[group])
+                    for name, design in pairs
+                    for group, result in zip(
+                        computed[name].groups, computed[name].results[design_key(design)]
+                    )
+                ]
             )
 
-    # Per-(benchmark, design) value arrays, hoisted out of the point loop:
-    # the loop below runs once per grid point and is the only per-point
-    # Python cost of the whole backend, so it must only index lists.
-    computed: Dict[Tuple[int, str, str], object] = {}
-    design_meta = [(str(design), design_key(design)) for design in cell_designs[1:]]
-    per_bench: Dict[str, tuple] = {}
-    for name in names:
-        if any_miss:
-            by_design = bench_values[name]
-            baseline_values = by_design[baseline_key]
-            design_values = [
-                (design_str, dkey, by_design[dkey]) for design_str, dkey in design_meta
-            ]
-        else:  # fully warm plane: every lookup hits, the arrays are unused
-            baseline_values = None
-            design_values = [
-                (design_str, dkey, None) for design_str, dkey in design_meta
-            ]
-        per_bench[name] = (baseline_values, design_values)
+    # Per-(benchmark, design) rows of times and energies: computed, then the
+    # cached values where the cache hit.
+    times = np.empty((len(pairs), count))
+    energies = np.empty((len(pairs), count))
+    for k, ((name, design), block) in enumerate(zip(pairs, blocks)):
+        if computed:
+            times[k] = computed[name].column(design_key(design), "time_seconds")
+            energies[k] = computed[name].column(design_key(design), "energy_joules")
+        if block is not None:
+            arrays = block.arrays()
+            times[k, found[k]] = arrays.time_seconds
+            energies[k, found[k]] = arrays.energy_joules
 
-    if cache is None:
-        # Fast path (also the 100k-point benchmark path): no hit lookups,
-        # every cell is fresh, simulations count the whole point.
-        point_simulations = len(names) * len(cell_designs)
-        for i in range(count):
-            cells: List[dict] = []
-            for name in names:
-                baseline_values, design_values = per_bench[name]
-                baseline_time = baseline_values.times[i]
-                baseline_energy = baseline_values.energies[i]
-                for design_str, _, values in design_values:
-                    cells.append(
-                        {
-                            "benchmark": name,
-                            "design": design_str,
-                            "time_seconds": values.times[i],
-                            "energy_joules": values.energies[i],
-                            "baseline_time_seconds": baseline_time,
-                            "baseline_energy_joules": baseline_energy,
-                        }
-                    )
-            outcomes[positions[i]] = {
-                "cells": cells,
-                "simulations": point_simulations,
-                "disk_hits": 0,
-                "disk_misses": 0,
-            }
-    else:
-        puts: List[tuple] = []
-        for i in range(count):
-            cells = []
-            fresh = 0
-            for name in names:
-                baseline_values, design_values = per_bench[name]
-                hit = hit_results.get((i, name, baseline_key))
-                if hit is not None:
-                    baseline_time = hit.time_seconds
-                    baseline_energy = hit.energy_joules
-                else:
-                    baseline_time = baseline_values.times[i]
-                    baseline_energy = baseline_values.energies[i]
-                    fresh += 1
-                    result = baseline_values.result(i)
-                    computed[(i, name, baseline_key)] = result
-                    puts.append(
-                        (hashes[i], configs[name], kind, DesignPoint.BASELINE_GPU, result)
-                    )
-                for design_str, dkey, values in design_values:
-                    hit = hit_results.get((i, name, dkey))
-                    if hit is not None:
-                        time_seconds = hit.time_seconds
-                        energy_joules = hit.energy_joules
-                    else:
-                        time_seconds = values.times[i]
-                        energy_joules = values.energies[i]
-                        fresh += 1
-                        result = values.result(i)
-                        computed[(i, name, dkey)] = result
-                        puts.append((hashes[i], configs[name], kind, design_str, result))
-                    cells.append(
-                        {
-                            "benchmark": name,
-                            "design": design_str,
-                            "time_seconds": time_seconds,
-                            "energy_joules": energy_joules,
-                            "baseline_time_seconds": baseline_time,
-                            "baseline_energy_joules": baseline_energy,
-                        }
-                    )
-            outcomes[positions[i]] = {
-                "cells": cells,
-                "simulations": fresh,
-                "disk_hits": hits_per_point[i],
-                "disk_misses": misses_per_point[i],
-            }
-        if puts:
-            cache.put_many(puts)
+    # The only per-point Python cost of the whole backend: it must only
+    # index lists.
+    time_rows = times.tolist()
+    energy_rows = energies.tolist()
+    misses = fresh.sum(axis=0).tolist()
+    per_name = len(cell_designs)
+    design_names = [str(design) for design in cell_designs[1:]]
+    for i in range(count):
+        cells: List[dict] = []
+        for b, name in enumerate(names):
+            base_row = b * per_name
+            baseline_time = time_rows[base_row][i]
+            baseline_energy = energy_rows[base_row][i]
+            for d, design_name in enumerate(design_names, start=base_row + 1):
+                cells.append(
+                    {
+                        "benchmark": name,
+                        "design": design_name,
+                        "time_seconds": time_rows[d][i],
+                        "energy_joules": energy_rows[d][i],
+                        "baseline_time_seconds": baseline_time,
+                        "baseline_energy_joules": baseline_energy,
+                    }
+                )
+        outcomes[positions[i]] = {
+            "cells": cells,
+            "simulations": misses[i],
+            "disk_hits": len(pairs) - misses[i] if cache is not None else 0,
+            "disk_misses": misses[i] if cache is not None else 0,
+        }
 
     # -- equivalence gate: scalar re-check of freshly computed points --------
-    if verify == "off" or not any_miss:
+    if verify == "off" or not computed:
         return
-    if cache is None:
-        fresh_points = list(range(count))
-    else:
-        fresh_points = sorted({i for (i, _, _) in computed})
-    if not fresh_points:
-        return
+    fresh_points = np.flatnonzero(fresh.any(axis=0)).tolist()
     if verify == "sample":
         fresh_points = sorted({fresh_points[0], fresh_points[-1]})
     for i in fresh_points:
+        vectorized = [
+            computed[name].result(design_key(design), i) if fresh[k, i] else None
+            for k, (name, design) in enumerate(pairs)
+        ]
         sims = _verify_point(
-            spec,
-            base,
-            assignments[positions[i]],
-            names,
-            configs,
-            kind,
-            cell_designs,
-            lambda name, design, i=i: (
-                computed.get((i, name, design_key(design)))
-                if cache is not None
-                else bench_values[name][design_key(design)].result(i)
-            ),
+            spec, base, assignments[positions[i]], configs, kind, pairs, vectorized
         )
         outcomes[positions[i]]["simulations"] += sims
 
@@ -541,35 +436,37 @@ def _verify_point(
     spec: SweepSpec,
     base: Scenario,
     assignment: Dict[str, object],
-    names: List[str],
     configs: Dict[str, object],
     kind: str,
-    cell_designs: List[DesignLike],
-    vectorized_result: Callable[[str, DesignLike], Optional[object]],
+    pairs: List[Tuple[str, DesignLike]],
+    vectorized: List[Optional[object]],
 ) -> int:
-    """Re-simulate one grid point through the scalar path and compare exactly."""
+    """Re-simulate one grid point through the scalar path and compare exactly.
+
+    ``vectorized`` holds the point's fresh result per ``(benchmark, design)``
+    pair (``None`` = a cache hit, not re-checked).
+    """
     variant = spec.scenario_for(base, assignment)
     kwargs = variant.model_kwargs()
-    simulations = 0
-    for name in names:
-        model = PIMCapsNet(configs[name], **kwargs)
-        for design in cell_designs:
-            vectorized = vectorized_result(name, design)
-            if vectorized is None:
-                continue
-            reference = (
-                model.simulate_routing(design)
-                if kind == "routing"
-                else model.simulate_end_to_end(design)
-            )
-            _assert_results_equal(
-                vectorized,
-                reference,
-                f"point {assignment!r}, benchmark {name!r}, "
-                f"design {design_key(design)!r}",
-            )
-        simulations += model.simulations_executed
-    return simulations
+    models: Dict[str, PIMCapsNet] = {}
+    for (name, design), result in zip(pairs, vectorized):
+        model = models.get(name)
+        if model is None:
+            model = models[name] = PIMCapsNet(configs[name], **kwargs)
+        if result is None:
+            continue
+        reference = (
+            model.simulate_routing(design)
+            if kind == "routing"
+            else model.simulate_end_to_end(design)
+        )
+        _assert_results_equal(
+            result,
+            reference,
+            f"point {assignment!r}, benchmark {name!r}, "
+            f"design {design_key(design)!r}",
+        )
+    return sum(model.simulations_executed for model in models.values())
 
 
 def _assert_results_equal(vectorized: object, reference: object, context: str) -> None:

@@ -1,14 +1,16 @@
 """Tests for :mod:`repro.sweep.vectorized` (bit-exact plane batching)."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.api import Scenario
 from repro.api.scenario import preset_names
 from repro.core.accelerator import DesignPoint, PIMCapsNet
 from repro.core.pipeline import PipelineTiming
-from repro.engine.diskcache import SimulationCache
+from repro.engine.diskcache import Block, SimulationCache
 from repro.engine.strategies import (
     DesignPointStrategy,
     register_strategy,
@@ -22,7 +24,7 @@ from repro.sweep import (
     evaluate_grid,
     vectorization_blocker,
 )
-from repro.sweep.vectorized import _assert_results_equal, _plane_hashes
+from repro.sweep.vectorized import _assert_results_equal
 
 FREQUENCIES = [156.25, 312.5, 625.0, 1250.0]
 
@@ -296,15 +298,22 @@ def test_mismatch_gate_raises_on_divergence():
 
 
 def test_plane_hashes_equal_full_scenario_hashes():
+    """The vectorized backend files a plane under its anchor's plane hash;
+    the scalar path files each point under the full variant's: they agree,
+    so both backends read and write one shard per plane."""
     spec = _spec(benchmarks=("Caps-MN1",), designs=("pim-capsnet",))
     base = Scenario.default()
     anchor = spec.scenario_for(base, {"hmc.pe_frequency_mhz": FREQUENCIES[0]})
-    fast = _plane_hashes(anchor, FREQUENCIES)
-    slow = [
-        spec.scenario_for(base, {"hmc.pe_frequency_mhz": mhz}).hardware_hash()
-        for mhz in FREQUENCIES
+    variants = [
+        spec.scenario_for(base, {"hmc.pe_frequency_mhz": mhz}) for mhz in FREQUENCIES
     ]
-    assert fast == slow
+    assert [variant.plane_hash() for variant in variants] == [anchor.plane_hash()] * len(
+        FREQUENCIES
+    )
+    # Only the frequency is left out of the plane hash.
+    assert len({variant.hardware_hash() for variant in variants}) == len(FREQUENCIES)
+    other = base.with_overrides({"hmc.pes_per_vault": 8})
+    assert other.plane_hash() != anchor.plane_hash()
 
 
 def test_vectorized_and_scalar_share_one_cache(tmp_path):
@@ -351,6 +360,45 @@ def test_partial_cache_only_computes_missing_points(tmp_path):
     assert result.cache.misses == 4
 
 
+@pytest.mark.parametrize("kind", ["routing", "end-to-end"])
+def test_plane_block_round_trips_bit_exactly_across_a_dimension_flip(tmp_path, kind):
+    """Caps-EN1's winning dimension flips inside this plane.  Each block a
+    vectorized sweep writes reads back from disk, and through JSON again,
+    equal to a fresh scalar simulation at every frequency, bit for bit."""
+    frequencies = [100.0, 312.5, 1250.0, 2500.0]
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": frequencies},
+        benchmarks=("Caps-EN1",),
+        designs=ALL_DESIGNS,
+        kind=kind,
+    )
+    SweepRunner(spec, jobs=1, backend="vectorized", cache_dir=tmp_path).run()
+    base = Scenario.default()
+    config = base.catalog.benchmark("Caps-EN1")
+    cache_kind = "routing" if kind == "routing" else "end_to_end"
+    cache = SimulationCache(tmp_path)
+    dimensions = set()
+    for design in (DesignPoint.BASELINE_GPU.value, *ALL_DESIGNS):
+        [block] = cache.get_many(
+            [(base.plane_hash(), config, cache_kind, design, np.array(frequencies))]
+        )
+        assert block.frequencies.tolist() == frequencies
+        copy = Block.from_json(*json.loads(json.dumps([block.shape, block.packed()])))
+        assert copy.matrix.tobytes() == block.matrix.tobytes()
+        for j, mhz in enumerate(frequencies):
+            model = PIMCapsNet("Caps-EN1", hmc_config=base.hmc.with_pe_frequency(mhz))
+            reference = (
+                model.simulate_routing(design)
+                if kind == "routing"
+                else model.simulate_end_to_end(design)
+            )
+            assert block.row(j) == reference == copy.row(j)
+            dimensions.add(getattr(reference, "dimension", None))
+    assert cache.stats.misses == 0
+    if kind == "routing":
+        assert len(dimensions - {None}) > 1
+
+
 def test_bulk_cache_roundtrip_matches_single_entry_api(tmp_path):
     scenario = Scenario.default()
     model = PIMCapsNet("Caps-MN1")
@@ -363,12 +411,14 @@ def test_bulk_cache_roundtrip_matches_single_entry_api(tmp_path):
     assert stored == 1
     cache.flush()
     fresh = SimulationCache(tmp_path)
-    # get_many accepts full scenarios and bare hardware-hash strings alike,
-    # returns one slot per request in order, and misses surface as None.
+    # get_many accepts full scenarios and bare plane-hash strings (which
+    # name their frequency) alike, returns one slot per request in order,
+    # and misses surface as None.
+    frequency = scenario.hmc.pe_frequency_mhz
     results = fresh.get_many(
         [
             (scenario, config, "routing", DesignPoint.PIM_CAPSNET),
-            (scenario.hardware_hash(), config, "routing", DesignPoint.PIM_CAPSNET),
+            (scenario.plane_hash(), config, "routing", DesignPoint.PIM_CAPSNET, frequency),
             (scenario, config, "routing", DesignPoint.ALL_IN_PIM),
         ]
     )
