@@ -26,11 +26,11 @@ Figs. 15-17 of the paper:
 
 from __future__ import annotations
 
-import copy
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, Optional, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Union
 
 from repro.core.distribution import DistributionPlan, ExecutionScoreModel, WorkloadDistributor
 from repro.core.intra_vault import IntraVaultDistributor
@@ -67,22 +67,38 @@ class DesignPoint(str, Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingComparison:
     """Routing-procedure execution result for one design point (Fig. 15/16).
 
     ``design`` is usually a :class:`DesignPoint` member but may be any
     registry key when a custom
     :class:`~repro.engine.strategies.DesignPointStrategy` produced the result.
+
+    Results are immutable: every memo layer hands the same object to every
+    caller.  The component mappings are read-only views of private copies;
+    derive a changed result with :func:`dataclasses.replace`.
     """
 
     design: Union[DesignPoint, str]
     benchmark: str
     time_seconds: float
     energy_joules: float
-    time_components: Dict[str, float] = field(default_factory=dict)
-    energy_components: Dict[str, float] = field(default_factory=dict)
+    time_components: Mapping[str, float] = field(default_factory=dict)
+    energy_components: Mapping[str, float] = field(default_factory=dict)
     dimension: Optional[Dimension] = None
+
+    def __post_init__(self) -> None:
+        for name in ("time_components", "energy_components"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # A mappingproxy can be neither pickled nor deep-copied, so both
+        # rebuild the result from plain-dict components.
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(
+            dict(value) if isinstance(value, MappingProxyType) else value for value in values
+        )
 
     def speedup_over(self, other: "RoutingComparison") -> float:
         """Speedup of this design over ``other``."""
@@ -97,9 +113,9 @@ class RoutingComparison:
         return 1.0 - self.energy_joules / other.energy_joules
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndToEndComparison:
-    """Whole-inference execution result for one design point (Fig. 17)."""
+    """Whole-inference execution result for one design point (Fig. 17; immutable)."""
 
     design: Union[DesignPoint, str]
     benchmark: str
@@ -184,12 +200,14 @@ class PIMCapsNet:
         # Memoized simulation results.  The model is immutable in practice,
         # so every (kind, design) simulation is deterministic and can be
         # cached per instance; ``clear_cache`` resets it after a manual
-        # attribute mutation.  The RLock makes the cache safe under serve's
-        # handler threads, which share a warm session's models (reentrant
-        # because end-to-end strategies call back into ``simulate_routing``).
+        # attribute mutation.  Results are immutable too, so every caller
+        # shares the stored object.  The RLock makes the cache safe under
+        # serve's handler threads, which share a warm session's models
+        # (reentrant because end-to-end strategies call back into
+        # ``simulate_routing``).
         self._simulation_lock = threading.RLock()
         self._result_cache: Dict[tuple, object] = {}
-        self._host_stage_cache: Optional[Dict[str, float]] = None
+        self._host_stage_cache: Optional[Mapping[str, float]] = None
         self.simulations_executed = 0
         self.cache_hits = 0
 
@@ -211,16 +229,18 @@ class PIMCapsNet:
             datapath=self.datapath,
         )
 
-    def host_stage(self) -> Dict[str, float]:
-        """Host-stage (Conv/PrimaryCaps/FC) time, flops and traffic on the GPU."""
+    def host_stage(self) -> Mapping[str, float]:
+        """Host-stage (Conv/PrimaryCaps/FC) time, flops and traffic on the GPU (read-only)."""
         with self._simulation_lock:
             if self._host_stage_cache is None:
                 layers = self.workload.host_layers()
                 time = sum(self.gpu.simulate_dense_layer(layer).total for layer in layers)
                 flops = float(sum(layer.flops for layer in layers))
                 traffic = float(sum(layer.traffic_bytes for layer in layers))
-                self._host_stage_cache = {"time": time, "flops": flops, "traffic": traffic}
-            return dict(self._host_stage_cache)
+                self._host_stage_cache = MappingProxyType(
+                    {"time": time, "flops": flops, "traffic": traffic}
+                )
+            return self._host_stage_cache
 
     # Backwards-compatible aliases for the pre-engine private helpers.
     _hmc_device = hmc_device
@@ -259,18 +279,14 @@ class PIMCapsNet:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
-                # Every caller gets a private copy: the pre-engine code
-                # returned fresh objects per call, so consumers are free to
-                # mutate results in place without corrupting other
-                # experiments reading the same cache.
-                return copy.deepcopy(cached)
+                return cached
             strategy = get_strategy(design)
             self.simulations_executed += 1
             if kind == "routing":
                 result = strategy.simulate_routing(self, design)
             else:
                 result = strategy.simulate_end_to_end(self, design)
-            self._result_cache[key] = copy.deepcopy(result)
+            self._result_cache[key] = result
             return result
 
     # ------------------------------------------------------------------ conveniences

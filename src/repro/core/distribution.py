@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.core.intra_vault import IntraVaultDistributor, lower_routing_to_operations
@@ -33,9 +34,12 @@ from repro.workloads.parallelism import Dimension
 from repro.workloads.rp_model import FP32_BYTES, RoutingWorkload
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionPlan:
     """Outcome of distributing the routing procedure along one dimension.
+
+    A distributor builds each plan once and shares it with every caller, so
+    neither the plan nor its operation mixes may be changed.
 
     Attributes:
         dimension: the chosen parallelization dimension.
@@ -128,6 +132,8 @@ class ExecutionScoreModel:
 class WorkloadDistributor:
     """Builds distribution plans and selects the best dimension (Sec. 5.1.2).
 
+    Each dimension's plan is built, and the best plan picked, only once.
+
     Args:
         benchmark: the CapsNet benchmark being executed.
         hmc: HMC configuration.
@@ -152,6 +158,7 @@ class WorkloadDistributor:
             )
         self.score_model = score_model
         self.routing = RoutingWorkload(benchmark)
+        self._best: Optional[DistributionPlan] = None
 
     # -- helpers -----------------------------------------------------------------
 
@@ -187,15 +194,16 @@ class WorkloadDistributor:
     # -- per-dimension plans --------------------------------------------------------
 
     def plan_for_dimension(self, dimension: Dimension) -> DistributionPlan:
-        """Build the distribution plan for one parallelization dimension."""
+        """The distribution plan for one parallelization dimension."""
         if dimension is Dimension.BATCH:
-            return self._plan_batch()
+            return self._plan_batch
         if dimension is Dimension.LOW:
-            return self._plan_low()
+            return self._plan_low
         if dimension is Dimension.HIGH:
-            return self._plan_high()
+            return self._plan_high
         raise ValueError(f"unknown dimension {dimension!r}")
 
+    @cached_property
     def _plan_batch(self) -> DistributionPlan:
         cfg = self.benchmark
         hmc = self.hmc
@@ -243,6 +251,7 @@ class WorkloadDistributor:
             secondary_parallelism=nl,
         )
 
+    @cached_property
     def _plan_low(self) -> DistributionPlan:
         cfg = self.benchmark
         hmc = self.hmc
@@ -287,6 +296,7 @@ class WorkloadDistributor:
             secondary_parallelism=nb,
         )
 
+    @cached_property
     def _plan_high(self) -> DistributionPlan:
         cfg = self.benchmark
         hmc = self.hmc
@@ -352,9 +362,10 @@ class WorkloadDistributor:
 
     def best_plan(self) -> DistributionPlan:
         """The plan with the highest execution score."""
-        plans = self.all_plans()
-        best_dim = max(plans, key=lambda dim: self.score_model.score(plans[dim]))
-        return plans[best_dim]
+        if self._best is None:
+            scores = self.scores()
+            self._best = self.plan_for_dimension(max(scores, key=scores.__getitem__))
+        return self._best
 
     def best_dimension(self) -> Dimension:
         """The dimension the distributor selects for this benchmark/device."""

@@ -21,9 +21,9 @@ from typing import List
 from repro.elementwise import any_true, maximum
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineTiming:
-    """Latency of processing ``num_batches`` batch groups.
+    """Latency of processing ``num_batches`` batch groups (immutable).
 
     The stage times may be float64 arrays (one element per PE frequency of a
     vectorized sweep); every derived time is then an array too.

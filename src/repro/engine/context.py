@@ -19,7 +19,6 @@ builds, so experiments never assume hardware defaults themselves.
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -225,10 +224,7 @@ class SimulationContext:
             cached = self._results.get(key)
             if cached is not None:
                 self.stats.hits += 1
-                # Private copy per caller, mirroring the model facade: cached
-                # results must never be mutated through one experiment's hands
-                # into another's.
-                return copy.deepcopy(cached)
+                return cached
             self.stats.misses += 1
         # The persistent cache sits between the in-memory caches and a real
         # simulation: a hit skips model construction entirely (the point of
@@ -240,13 +236,12 @@ class SimulationContext:
             )
             if persisted is not None:
                 with self._lock:
-                    self._results.setdefault(key, copy.deepcopy(persisted))
-                return persisted
+                    return self._results.setdefault(key, persisted)
         # Simulate outside the context lock so serve's handler threads never
         # queue behind another request's simulation; concurrent lookups of
         # the *same* key are deduplicated by the model's own per-instance
-        # cache (each caller already holds a private copy of the result, so
-        # keeping the first stored pristine object is safe).
+        # cache.  Results are immutable, so every caller shares the first
+        # stored object.
         model = self.model(
             benchmark,
             pe_frequency_mhz=pe_frequency_mhz,
@@ -267,8 +262,7 @@ class SimulationContext:
                 force_dimension=force_dimension,
             )
         with self._lock:
-            self._results.setdefault(key, copy.deepcopy(result))
-        return result
+            return self._results.setdefault(key, result)
 
     @property
     def simulations_executed(self) -> int:

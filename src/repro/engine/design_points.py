@@ -22,7 +22,7 @@ of the result is then an array, and the GPU-only results stay floats.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.accelerator import (
     DesignPoint,
@@ -258,7 +258,7 @@ class AllInPIMStrategy(DesignPointStrategy):
 
     def simulate_end_to_end(self, model, design=None) -> EndToEndComparison:
         design = design or self.key
-        host: Dict[str, float] = model.host_stage()
+        host = model.host_stage()
         rp = model.simulate_routing(self.rp_design)
         device = model.hmc_device(custom_mapping=True)
         host_execution = device.execute_dense(host["flops"], host["traffic"])

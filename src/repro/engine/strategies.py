@@ -113,6 +113,11 @@ class DesignPointStrategy:
     to the facade (usually a :class:`~repro.core.accelerator.DesignPoint`
     member) and should be stored in the returned comparison so result
     dictionaries keep their original keys; it defaults to :attr:`key`.
+
+    Results, plans and ``host_stage()`` are immutable and shared by every
+    caller, so a strategy never changes one in place: it derives a new
+    result with :func:`dataclasses.replace`, e.g.
+    ``replace(result, time_seconds=2 * result.time_seconds)``.
     """
 
     #: Registry key (the design point's string identity).

@@ -15,8 +15,8 @@ the few comparisons on the frequency chain go through
    each point's distribution dimension with a keep-first ``argmax`` (what
    ``best_plan``'s ``max`` picks for one frequency), and
 3. runs the **registered strategies themselves** on a model per winning
-   dimension, with ``force_dimension`` set, and scatters their array
-   results into per-point times and energies.
+   dimension, built with that ``force_dimension``, and scatters their
+   array results into per-point times and energies.
 
 There is one copy of the model: a strategy patched or fixed is patched or
 fixed for both backends.  IEEE-754 arithmetic is deterministic, so every
@@ -215,14 +215,12 @@ def _plane_results(
     plane's frequency array.  The distribution dimension can differ per
     frequency (the Fig. 18 effect) and a model simulates one dimension at a
     time, so the points are grouped by the dimension that wins at their
-    frequency, one model each.  The strategies are called directly: the
-    model's memo would deep-copy every array result.
+    frequency, one model each, built with that dimension forced.
     """
     n = int(f_mhz.shape[0])
-    model = PIMCapsNet(
+    scores = PIMCapsNet(
         config, **kwargs, hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz)
-    )
-    scores = model.distributor.scores()
+    ).distributor.scores()
     dimensions = list(scores)
     # Keep-first argmax in Dimension order: what best_plan's max picks.
     winners = np.argmax(np.stack(list(scores.values())), axis=0)
@@ -231,24 +229,21 @@ def _plane_results(
     where: List[Tuple[int, int]] = [(0, 0)] * n
     for group, winner in enumerate(np.unique(winners)):
         positions = np.flatnonzero(winners == winner)
-        if positions.size < n:
-            model = PIMCapsNet(
+        models.append(
+            PIMCapsNet(
                 config,
                 **kwargs,
                 hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz[positions]),
+                force_dimension=dimensions[winner],
             )
-        model.force_dimension = dimensions[winner]
-        models.append(model)
+        )
         groups.append(positions)
         for element, index in enumerate(positions.tolist()):
             where[index] = (group, element)
-    results: Dict[str, List[object]] = {}
-    for design in designs:
-        strategy = get_strategy(design)
-        simulate = (
-            strategy.simulate_routing if kind == "routing" else strategy.simulate_end_to_end
-        )
-        results[design_key(design)] = [simulate(model, design) for model in models]
+    simulate = PIMCapsNet.simulate_routing if kind == "routing" else PIMCapsNet.simulate_end_to_end
+    results = {
+        design_key(design): [simulate(model, design) for model in models] for design in designs
+    }
     return _PlaneResults(groups, where, results)
 
 

@@ -1,8 +1,13 @@
 """Tests for the top-level PIM-CapsNet accelerator model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.accelerator import DesignPoint, PIMCapsNet
+from repro.core.distribution import DistributionPlan, WorkloadDistributor
 from repro.hmc.config import HMCConfig
 from repro.workloads.benchmarks import BENCHMARKS
 from repro.workloads.parallelism import Dimension
@@ -192,3 +197,41 @@ def test_compare_end_to_end_default_designs(end_to_end_results):
         DesignPoint.RMAS_GPU,
         DesignPoint.PIM_CAPSNET,
     }
+
+
+def _simulate(model, kind, design):
+    if kind == "routing":
+        return model.simulate_routing(design)
+    return model.simulate_end_to_end(design)
+
+
+@pytest.mark.parametrize("kind", ["routing", "end_to_end"])
+@pytest.mark.parametrize("design", list(DesignPoint))
+def test_results_survive_pickle_and_deepcopy(accelerator, design, kind):
+    result = _simulate(accelerator, kind, design)
+    for clone in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert type(clone) is type(result)
+        assert clone == result
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.energy_joules = 0.0
+        if kind == "routing":
+            with pytest.raises(TypeError):
+                clone.time_components["extra"] = 0.0
+
+
+def test_shared_plans_are_never_mutated():
+    # Every simulation of a model shares its distributor's plans and their
+    # (mutable) operation mixes; none of them may change what it was given.
+    model = PIMCapsNet("Caps-MN1")
+    plan = model.distribution_plan()
+    for design in DesignPoint:
+        for kind in ("routing", "end_to_end"):
+            _simulate(model, kind, design)
+    fresh = WorkloadDistributor(model.benchmark, model.hmc_config, score_model=model.score_model)
+    for dimension in Dimension:
+        shared = model.distributor.plan_for_dimension(dimension)
+        rebuilt = fresh.plan_for_dimension(dimension)
+        # OperationMix fields compare their operation counts.
+        for field in dataclasses.fields(DistributionPlan):
+            assert getattr(shared, field.name) == getattr(rebuilt, field.name), (dimension, field)
+    assert model.distribution_plan() is plan

@@ -94,6 +94,15 @@ def test_best_plan_is_argmax_of_scores(distributor):
     assert scores[best.dimension] == max(scores.values())
 
 
+def test_plans_are_built_and_picked_once(distributor):
+    plans = distributor.all_plans()
+    for dimension, plan in plans.items():
+        assert distributor.plan_for_dimension(dimension) is plan
+    best = distributor.best_plan()
+    assert best is plans[best.dimension]
+    assert distributor.best_plan() is best
+
+
 def test_best_dimension_for_mn1_is_low(distributor):
     # With the default 312.5 MHz HMC, the L dimension wins for Caps-MN1
     # (B moves too many packets, H leaves 22 of 32 vaults idle).

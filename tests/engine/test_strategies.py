@@ -1,5 +1,7 @@
 """Tests for the design-point strategy registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.accelerator import DesignPoint, PIMCapsNet
@@ -50,8 +52,7 @@ def custom_strategy():
 
         def simulate_routing(self, model, design=None):
             result = routing_on_hmc(model, design or self.key, custom_mapping=False)
-            result.time_seconds *= 2.0
-            return result
+            return dataclasses.replace(result, time_seconds=2.0 * result.time_seconds)
 
         def simulate_end_to_end(self, model, design=None):
             delegate = get_strategy(DesignPoint.PIM_CAPSNET)
@@ -108,15 +109,16 @@ def test_facade_memoizes_simulations():
     assert third.time_seconds == pytest.approx(first.time_seconds)
 
 
-def test_cached_results_are_private_copies():
-    # The pre-engine code returned fresh objects per call; callers mutating a
-    # result in place must not corrupt what other consumers read.
+def test_cached_results_are_immutable():
+    # The memo hands every caller the same object, so no caller may change
+    # what another one reads.
     model = PIMCapsNet("Caps-MN1")
     first = model.simulate_routing(DesignPoint.PIM_CAPSNET)
-    original_time = first.time_seconds
-    first.time_seconds *= 100.0
-    first.time_components["execution"] = -1.0
+    snapshot = dataclasses.replace(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.time_seconds *= 100.0
+    with pytest.raises(TypeError):
+        first.time_components["execution"] = -1.0
     second = model.simulate_routing(DesignPoint.PIM_CAPSNET)
-    assert second is not first
-    assert second.time_seconds == pytest.approx(original_time)
-    assert second.time_components["execution"] != -1.0
+    assert second is first
+    assert second == snapshot

@@ -9,6 +9,7 @@ and the graceful drain lifecycle.
 from __future__ import annotations
 
 import http.client
+import json
 import statistics
 import threading
 import time
@@ -18,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.api.scenario import Scenario
+from repro.api.session import Session
 from repro.cli import main
 
 
@@ -126,6 +128,29 @@ def test_run_honors_set_overrides(client):
     assert status == 200
     expected = Scenario.default().with_set(["hmc.pe_frequency_mhz=625"])
     assert payload["scenario"]["content_hash"] == expected.content_hash()
+
+
+def test_novel_run_reply_equals_a_fresh_uncached_session(
+    serve_factory, make_client, tmp_path
+):
+    # Every memo layer shares one result object per simulation: a novel
+    # frequency's reply must still equal a run with no cache at all, from a
+    # cold server and from a second one reading that cache from disk.
+    overrides = ["hmc.pe_frequency_mhz=437.5"]
+    names = ["fig15", "fig16", "fig17"]
+    fresh = Session(Scenario.default().with_set(overrides)).run(names)
+    expected_data = json.loads(json.dumps(fresh.runner.to_dict()))
+    cache_dir = str(tmp_path / "cache")
+    for warm_disk in (False, True):
+        client = make_client(serve_factory(cache_dir=cache_dir))
+        status, payload = client.post("/v1/run", {"experiments": names, "set": overrides})
+        assert status == 200
+        assert payload["report"] == fresh.report()
+        assert payload["data"] == expected_data
+        status, metrics = client.get("/metrics")
+        assert status == 200
+        assert (metrics["simulations_executed"] == 0) is warm_disk
+        assert (metrics["disk_cache"]["hits"] > 0) is warm_disk
 
 
 def test_run_accepts_inline_workloads(client):
