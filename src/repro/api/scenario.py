@@ -111,16 +111,8 @@ class Scenario:
         if self.benchmarks is not None:
             # One catalog lookup normalizes the selection: names are matched
             # case-insensitively (like get_benchmark) and stored canonically.
-            catalog = self.catalog
-            unknown = [name for name in self.benchmarks if name not in catalog]
-            if unknown:
-                raise ValueError(
-                    f"unknown benchmark(s) {unknown}; choose from {catalog.names()}"
-                )
             object.__setattr__(
-                self,
-                "benchmarks",
-                tuple(catalog.canonical_name(name) for name in self.benchmarks),
+                self, "benchmarks", tuple(self.catalog.resolve(self.benchmarks))
             )
         if self.designs is not None:
             # Custom strategies must be registered before the scenario is
@@ -194,10 +186,7 @@ class Scenario:
             kwargs["workloads"] = data["workloads"]
         for selection in ("benchmarks", "designs"):
             if selection in data and data[selection] is not None:
-                value = data[selection]
-                if isinstance(value, str):
-                    value = _split_csv(value)
-                kwargs[selection] = tuple(str(item) for item in value)
+                kwargs[selection] = _selection(data[selection], f"scenario key {selection!r}")
         return cls(**kwargs)
 
     @classmethod
@@ -367,8 +356,7 @@ class Scenario:
 
     def _apply_override(self, key: str, raw: object) -> "Scenario":
         head, _, rest = key.partition(".")
-        top = {f.name for f in dataclasses.fields(type(self))}
-        if head not in top:
+        if head not in _OVERRIDABLE:
             raise ValueError(
                 f"unknown scenario key {key!r}; valid keys: {override_keys()}"
             )
@@ -401,13 +389,8 @@ class Scenario:
                     f"override its fields (e.g. {head}.<field>=<value>)"
                 )
             return dataclasses.replace(self, **{head: raw})
-        if head == "workloads":
-            # CSV of workload-file paths (CLI) or a sequence of specs /
-            # dictionaries / paths (Python); __post_init__ coerces each entry.
-            value = _split_csv(raw) if isinstance(raw, str) else tuple(raw)  # type: ignore[arg-type]
-            return dataclasses.replace(self, workloads=value)
         if head in ("benchmarks", "designs"):
-            value = _split_csv(raw) if isinstance(raw, str) else tuple(raw)  # type: ignore[arg-type]
+            value = _selection(raw, f"scenario key {head!r}")
             return dataclasses.replace(self, **{head: value})
         value = _coerce(raw, getattr(self, head), key)
         return dataclasses.replace(self, **{head: value})
@@ -488,6 +471,18 @@ def _split_csv(text: str) -> Tuple[str, ...]:
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
+def _selection(value: object, label: str) -> Tuple[str, ...]:
+    """A benchmark or design selection: a list of names or one CSV string."""
+    if isinstance(value, str):
+        return _split_csv(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(
+            f"{label} must be a list of names or a comma-separated string, "
+            f"got {value!r}"
+        )
+    return tuple(str(item) for item in value)
+
+
 def _workloads_from(value: object) -> Tuple[WorkloadSpec, ...]:
     """Coerce a scenario's ``workloads`` entries to :class:`WorkloadSpec` s.
 
@@ -499,6 +494,11 @@ def _workloads_from(value: object) -> Tuple[WorkloadSpec, ...]:
         return ()
     if isinstance(value, (str, Mapping, WorkloadSpec)):
         value = (value,)
+    elif not isinstance(value, (list, tuple)):
+        raise ValueError(
+            f"scenario key 'workloads' must be a list of workload specs, "
+            f"got {value!r}"
+        )
     specs = []
     for entry in value:
         if isinstance(entry, WorkloadSpec):
@@ -516,19 +516,16 @@ def _workloads_from(value: object) -> Tuple[WorkloadSpec, ...]:
 
 
 def _coerce(raw: object, current: object, key: str) -> object:
-    """Coerce an override value to the type of the field it replaces."""
-    if not isinstance(raw, str):
-        if isinstance(current, bool) or isinstance(raw, bool):
-            return raw
-        if isinstance(current, float) and isinstance(raw, int):
-            return float(raw)
-        if isinstance(current, int) and isinstance(raw, float):
-            if raw.is_integer():
-                return int(raw)
-            raise ValueError(f"invalid value for {key!r}: expected an integer, got {raw}")
-        return raw
-    text = raw.strip()
+    """Coerce an override value to the type of the field it replaces.
+
+    Strings are parsed (the ``--set`` path); any other value must already
+    fit the field -- a number for a numeric field -- so malformed JSON fails
+    with a :class:`ValueError` naming the key.
+    """
     try:
+        if not isinstance(raw, str):
+            return _typed(raw, current)
+        text = raw.strip()
         if isinstance(current, bool):
             lowered = text.lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -546,9 +543,25 @@ def _coerce(raw: object, current: object, key: str) -> object:
             return text
         if isinstance(current, tuple):
             return _split_csv(text)
-    except ValueError as error:
+    except (ValueError, OverflowError) as error:
         raise ValueError(f"invalid value for {key!r}: {error}") from None
     raise ValueError(f"cannot coerce a value for scenario key {key!r}")
+
+
+def _typed(raw: object, current: object) -> object:
+    """A non-string override value, checked against the field's type."""
+    if isinstance(current, Enum):
+        return type(current)(raw)
+    if isinstance(current, bool) or isinstance(raw, bool):
+        if isinstance(current, bool) and isinstance(raw, bool):
+            return raw
+    elif isinstance(current, float) and isinstance(raw, (int, float)):
+        return float(raw)
+    elif isinstance(current, int) and isinstance(raw, (int, float)):
+        if isinstance(raw, int) or raw.is_integer():
+            return int(raw)
+        raise ValueError(f"expected an integer, got {raw}")
+    raise ValueError(f"expected a {type(current).__name__}, got {raw!r}")
 
 
 def _nested_from(default_value, data: object, label: str):
@@ -573,14 +586,22 @@ def _nested_from(default_value, data: object, label: str):
     return dataclasses.replace(default_value, **coerced)
 
 
+#: Top-level fields a dotted override may assign.  ``workloads`` is not one:
+#: networks join a scenario only as specs (``--workload``, a scenario file's
+#: ``workloads`` section, inline objects), so no override names a file.
+_OVERRIDABLE = tuple(
+    f.name for f in dataclasses.fields(Scenario) if f.name != "workloads"
+)
+
+
 def override_keys() -> List[str]:
     """Every valid dotted override key (for error messages and docs)."""
     keys: List[str] = []
-    for f in dataclasses.fields(Scenario):
-        keys.append(f.name)
-        default = getattr(_PAPER_DEFAULT, f.name)
+    for name in _OVERRIDABLE:
+        keys.append(name)
+        default = getattr(_PAPER_DEFAULT, name)
         if dataclasses.is_dataclass(default):
-            keys.extend(f"{f.name}.{sub.name}" for sub in dataclasses.fields(type(default)))
+            keys.extend(f"{name}.{sub.name}" for sub in dataclasses.fields(type(default)))
     return keys
 
 

@@ -62,6 +62,13 @@ the run's catalog, so they appear in every figure, report, sweep and
 comparison next to the Table-1 benchmarks; ``repro workloads list`` shows
 the resulting catalog and ``repro workloads show NAME`` one spec.
 
+The CLI and ``repro serve`` share one request schema
+(:mod:`repro.api.request`): this module parses argv and reads the files
+``--scenario``, ``--spec``, ``--objective`` and ``--workload`` name, then
+hands the options to the same resolvers a serve body goes through.  Every
+rejected input -- a :class:`~repro.api.request.RequestError` or an
+unreadable file -- exits non-zero with its message, never a traceback.
+
 ``reproduce`` (alias ``run``) shares one simulation context across all
 experiments, so identical simulations run once.  Every command except a
 ``sweep`` grid simulates in the calling thread: the analytic models are pure
@@ -84,67 +91,51 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.api.request import (
+    compare_request,
+    optimize_request,
+    run_request,
+    scenario_from,
+    sweep_request,
+)
 from repro.api.scenario import Scenario, preset_names
 from repro.engine.context import SimulationContext
-from repro.engine.runner import run_experiments, select_experiments
-from repro.workloads.catalog import WorkloadCatalog
+from repro.engine.runner import run_experiments
+from repro.workloads.catalog import WorkloadSpec
 
 #: Experiments run by the `characterize` / `evaluate` groups, in report order.
 CHARACTERIZE_EXPERIMENTS = ("fig04", "fig05", "fig06", "fig07")
 EVALUATE_EXPERIMENTS = ("fig15", "fig16", "fig17")
 
 
-def _validate_benchmarks(
-    names: Optional[List[str]], catalog: WorkloadCatalog
-) -> Optional[List[str]]:
-    """Canonicalize ``--benchmarks`` names against the run's catalog."""
-    if not names:
-        return None
-    unknown = [name for name in names if name not in catalog]
-    if unknown:
-        raise SystemExit(
-            f"unknown benchmark(s) {unknown}; choose from {catalog.names()}"
-        )
-    return [catalog.canonical_name(name) for name in names]
+def _scenario_fields(args: argparse.Namespace) -> dict:
+    """The request's scenario fields, with the files the options name read.
 
-
-def _validate_experiments(
-    only: Optional[List[str]], skip: Optional[List[str]] = None
-) -> None:
-    """Resolve ``--only``/``--skip`` against the registry, after parsing.
-
-    Validation happens here -- not via parser ``choices`` -- so building the
-    parser never imports the experiment modules, and experiments registered
-    by user code before :func:`main` pass validation too.
+    ``--scenario`` names a preset or a scenario file (repeatable on
+    ``compare``), ``--workload`` names workload spec files; what the fields
+    may hold is :mod:`repro.api.request`'s business.
     """
-    try:
-        select_experiments(only=only, skip=skip)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
+    fields = {
+        "workloads": [WorkloadSpec.from_file(path) for path in args.workload or ()],
+        "set": args.set,
+    }
+    if isinstance(args.scenario, list):
+        fields["scenarios"] = [Scenario.load(spec) for spec in args.scenario]
+    elif args.scenario:
+        fields["scenario"] = Scenario.load(args.scenario)
+    return fields
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """Build the scenario selected by ``--scenario`` / ``--workload`` / ``--set``."""
-    try:
-        scenario = Scenario.load(args.scenario) if args.scenario else Scenario.default()
-        scenario = _with_workloads(scenario, args)
-        if args.set:
-            scenario = scenario.with_set(args.set)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    return scenario
+def _space_fields(args: argparse.Namespace) -> dict:
+    """The scenario fields plus the ``--spec``/``--axis``/``--benchmarks`` grid."""
+    from repro.sweep import SweepSpec
 
-
-def _with_workloads(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    """Merge the ``--workload PATH`` specs into a scenario's catalog.
-
-    Applied before ``--set`` so overrides (e.g. a ``benchmarks=`` selection
-    naming a custom workload) validate against the extended catalog.
-    """
-    workloads = getattr(args, "workload", None)
-    if not workloads:
-        return scenario
-    return scenario.with_workloads(workloads)
+    return {
+        **_scenario_fields(args),
+        "spec": SweepSpec.load(args.spec) if args.spec else None,
+        "axes": _parse_axes(args.axis),
+        "benchmarks": args.benchmarks,
+    }
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -161,24 +152,17 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _run_and_emit(
-    args: argparse.Namespace,
-    only: Optional[List[str]],
-    skip: Optional[List[str]] = None,
-    benchmarks: Optional[List[str]] = None,
-    combined: bool = False,
+    args: argparse.Namespace, fields: dict, combined: bool = False
 ) -> int:
     """Run a selection of experiments and emit text or JSON output.
 
-    ``combined`` picks the `reproduce`-style report (sections with ``===``
-    separators); otherwise reports are joined with a blank line, preserving
-    the classic `characterize`/`evaluate` layout byte-for-byte.
-
-    ``benchmarks`` names are validated (and canonicalized) against the
-    scenario's workload catalog, so ``--benchmarks`` can select custom
-    ``--workload`` networks too.
+    ``fields`` selects the experiments and benchmarks (see
+    :func:`repro.api.request.run_request`).  ``combined`` picks the
+    `reproduce`-style report (sections with ``===`` separators); otherwise
+    reports are joined with a blank line, preserving the classic
+    `characterize`/`evaluate` layout byte-for-byte.
     """
-    scenario = _scenario_from_args(args)
-    benchmarks = _validate_benchmarks(benchmarks, scenario.catalog)
+    scenario, experiments, benchmarks = run_request({**_scenario_fields(args), **fields})
     disk_cache = model_cache = None
     if not getattr(args, "no_cache", False):
         # Imported here: only experiment execution needs the cache layer.
@@ -190,7 +174,7 @@ def _run_and_emit(
     context = SimulationContext(
         scenario=scenario, disk_cache=disk_cache, model_cache=model_cache
     )
-    result = run_experiments(only=only, skip=skip, benchmarks=benchmarks, context=context)
+    result = run_experiments(only=experiments, benchmarks=benchmarks, context=context)
     if disk_cache is not None:
         disk_cache.flush()
     if args.format == "json":
@@ -204,11 +188,13 @@ def _run_and_emit(
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, only=list(CHARACTERIZE_EXPERIMENTS), benchmarks=args.benchmarks)
+    fields = {"experiments": CHARACTERIZE_EXPERIMENTS, "benchmarks": args.benchmarks}
+    return _run_and_emit(args, fields)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, only=list(EVALUATE_EXPERIMENTS), benchmarks=args.benchmarks)
+    fields = {"experiments": EVALUATE_EXPERIMENTS, "benchmarks": args.benchmarks}
+    return _run_and_emit(args, fields)
 
 
 def _activate_faults(source: Optional[str]) -> None:
@@ -241,58 +227,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         selected.append(args.benchmark)
-    return _run_and_emit(args, only=["fig18"], benchmarks=selected)
+    return _run_and_emit(args, {"experiments": ["fig18"], "benchmarks": selected})
 
 
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     """``repro sweep --spec PATH|PRESET`` / ``--axis KEY=V1,V2,...``."""
     # Imported here: only the generalized sweep needs the sweep engine.
-    import dataclasses
-
-    from repro.sweep import SweepRunner, SweepSpec, run_queued_sweep
+    from repro.sweep import SweepRunner, run_queued_sweep
 
     if args.benchmark:
         raise SystemExit("--benchmark only applies to the classic Fig. 18 sweep")
-    base = _scenario_from_args(args)
+    queued = args.workers is not None or args.resume
+    if args.max_attempts is not None and not queued:
+        raise SystemExit(
+            "--max-attempts only applies to queued sweeps "
+            "(add --workers or --resume)"
+        )
+    base, spec, _ = sweep_request(_space_fields(args), name="cli-sweep")
     try:
-        axes = [_parse_axis(assignment) for assignment in (args.axis or [])]
-        seen_axes = set()
-        for axis in axes:
-            if axis.key in seen_axes:
-                raise ValueError(
-                    f"duplicate --axis key {axis.key!r}; merge the values "
-                    f"into one --axis {axis.key}=V1,V2,..."
-                )
-            seen_axes.add(axis.key)
-        if args.spec:
-            spec = SweepSpec.load(args.spec)
-            if axes:
-                spec = dataclasses.replace(spec, axes=spec.axes + tuple(axes))
-        else:
-            spec = SweepSpec(name="cli-sweep", axes=tuple(axes))
-        if args.benchmarks:
-            spec = dataclasses.replace(spec, benchmarks=tuple(args.benchmarks))
-        queued = args.workers is not None or args.resume
-        if args.max_attempts is not None and not queued:
-            raise ValueError(
-                "--max-attempts only applies to queued sweeps "
-                "(add --workers or --resume)"
-            )
-        if not queued:
-            runner = SweepRunner(
-                spec,
-                base,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
-                backend=args.backend,
-                verify=args.verify,
-            )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    try:
-        # Axis *values* are only coerced when each grid point's overrides
-        # apply, so bad values (--axis hmc.num_vaults=8,abc) surface here.
         if queued:
             queued_options = {}
             if args.max_attempts is not None:
@@ -311,8 +263,16 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
                 **queued_options,
             )
         else:
-            result = runner.run()
-    except (ValueError, FileNotFoundError, RuntimeError) as error:
+            result = SweepRunner(
+                spec,
+                base,
+                jobs=args.jobs,
+                cache_dir=args.cache_dir,
+                use_cache=not args.no_cache,
+                backend=args.backend,
+                verify=args.verify,
+            ).run()
+    except (FileNotFoundError, RuntimeError) as error:
         raise SystemExit(str(error)) from None
     if args.format == "json":
         # to_jsonable keeps the dump loadable everywhere: non-finite floats
@@ -333,54 +293,38 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     """``repro optimize``: adaptive design-space search over a sweep grid."""
     # Imported here: only this subcommand needs the optimize subsystem.
-    import dataclasses
-
     from repro.engine.serialize import to_jsonable
-    from repro.optimize import OptimizeDriver
-    from repro.sweep import SweepSpec
+    from repro.optimize import ObjectiveSpec, OptimizeDriver
 
-    base = _scenario_from_args(args)
+    # A single --objective naming an existing file loads a full JSON
+    # objective spec; otherwise every --objective is a METRIC[:max|min] path.
+    objectives = args.objective
+    if objectives and len(objectives) == 1 and Path(objectives[0]).exists():
+        objectives = ObjectiveSpec.from_file(objectives[0])
+    fields = {
+        **_space_fields(args),
+        "objectives": objectives,
+        "constraints": args.constraint,
+        "budget": args.budget,
+        "driver": args.driver,
+        "refine": args.refine,
+    }
+    base, space, objective, budget, driver, refine = optimize_request(
+        fields, name="cli-optimize"
+    )
+    search = OptimizeDriver(
+        objective,
+        space,
+        base,
+        budget=budget,
+        driver=driver,
+        refine=refine,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+    )
     try:
-        objective = _objective_from_args(args)
-        axes = [_parse_axis(assignment) for assignment in (args.axis or [])]
-        seen_axes = set()
-        for axis in axes:
-            if axis.key in seen_axes:
-                raise ValueError(
-                    f"duplicate --axis key {axis.key!r}; merge the values "
-                    f"into one --axis {axis.key}=V1,V2,..."
-                )
-            seen_axes.add(axis.key)
-        if args.spec:
-            space = SweepSpec.load(args.spec)
-            if axes:
-                space = dataclasses.replace(space, axes=space.axes + tuple(axes))
-        elif axes:
-            space = SweepSpec(name="cli-optimize", axes=tuple(axes))
-        else:
-            raise ValueError(
-                "optimize needs a search space: --spec PATH|PRESET and/or "
-                "--axis KEY=V1,V2,..."
-            )
-        if args.benchmarks:
-            space = dataclasses.replace(space, benchmarks=tuple(args.benchmarks))
-        driver = OptimizeDriver(
-            objective,
-            space,
-            base,
-            budget=args.budget,
-            driver=args.driver,
-            refine=args.refine,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    try:
-        # Axis values and metric paths are validated on the first probe, so
-        # bad ones (--axis hmc.num_vaults=abc, a metric typo) surface here.
-        result = driver.run()
-    except (ValueError, RuntimeError) as error:
+        result = search.run()
+    except RuntimeError as error:
         raise SystemExit(str(error)) from None
     if args.format == "json":
         text = json.dumps(to_jsonable(result.to_dict()), indent=2)
@@ -393,46 +337,28 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _objective_from_args(args: argparse.Namespace):
-    """Build the :class:`ObjectiveSpec` selected by ``--objective``/``--constraint``.
-
-    A single ``--objective`` naming an existing file loads a full JSON
-    objective spec; otherwise every ``--objective`` is a ``METRIC[:max|min]``
-    path.  ``--constraint`` entries are merged either way.
-    """
-    from repro.optimize import ObjectiveSpec
-
-    if not args.objective:
-        raise ValueError(
-            "optimize needs at least one --objective METRIC[:max|min] "
-            "(e.g. --objective fig17.average_speedup) or an objective-spec "
-            "JSON file (--objective PATH)"
-        )
-    constraints = list(args.constraint or [])
-    if len(args.objective) == 1 and Path(args.objective[0]).exists():
-        spec = ObjectiveSpec.from_file(args.objective[0])
-        return ObjectiveSpec.coerce(spec, constraints=constraints)
-    return ObjectiveSpec.coerce(list(args.objective), constraints=constraints)
-
-
-def _parse_axis(assignment: str):
-    """Parse one ``--axis KEY=V1,V2,...`` option into a sweep axis."""
-    from repro.sweep import SweepAxis
-
-    # Split on the FIRST '=' only: axis values may themselves contain '='.
-    key, sep, raw = str(assignment).partition("=")
-    if not sep or not key.strip():
-        raise ValueError(
-            f"invalid --axis {assignment!r}; expected KEY=V1,V2,... "
-            f"(e.g. --axis hmc.pe_frequency_mhz=312.5,625,1250)"
-        )
-    values = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not values:
-        raise ValueError(
-            f"--axis {key.strip()!r} has no values; expected KEY=V1,V2,... "
-            f"(e.g. --axis hmc.pe_frequency_mhz=312.5,625,1250)"
-        )
-    return SweepAxis(key.strip(), tuple(_parse_axis_value(value) for value in values))
+def _parse_axes(assignments: Optional[List[str]]) -> Optional[dict]:
+    """The ``--axis KEY=V1,V2,...`` options as one ``{key: values}`` mapping."""
+    if not assignments:
+        return None
+    expected = "expected KEY=V1,V2,... (e.g. --axis hmc.pe_frequency_mhz=312.5,625,1250)"
+    axes: dict = {}
+    for assignment in assignments:
+        # Split on the FIRST '=' only: axis values may themselves contain '='.
+        key, sep, raw = str(assignment).partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise SystemExit(f"invalid --axis {assignment!r}; {expected}")
+        values = [_parse_axis_value(part.strip()) for part in raw.split(",") if part.strip()]
+        if not values:
+            raise SystemExit(f"--axis {key!r} has no values; {expected}")
+        if key in axes:
+            raise SystemExit(
+                f"duplicate --axis key {key!r}; merge the values into one "
+                f"--axis {key}=V1,V2,..."
+            )
+        axes[key] = values
+    return axes
 
 
 def _parse_axis_value(text: str):
@@ -446,48 +372,22 @@ def _parse_axis_value(text: str):
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    _validate_experiments(only=args.only, skip=args.skip)
-    return _run_and_emit(
-        args, only=args.only, skip=args.skip, benchmarks=args.benchmarks, combined=True
-    )
+    fields = {"experiments": args.only, "skip": args.skip, "benchmarks": args.benchmarks}
+    return _run_and_emit(args, fields, combined=True)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     # Imported here: compare is the only subcommand needing the session layer.
     from repro.api.session import compare_scenarios
 
-    _validate_experiments(only=args.only, skip=args.skip)
-    try:
-        bases = [Scenario.load(spec) for spec in (args.scenario or ["paper-default"])]
-        bases = [_with_workloads(base, args) for base in bases]
-        if args.set:
-            variants = [base.with_set(args.set) for base in bases]
-            # One base + overrides compares base vs. variant; several bases
-            # compare the uniformly-overridden variants.
-            scenarios = [bases[0]] + variants if len(bases) == 1 else variants
-        else:
-            scenarios = bases
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    if len(scenarios) < 2:
-        raise SystemExit(
-            "compare needs at least two scenarios: repeat --scenario, or add "
-            "--set KEY=VALUE to compare a scenario against its overridden variant"
-        )
-    benchmarks = args.benchmarks or None
-    if benchmarks:
-        # A restriction must resolve in every compared scenario's catalog;
-        # the first scenario's canonical spelling is used for the run.
-        canonical = [
-            _validate_benchmarks(benchmarks, scenario.catalog) for scenario in scenarios
-        ]
-        benchmarks = canonical[0]
-    comparison = compare_scenarios(
-        scenarios,
-        only=args.only,
-        skip=args.skip or None,
-        benchmarks=benchmarks,
-    )
+    fields = {
+        **_scenario_fields(args),
+        "experiments": args.only,
+        "skip": args.skip,
+        "benchmarks": args.benchmarks,
+    }
+    scenarios, only, skip, benchmarks = compare_request(fields)
+    comparison = compare_scenarios(scenarios, only=only, skip=skip, benchmarks=benchmarks)
     if args.format == "json":
         text = json.dumps(comparison.to_dict(), indent=2)
     else:
@@ -503,8 +403,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
     if args.action == "show" and not args.name:
         raise SystemExit("workloads show requires a workload NAME")
-    scenario = _scenario_from_args(args)
-    catalog = scenario.catalog
+    catalog = scenario_from(_scenario_fields(args)).catalog
     if args.action == "show":
         try:
             spec = catalog.get(args.name)
@@ -559,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServeConfig
 
     _activate_faults(args.faults)
-    scenario = _scenario_from_args(args)
+    scenario = scenario_from(_scenario_fields(args))
     try:
         config = ServeConfig(
             host=args.host,
@@ -574,7 +473,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             request_timeout=args.request_timeout,
         )
         server = ReproServer(config)
-    except (ValueError, OSError) as error:
+    except OSError as error:
         raise SystemExit(str(error)) from None
     print(
         f"repro serve listening on {server.url} "
@@ -1143,10 +1042,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A rejected input -- a :class:`~repro.api.request.RequestError`, or a file
+    an option names that cannot be read or parsed -- is a ``ValueError``, and
+    exits with its message instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI

@@ -24,13 +24,6 @@ from repro.core.distribution import (
 from repro.core.intra_vault import IntraVaultDistributor, lower_routing_to_operations
 from repro.core.rmas import ContentionModel, RMASDecision, RuntimeMemoryAccessScheduler, SchedulerPolicy
 from repro.core.pipeline import PipelineModel, PipelineTiming
-from repro.core.snippets import (
-    SnippetAssignment,
-    SnippetScheduler,
-    WorkloadSnippet,
-    build_snippets,
-    load_imbalance,
-)
 from repro.core.accelerator import (
     DesignPoint,
     PIMCapsNet,
@@ -50,11 +43,6 @@ __all__ = [
     "SchedulerPolicy",
     "PipelineModel",
     "PipelineTiming",
-    "SnippetAssignment",
-    "SnippetScheduler",
-    "WorkloadSnippet",
-    "build_snippets",
-    "load_imbalance",
     "DesignPoint",
     "PIMCapsNet",
     "RoutingComparison",

@@ -126,16 +126,9 @@ class OptimizeDriver:
         self.experiments = select_experiments(only=self.objective.experiments())
         if benchmarks is None:
             benchmarks = self.space.benchmarks
-        if benchmarks is not None:
-            catalog = self.base.catalog
-            try:
-                self.benchmarks: Optional[List[str]] = [
-                    catalog.canonical_name(name) for name in benchmarks
-                ]
-            except KeyError as error:
-                raise ValueError(str(error.args[0])) from None
-        else:
-            self.benchmarks = None
+        self.benchmarks: Optional[List[str]] = (
+            None if benchmarks is None else self.base.catalog.resolve(benchmarks)
+        )
         if driver == "auto":
             driver = "descent" if self._all_axes_numeric() else "halving"
         if driver == "descent" and not self._all_axes_numeric():

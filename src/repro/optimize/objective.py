@@ -58,6 +58,13 @@ def _canonical_sense(sense: object) -> str:
     return resolved
 
 
+def _number(value: object, label: str) -> float:
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{label} must be a number, got {value!r}") from None
+
+
 def _canonical_metric(metric: object) -> str:
     metric = str(metric).strip()
     if not metric or any(not part for part in metric.split(".")):
@@ -157,17 +164,14 @@ class Constraint:
                 f"constraint on {self.metric!r} needs within_pct_of_best, "
                 f"min_value or max_value"
             )
-        if relative:
-            pct = float(self.within_pct_of_best)
-            if pct < 0:
-                raise ValueError(
-                    f"within_pct_of_best must be >= 0, got {pct}"
-                )
-            object.__setattr__(self, "within_pct_of_best", pct)
-        if self.min_value is not None:
-            object.__setattr__(self, "min_value", float(self.min_value))
-        if self.max_value is not None:
-            object.__setattr__(self, "max_value", float(self.max_value))
+        for bound in ("within_pct_of_best", "min_value", "max_value"):
+            value = getattr(self, bound)
+            if value is not None:
+                object.__setattr__(self, bound, _number(value, bound))
+        if relative and self.within_pct_of_best < 0:
+            raise ValueError(
+                f"within_pct_of_best must be >= 0, got {self.within_pct_of_best}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "Constraint":
@@ -284,6 +288,15 @@ class Constraint:
         return f"{self.metric} {' and '.join(parts)}"
 
 
+def _entries(value: object, key: str) -> Sequence[object]:
+    """One entry (string or mapping) or a list of them."""
+    if isinstance(value, (str, Mapping)):
+        return [value]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be an entry or a list of entries, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """One declarative optimization problem (frozen, validated, JSON-ready).
@@ -388,20 +401,16 @@ class ObjectiveSpec:
             raise ValueError(
                 "objective spec is missing the required 'objectives' section"
             )
-        raw_objectives = data["objectives"]
-        if isinstance(raw_objectives, (str, Mapping)):
-            raw_objectives = [raw_objectives]
         kwargs: Dict[str, object] = {
-            "objectives": tuple(Objective.from_dict(obj) for obj in raw_objectives)  # type: ignore[union-attr]
+            "objectives": tuple(
+                Objective.from_dict(obj) for obj in _entries(data["objectives"], "objectives")
+            )
         }
         if "name" in data:
             kwargs["name"] = str(data["name"])
-        raw_constraints = data.get("constraints")
-        if raw_constraints is not None:
-            if isinstance(raw_constraints, (str, Mapping)):
-                raw_constraints = [raw_constraints]
+        if data.get("constraints") is not None:
             kwargs["constraints"] = tuple(
-                Constraint.from_dict(c) for c in raw_constraints  # type: ignore[union-attr]
+                Constraint.from_dict(c) for c in _entries(data["constraints"], "constraints")
             )
         return cls(**kwargs)  # type: ignore[arg-type]
 

@@ -202,6 +202,7 @@ def cache_frontier(
     from repro.api.scenario import Scenario
     from repro.core.accelerator import DesignPoint
     from repro.engine.diskcache import SimulationCache
+    from repro.sweep.runner import SweepCell
     from repro.sweep.spec import SweepSpec
 
     spec = spec if isinstance(spec, SweepSpec) else SweepSpec.load(str(spec))
@@ -213,10 +214,7 @@ def cache_frontier(
     if benchmarks is None:
         benchmarks = spec.benchmarks
     if benchmarks is not None:
-        try:
-            names = [catalog.canonical_name(name) for name in benchmarks]
-        except KeyError as error:
-            raise ValueError(str(error.args[0])) from None
+        names = catalog.resolve(benchmarks)
     else:
         selection = base.benchmark_selection()
         names = selection if selection else catalog.names()
@@ -245,7 +243,7 @@ def cache_frontier(
         if any(result is None for result in results):
             uncovered += 1
             continue
-        cells: List[Dict[str, object]] = []
+        cells: List[SweepCell] = []
         slot = 0
         for name in names:
             baseline = results[slot]
@@ -253,27 +251,15 @@ def cache_frontier(
             for design in spec.designs:
                 result = results[slot]
                 slot += 1
-                time_seconds = float(result.time_seconds)  # type: ignore[union-attr]
-                energy_joules = float(result.energy_joules)  # type: ignore[union-attr]
-                baseline_time = float(baseline.time_seconds)  # type: ignore[union-attr]
-                baseline_energy = float(baseline.energy_joules)  # type: ignore[union-attr]
                 cells.append(
-                    {
-                        "benchmark": name,
-                        "design": str(design),
-                        "time_seconds": time_seconds,
-                        "energy_joules": energy_joules,
-                        "speedup": (
-                            baseline_time / time_seconds
-                            if time_seconds > 0
-                            else float("inf")
-                        ),
-                        "energy_saving": (
-                            1.0 - energy_joules / baseline_energy
-                            if baseline_energy > 0
-                            else 0.0
-                        ),
-                    }
+                    SweepCell(
+                        name,
+                        str(design),
+                        float(result.time_seconds),  # type: ignore[union-attr]
+                        float(result.energy_joules),  # type: ignore[union-attr]
+                        float(baseline.time_seconds),  # type: ignore[union-attr]
+                        float(baseline.energy_joules),  # type: ignore[union-attr]
+                    )
                 )
         metrics = point_metrics({"cells": cells})
         entries.append(

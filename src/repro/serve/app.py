@@ -25,12 +25,16 @@ library itself.  Endpoints:
                       hit rates.
 ====================  ========================================================
 
-Request bodies are JSON objects; scenarios arrive as preset names or inline
-scenario objects (the server never reads client-named files), with
-``"set"`` carrying the CLI's dotted ``KEY=VALUE`` overrides.  Intentional
-errors answer with the structured 4xx body of
-:class:`~repro.serve.errors.ServeError`; unexpected exceptions are logged
-server-side and answer an opaque 500 -- never a stack trace.
+Request bodies are JSON objects carrying the CLI's options as fields
+(``scenario``, ``set``, ``experiments``, ``axes``, ...).  This module only
+reads the body (:meth:`ReproRequestHandler._json_body`), rejects unknown
+fields and streams; :mod:`repro.api.request` resolves and validates the
+fields for the CLI and the server alike, and never reads a file a request
+names.  Its :class:`~repro.api.request.RequestError` answers a structured
+400 carrying the error's code; the other intentional errors answer with
+the structured 4xx body of :class:`~repro.serve.errors.ServeError`;
+unexpected exceptions are logged server-side and answer an opaque 500 --
+never a stack trace.
 
 :class:`ReproServer` adds the lifecycle: SIGINT/SIGTERM flip the shared
 :class:`~repro.serve.state.ServerState` into draining (new work is refused
@@ -48,12 +52,19 @@ import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from repro.api.request import (
+    FIELDS,
+    RequestError,
+    compare_request,
+    optimize_request,
+    run_request,
+    sweep_request,
+)
 from repro.api.scenario import Scenario, preset_names
 from repro.api.session import compare_scenarios
-from repro.engine.runner import select_experiments
 from repro.engine.serialize import to_jsonable
 from repro.faults import point as fault_point
 from repro.serve.errors import (
@@ -86,98 +97,6 @@ def _check_fields(body: Mapping, allowed: Sequence[str], endpoint: str) -> None:
             f"valid fields: {sorted(allowed)}",
             code="unknown_field",
         )
-
-
-def _string_list(body: Mapping, field: str) -> Optional[List[str]]:
-    """An optional list-of-strings field (``None`` when absent/empty)."""
-    value = body.get(field)
-    if value is None:
-        return None
-    if isinstance(value, str) or not isinstance(value, (list, tuple)):
-        raise BadRequest(
-            f"field {field!r} must be a list of strings", code="invalid_field"
-        )
-    items = [str(item) for item in value]
-    return items or None
-
-
-def scenario_from_request(state: ServerState, body: Mapping) -> Scenario:
-    """Resolve a request's ``scenario`` / ``workloads`` / ``set`` fields.
-
-    ``scenario`` is a preset name or an inline scenario object; ``workloads``
-    must be inline spec objects (file paths are rejected -- the server never
-    reads files a client names); ``set`` applies dotted CLI-style overrides.
-    The server's base scenario is the default.
-    """
-    raw = body.get("scenario")
-    if raw is None:
-        scenario = state.base_scenario
-    elif isinstance(raw, str):
-        try:
-            scenario = Scenario.preset(raw)
-        except ValueError as error:
-            raise BadRequest(str(error), code="unknown_scenario") from None
-    elif isinstance(raw, Mapping):
-        try:
-            scenario = Scenario.from_dict(raw)
-        except ValueError as error:
-            raise BadRequest(str(error), code="invalid_scenario") from None
-    else:
-        raise BadRequest(
-            "field 'scenario' must be a preset name or a scenario object",
-            code="invalid_scenario",
-        )
-    workloads = body.get("workloads")
-    if workloads is not None:
-        if not isinstance(workloads, (list, tuple)) or any(
-            not isinstance(entry, Mapping) for entry in workloads
-        ):
-            raise BadRequest(
-                "field 'workloads' must be a list of inline workload spec "
-                "objects (the server does not read workload files)",
-                code="invalid_workloads",
-            )
-        try:
-            scenario = scenario.with_workloads(workloads)
-        except ValueError as error:
-            raise BadRequest(str(error), code="invalid_workloads") from None
-    overrides = _string_list(body, "set")
-    if overrides:
-        try:
-            scenario = scenario.with_set(overrides)
-        except ValueError as error:
-            raise BadRequest(str(error), code="invalid_override") from None
-    return scenario
-
-
-def _validated_benchmarks(
-    benchmarks: Optional[List[str]], scenario: Scenario
-) -> Optional[List[str]]:
-    if not benchmarks:
-        return None
-    catalog = scenario.catalog
-    unknown = [name for name in benchmarks if name not in catalog]
-    if unknown:
-        raise BadRequest(
-            f"unknown benchmark(s) {unknown}; choose from {catalog.names()}",
-            code="unknown_benchmark",
-        )
-    return [catalog.canonical_name(name) for name in benchmarks]
-
-
-def _selected_experiments(
-    only: Optional[List[str]], skip: Optional[List[str]]
-) -> List[str]:
-    try:
-        names = select_experiments(only=only, skip=skip)
-    except ValueError as error:
-        raise BadRequest(str(error), code="unknown_experiment") from None
-    if not names:
-        raise BadRequest(
-            "the experiment selection matches no experiments",
-            code="empty_selection",
-        )
-    return names
 
 
 # ------------------------------------------------------------------- handler
@@ -233,7 +152,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     status, payload = result
                     self._record(status)
                     self._send_json(status, payload)
-            except ServeError as error:
+            except (ServeError, RequestError) as error:
+                if isinstance(error, RequestError):
+                    error = BadRequest(str(error), code=error.code)
                 status = error.status
                 self._record(status)
                 retry_after = getattr(error, "retry_after", None)
@@ -292,6 +213,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         expected = "GET" if path in _GET_PATHS else "POST"
         if method != expected:
             raise MethodNotAllowed(f"{path} only accepts {expected}")
+        if expected == "POST":
+            return lambda: self._admitted(path, handler)
         return handler
 
     # ---------------------------------------------------------------- plumbing
@@ -429,224 +352,90 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     # -------------------------------------------------------------- POST views
 
-    def _post_run(self) -> Tuple[int, dict]:
-        state = self.state
+    def _admitted(self, path: str, view) -> object:
+        """Read and check a POST body, then run ``view(body)`` as admitted work."""
         body = self._json_body()
-        _check_fields(
-            body,
-            ("scenario", "set", "workloads", "experiments", "skip", "benchmarks"),
-            "POST /v1/run",
-        )
-        state.begin_work()
+        _check_fields(body, FIELDS[path.rsplit("/", 1)[-1]], f"POST {path}")
+        self.state.begin_work()
         try:
-            scenario = scenario_from_request(state, body)
-            names = _selected_experiments(
-                _string_list(body, "experiments"), _string_list(body, "skip")
-            )
-            benchmarks = _validated_benchmarks(
-                _string_list(body, "benchmarks"), scenario
-            )
-            # Identical concurrent requests (same scenario *content*, same
-            # selection) coalesce onto one underlying run; the scenario name
-            # is a label and deliberately not part of the identity.
-            key = (
-                "run",
-                scenario.content_hash(),
-                tuple(names),
-                tuple(benchmarks or ()),
-            )
-
-            def execute() -> dict:
-                fault_point("serve.handler.execute")
-                session = state.session_for(scenario)
-                result = session.run(names, benchmarks=benchmarks)
-                return {
-                    "scenario": {
-                        "name": session.scenario.name,
-                        "content_hash": scenario.content_hash(),
-                    },
-                    "experiments": names,
-                    "report": result.report(),
-                    "data": result.runner.to_dict(),
-                }
-
-            payload, coalesced = self._execute_with_timeout(
-                lambda: state.coalescer.run(key, execute)
-            )
-            return 200, {**payload, "coalesced": coalesced}
+            return view(body)
         finally:
-            state.end_work()
+            self.state.end_work()
 
-    def _post_compare(self) -> Tuple[int, dict]:
+    def _post_run(self, body: dict) -> Tuple[int, dict]:
         state = self.state
-        body = self._json_body()
-        _check_fields(
-            body,
-            ("scenarios", "set", "workloads", "experiments", "skip", "benchmarks"),
-            "POST /v1/compare",
+        scenario, names, benchmarks = run_request(body, state.base_scenario)
+        # Identical concurrent requests (same scenario *content*, same
+        # selection) coalesce onto one underlying run; the scenario name is a
+        # label and deliberately not part of the identity.
+        key = ("run", scenario.content_hash(), tuple(names), tuple(benchmarks or ()))
+
+        def execute() -> dict:
+            fault_point("serve.handler.execute")
+            session = state.session_for(scenario)
+            result = session.run(names, benchmarks=benchmarks)
+            return {
+                "scenario": {
+                    "name": session.scenario.name,
+                    "content_hash": scenario.content_hash(),
+                },
+                "experiments": names,
+                "report": result.report(),
+                "data": result.runner.to_dict(),
+            }
+
+        return self._coalesced(key, execute)
+
+    def _post_compare(self, body: dict) -> Tuple[int, dict]:
+        state = self.state
+        scenarios, only, skip, benchmarks = compare_request(body, state.base_scenario)
+        key = (
+            "compare",
+            tuple((s.name, s.content_hash()) for s in scenarios),
+            tuple(only or ()),
+            tuple(skip or ()),
+            tuple(benchmarks or ()),
         )
-        state.begin_work()
-        try:
-            raw_scenarios = body.get("scenarios")
-            if raw_scenarios is None:
-                bases = [state.base_scenario]
-            elif isinstance(raw_scenarios, (list, tuple)) and raw_scenarios:
-                bases = [
-                    scenario_from_request(
-                        state, {"scenario": raw, "workloads": body.get("workloads")}
-                    )
-                    for raw in raw_scenarios
-                ]
-            else:
-                raise BadRequest(
-                    "field 'scenarios' must be a non-empty list of preset "
-                    "names or scenario objects",
-                    code="invalid_scenario",
-                )
-            overrides = _string_list(body, "set")
-            if overrides:
-                try:
-                    variants = [base.with_set(overrides) for base in bases]
-                except ValueError as error:
-                    raise BadRequest(str(error), code="invalid_override") from None
-                # One base + overrides compares base vs. variant (the CLI
-                # convention); several bases compare the overridden variants.
-                scenarios = [bases[0]] + variants if len(bases) == 1 else variants
-            else:
-                scenarios = bases
-            if len(scenarios) < 2:
-                raise BadRequest(
-                    "compare needs at least two scenarios: list several in "
-                    "'scenarios', or add 'set' overrides to compare one "
-                    "against its variant",
-                    code="invalid_scenario",
-                )
-            only = _string_list(body, "experiments")
-            skip = _string_list(body, "skip")
-            if only or skip:
-                _selected_experiments(only, skip)
-            benchmarks = _string_list(body, "benchmarks")
-            if benchmarks:
-                canonical = [
-                    _validated_benchmarks(benchmarks, scenario)
-                    for scenario in scenarios
-                ]
-                benchmarks = canonical[0]
-            key = (
-                "compare",
-                tuple((s.name, s.content_hash()) for s in scenarios),
-                tuple(only or ()),
-                tuple(skip or ()),
-                tuple(benchmarks or ()),
+
+        def execute() -> dict:
+            fault_point("serve.handler.execute")
+            sessions = [state.session_for(scenario) for scenario in scenarios]
+            comparison = compare_scenarios(
+                scenarios,
+                only=only,
+                skip=skip,
+                benchmarks=benchmarks,
+                sessions=sessions,
             )
+            return {
+                "scenarios": [
+                    {"name": s.name, "content_hash": s.content_hash()}
+                    for s in scenarios
+                ],
+                "report": comparison.format_report(),
+                "data": comparison.to_dict(),
+            }
 
-            def execute() -> dict:
-                fault_point("serve.handler.execute")
-                sessions = [state.session_for(scenario) for scenario in scenarios]
-                comparison = compare_scenarios(
-                    scenarios,
-                    only=only,
-                    skip=skip,
-                    benchmarks=benchmarks,
-                    sessions=sessions,
-                )
-                return {
-                    "scenarios": [
-                        {"name": s.name, "content_hash": s.content_hash()}
-                        for s in scenarios
-                    ],
-                    "report": comparison.format_report(),
-                    "data": comparison.to_dict(),
-                }
+        return self._coalesced(key, execute)
 
-            payload, coalesced = self._execute_with_timeout(
-                lambda: state.coalescer.run(key, execute)
-            )
-            return 200, {**payload, "coalesced": coalesced}
-        finally:
-            state.end_work()
+    def _coalesced(self, key: tuple, execute) -> Tuple[int, dict]:
+        """Run ``execute`` once per identical in-flight ``key``, within the timeout."""
+        payload, coalesced = self._execute_with_timeout(
+            lambda: self.state.coalescer.run(key, execute)
+        )
+        return 200, {**payload, "coalesced": coalesced}
 
-    def _post_sweep(self) -> int:
+    def _post_sweep(self, body: dict) -> int:
         """Streamed sweep: NDJSON progress events over chunked transfer."""
         state = self.state
-        body = self._json_body()
-        _check_fields(
-            body,
-            ("spec", "axes", "scenario", "set", "workloads", "benchmarks"),
-            "POST /v1/sweep",
-        )
-        state.begin_work()
-        try:
-            base = scenario_from_request(state, body)
-            spec = self._sweep_spec(body)
-            benchmarks = _string_list(body, "benchmarks")
-            events = sweep_events(
-                spec, base, benchmarks=benchmarks, disk_cache=state.disk_cache
-            )
-            return self._stream_ndjson(events)
-        finally:
-            state.end_work()
+        request = sweep_request(body, state.base_scenario, name="serve-sweep")
+        return self._stream_ndjson(sweep_events(request, disk_cache=state.disk_cache))
 
-    def _post_optimize(self) -> int:
+    def _post_optimize(self, body: dict) -> int:
         """Streamed design-space search: NDJSON probe events per evaluation."""
         state = self.state
-        body = self._json_body()
-        _check_fields(
-            body,
-            (
-                "objective",
-                "objectives",
-                "constraints",
-                "spec",
-                "axes",
-                "budget",
-                "driver",
-                "refine",
-                "scenario",
-                "set",
-                "workloads",
-                "benchmarks",
-            ),
-            "POST /v1/optimize",
-        )
-        state.begin_work()
-        try:
-            base = scenario_from_request(state, body)
-            spec = self._sweep_spec(body)
-            objective = self._objective_spec(body)
-            benchmarks = _string_list(body, "benchmarks")
-            budget = body.get("budget")
-            if budget is not None and (
-                isinstance(budget, bool) or not isinstance(budget, int) or budget < 1
-            ):
-                raise BadRequest(
-                    "field 'budget' must be a positive integer",
-                    code="invalid_budget",
-                )
-            driver = body.get("driver", "auto")
-            if not isinstance(driver, str):
-                raise BadRequest(
-                    "field 'driver' must be a string", code="invalid_driver"
-                )
-            refine = body.get("refine", 1)
-            if isinstance(refine, bool) or not isinstance(refine, int) or refine < 0:
-                raise BadRequest(
-                    "field 'refine' must be a non-negative integer",
-                    code="invalid_refine",
-                )
-            events = optimize_events(
-                objective,
-                spec,
-                base,
-                benchmarks=benchmarks,
-                budget=budget,
-                driver=driver,
-                refine=refine,
-                disk_cache=state.disk_cache,
-            )
-            return self._stream_ndjson(events)
-        finally:
-            state.end_work()
+        request = optimize_request(body, state.base_scenario, name="serve-sweep")
+        return self._stream_ndjson(optimize_events(request, disk_cache=state.disk_cache))
 
     def _stream_ndjson(self, events) -> int:
         """Send an event iterator as chunked NDJSON; returns the status.
@@ -678,16 +467,22 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             except Exception as error:  # repro: allow(RPR-H001)
                 # Headers are long gone; report the failure in-band as the
                 # stream's last event (no summary event = the run failed).
-                traceback.print_exc(file=sys.stderr)
+                # A rejected request field (a later probe's axis values)
+                # keeps its code and counts as a 400.
+                if isinstance(error, RequestError):
+                    status, code = 400, error.code
+                else:
+                    traceback.print_exc(file=sys.stderr)
+                    status, code = 500, "internal"
                 failure = {
                     "event": "error",
-                    "code": "internal",
+                    "code": code,
                     "message": str(error) or type(error).__name__,
                 }
-                self._record(500)
+                self._record(status)
                 self._write_chunk((json.dumps(failure) + "\n").encode("utf-8"))
                 self._write_chunk(b"")
-                return 500
+                return status
             self._record(200)
             self._write_chunk(b"")
             return 200
@@ -695,87 +490,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             # Tear the generator down promptly: a streaming search stops its
             # worker through the generator's own finally clause.
             events.close()
-
-    @staticmethod
-    def _objective_spec(body: Mapping):
-        """The request's objective + constraints as an ``ObjectiveSpec``."""
-        raw = body.get("objectives", body.get("objective"))
-        if raw is None:
-            raise BadRequest(
-                "an optimization needs 'objectives' (or 'objective'): a "
-                "dotted metric path like 'fig17.average_speedup', optionally "
-                "with ':max'/':min', an objective object, or a list of them",
-                code="missing_objective",
-            )
-        constraints = body.get("constraints")
-        if constraints is not None:
-            if isinstance(constraints, (str, Mapping)):
-                constraints = [constraints]
-            elif not isinstance(constraints, (list, tuple)):
-                raise BadRequest(
-                    "field 'constraints' must be a constraint (string or "
-                    "object) or a list of them",
-                    code="invalid_constraint",
-                )
-        # Validate eagerly so malformed objectives answer 4xx here rather
-        # than surfacing from the driver's constructor.
-        from repro.optimize.objective import ObjectiveSpec
-
-        try:
-            return ObjectiveSpec.coerce(raw, constraints=constraints)
-        except (TypeError, ValueError) as error:
-            raise BadRequest(str(error), code="invalid_objective") from None
-
-    @staticmethod
-    def _sweep_spec(body: Mapping):
-        from repro.sweep.spec import SweepAxis, SweepSpec, sweep_preset_names, sweep_presets
-
-        raw = body.get("spec")
-        axes = body.get("axes")
-        spec = None
-        if isinstance(raw, str):
-            presets = sweep_presets()
-            if raw not in presets:
-                raise BadRequest(
-                    f"unknown sweep preset {raw!r}; presets: {sweep_preset_names()}",
-                    code="unknown_sweep",
-                )
-            spec = presets[raw]
-        elif isinstance(raw, Mapping):
-            try:
-                spec = SweepSpec.from_dict(raw)
-            except ValueError as error:
-                raise BadRequest(str(error), code="invalid_spec") from None
-        elif raw is not None:
-            raise BadRequest(
-                "field 'spec' must be a sweep preset name or a sweep spec object",
-                code="invalid_spec",
-            )
-        if axes is not None:
-            if not isinstance(axes, Mapping) or not axes:
-                raise BadRequest(
-                    "field 'axes' must be a non-empty {override-key: [values]} "
-                    "object",
-                    code="invalid_axis",
-                )
-            try:
-                extra = tuple(
-                    SweepAxis(str(key), tuple(values)) for key, values in axes.items()
-                )
-                if spec is None:
-                    spec = SweepSpec(name="serve-sweep", axes=extra)
-                else:
-                    import dataclasses
-
-                    spec = dataclasses.replace(spec, axes=spec.axes + extra)
-            except (TypeError, ValueError) as error:
-                raise BadRequest(str(error), code="invalid_axis") from None
-        if spec is None:
-            raise BadRequest(
-                "a sweep needs a 'spec' (preset name or object) or 'axes'",
-                code="missing_spec",
-            )
-        return spec
 
 
 # -------------------------------------------------------------------- server

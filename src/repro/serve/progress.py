@@ -31,33 +31,24 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator
 
-from repro.api.scenario import Scenario
-from repro.core.accelerator import DesignPoint
+from repro.api.request import OptimizeRequest, RequestError, SweepRequest
 from repro.engine.context import SimulationContext
-from repro.serve.errors import BadRequest
-from repro.sweep.spec import SweepSpec
+from repro.sweep.runner import point_cells
 
 
-def sweep_events(
-    spec: SweepSpec,
-    base: Scenario,
-    *,
-    benchmarks: Optional[Sequence[str]] = None,
-    disk_cache=None,
-) -> Iterator[dict]:
-    """Execute one sweep point-by-point, yielding NDJSON-ready event dicts."""
-    if benchmarks is None and spec.benchmarks is not None:
-        benchmarks = list(spec.benchmarks)
-    if benchmarks:
-        catalog = base.catalog
-        try:
-            benchmarks = [catalog.canonical_name(name) for name in benchmarks]
-        except KeyError as error:
-            raise BadRequest(str(error.args[0]), code="unknown_benchmark") from None
+def sweep_events(request: SweepRequest, *, disk_cache=None) -> Iterator[dict]:
+    """Execute one resolved sweep point-by-point, yielding NDJSON-ready events.
+
+    Every point's scenario is built before the first event, so axis values
+    that fail (alone or in combination) raise ``invalid_axis`` while the
+    response can still be a 400.
+    """
+    base, spec, benchmarks = request
     started = time.perf_counter()
     assignments = spec.assignments()
+    variants = [spec.scenario_for(base, assignment) for assignment in assignments]
     yield {
         "event": "sweep_started",
         "sweep": spec.name,
@@ -72,8 +63,7 @@ def sweep_events(
     points_from_cache = 0
     speedup_sums: Dict[str, float] = {}
     speedup_counts: Dict[str, int] = {}
-    for index, assignment in enumerate(assignments):
-        variant = spec.scenario_for(base, assignment)
+    for index, (assignment, variant) in enumerate(zip(assignments, variants)):
         yield {
             "event": "point_started",
             "index": index,
@@ -82,7 +72,7 @@ def sweep_events(
         }
         point_started = time.perf_counter()
         context = SimulationContext(scenario=variant, disk_cache=disk_cache)
-        cells = _point_cells(context, spec.kind, spec.designs, benchmarks)
+        cells = point_cells(context, spec.kind, spec.designs, benchmarks)
         simulations = context.simulations_executed
         total_cells += len(cells)
         total_simulations += simulations
@@ -90,10 +80,8 @@ def sweep_events(
         if cache_hit:
             points_from_cache += 1
         for cell in cells:
-            speedup_sums[cell["design"]] = (
-                speedup_sums.get(cell["design"], 0.0) + cell["speedup"]
-            )
-            speedup_counts[cell["design"]] = speedup_counts.get(cell["design"], 0) + 1
+            speedup_sums[cell.design] = speedup_sums.get(cell.design, 0.0) + cell.speedup
+            speedup_counts[cell.design] = speedup_counts.get(cell.design, 0) + 1
         yield {
             "event": "point_completed",
             "index": index,
@@ -102,7 +90,7 @@ def sweep_events(
             "cache_hit": cache_hit,
             "simulations": simulations,
             "elapsed_seconds": time.perf_counter() - point_started,
-            "cells": cells,
+            "cells": [cell.to_dict() for cell in cells],
         }
     if disk_cache is not None:
         disk_cache.flush()
@@ -121,38 +109,26 @@ def sweep_events(
     }
 
 
-def optimize_events(
-    objective: object,
-    spec: SweepSpec,
-    base: Scenario,
-    *,
-    constraints: Optional[Sequence[object]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    budget: Optional[int] = None,
-    driver: str = "auto",
-    refine: int = 1,
-    disk_cache=None,
-) -> Iterator[dict]:
-    """Run one optimization, yielding NDJSON-ready probe events.
+def optimize_events(request: OptimizeRequest, *, disk_cache=None) -> Iterator[dict]:
+    """Run one resolved optimization, yielding NDJSON-ready probe events.
 
     The search runs on a worker thread; its ``on_probe`` callbacks are
     relayed through a queue so the consumer sees one ``probe_completed``
     event per evaluated probe as it happens.  The first queue item is
     awaited *before* the first event is yielded, so a bad objective (e.g. a
-    mistyped metric path, which fails on the first probe) surfaces as a
-    structured :class:`BadRequest` while headers can still say 4xx.  Closing
-    the generator (client disconnect) flips the driver's ``should_stop``
-    flag and the worker abandons the search.
+    mistyped metric path, which fails on the first probe) or a probe whose
+    scenario fails surfaces as a :class:`RequestError` while headers can
+    still say 4xx.  Closing the generator (client disconnect) flips the
+    driver's ``should_stop`` flag and the worker abandons the search.
     """
     from repro.optimize.drivers import OptimizeDriver
 
+    base, space, objective, budget, driver, refine = request
     try:
         search = OptimizeDriver(
             objective,
-            spec,
+            space,
             base,
-            constraints=constraints,
-            benchmarks=benchmarks,
             budget=budget,
             driver=driver,
             refine=refine,
@@ -160,7 +136,7 @@ def optimize_events(
             use_cache=disk_cache is not None,
         )
     except ValueError as error:
-        raise BadRequest(str(error), code="invalid_optimize") from None
+        raise RequestError(str(error), "invalid_optimize") from None
     events: "queue.Queue" = queue.Queue()
     stop = threading.Event()
     outcome: Dict[str, object] = {}
@@ -185,8 +161,8 @@ def optimize_events(
     kind, payload = events.get()
     if kind == "done" and outcome.get("error") is not None:
         error = outcome["error"]
-        if isinstance(error, ValueError):
-            raise BadRequest(str(error), code="invalid_objective") from None
+        if isinstance(error, ValueError) and not isinstance(error, RequestError):
+            raise RequestError(str(error), "invalid_objective") from None
         raise error  # type: ignore[misc]
     try:
         yield {
@@ -237,40 +213,3 @@ def optimize_events(
     finally:
         stop.set()
 
-
-def _point_cells(
-    context: SimulationContext,
-    kind: str,
-    designs: Sequence[object],
-    benchmarks: Optional[Sequence[str]],
-) -> List[dict]:
-    """One grid point's cells, mirroring the scalar sweep runner's layout."""
-    simulate = context.routing if kind == "routing" else context.end_to_end
-    cells: List[dict] = []
-    for name in context.select_benchmarks(list(benchmarks) if benchmarks else None):
-        baseline = simulate(name, DesignPoint.BASELINE_GPU)
-        for design in designs:
-            result = simulate(name, design)
-            speedup = (
-                baseline.time_seconds / result.time_seconds
-                if result.time_seconds > 0
-                else float("inf")
-            )
-            saving = (
-                1.0 - result.energy_joules / baseline.energy_joules
-                if baseline.energy_joules > 0
-                else 0.0
-            )
-            cells.append(
-                {
-                    "benchmark": name,
-                    "design": str(design),
-                    "time_seconds": result.time_seconds,
-                    "energy_joules": result.energy_joules,
-                    "baseline_time_seconds": baseline.time_seconds,
-                    "baseline_energy_joules": baseline.energy_joules,
-                    "speedup": speedup,
-                    "energy_saving": saving,
-                }
-            )
-    return cells

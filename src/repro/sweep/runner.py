@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.analysis.tables import format_columns
 from repro.api.scenario import Scenario
@@ -89,6 +89,14 @@ class SweepCell(NamedTuple):
         if self.baseline_energy_joules <= 0:
             return 0.0
         return 1.0 - self.energy_joules / self.baseline_energy_joules
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready form: the fields, then the speedup and energy saving."""
+        return {
+            **self._asdict(),
+            "speedup": self.speedup,
+            "energy_saving": self.energy_saving,
+        }
 
 
 @dataclass
@@ -230,19 +238,7 @@ class SweepResult:
                 {
                     "assignment": dict(point.assignment),
                     "scenario": point.scenario_name,
-                    "cells": [
-                        {
-                            "benchmark": cell.benchmark,
-                            "design": cell.design,
-                            "time_seconds": cell.time_seconds,
-                            "energy_joules": cell.energy_joules,
-                            "baseline_time_seconds": cell.baseline_time_seconds,
-                            "baseline_energy_joules": cell.baseline_energy_joules,
-                            "speedup": cell.speedup,
-                            "energy_saving": cell.energy_saving,
-                        }
-                        for cell in point.cells
-                    ],
+                    "cells": [cell.to_dict() for cell in point.cells],
                 }
                 for point in self.points
             ],
@@ -321,16 +317,11 @@ class SweepRunner:
         self.cache_version = int(cache_version)
         # Resolve (and canonicalize) the benchmark restriction up front so a
         # typo fails before any worker is spawned.
-        if self.spec.benchmarks is not None:
-            catalog = self.base.catalog
-            try:
-                self.benchmarks: Optional[List[str]] = [
-                    catalog.canonical_name(name) for name in self.spec.benchmarks
-                ]
-            except KeyError as error:
-                raise ValueError(str(error.args[0])) from None
-        else:
-            self.benchmarks = None
+        self.benchmarks: Optional[List[str]] = (
+            None
+            if self.spec.benchmarks is None
+            else self.base.catalog.resolve(self.spec.benchmarks)
+        )
 
     # ------------------------------------------------------------------ running
 
@@ -518,29 +509,45 @@ def _execute_point(
     scenario = Scenario.from_dict(payload["scenario"])  # type: ignore[arg-type]
     hits, misses = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
     context = SimulationContext(scenario=scenario, disk_cache=cache)
-    benchmarks = context.select_benchmarks(payload["benchmarks"])  # type: ignore[arg-type]
-    simulate = context.routing if payload["kind"] == "routing" else context.end_to_end
-    cells: List[dict] = []
-    for name in benchmarks:
-        baseline = simulate(name, DesignPoint.BASELINE_GPU)
-        for design in payload["designs"]:  # type: ignore[union-attr]
-            result = simulate(name, design)
-            cells.append(
-                {
-                    "benchmark": name,
-                    "design": str(design),
-                    "time_seconds": result.time_seconds,
-                    "energy_joules": result.energy_joules,
-                    "baseline_time_seconds": baseline.time_seconds,
-                    "baseline_energy_joules": baseline.energy_joules,
-                }
-            )
+    cells = point_cells(
+        context, payload["kind"], payload["designs"], payload["benchmarks"]  # type: ignore[arg-type]
+    )
     return {
-        "cells": cells,
+        "cells": [cell._asdict() for cell in cells],
         "simulations": context.simulations_executed,
         "disk_hits": context.disk_stats.hits - hits,
         "disk_misses": context.disk_stats.misses - misses,
     }
+
+
+def point_cells(
+    context: SimulationContext,
+    kind: str,
+    designs: Sequence[object],
+    benchmarks: Optional[Sequence[str]],
+) -> List[SweepCell]:
+    """One grid point's cells: each benchmark x design against the GPU baseline.
+
+    ``benchmarks`` are canonical names (``None`` = the context's selection);
+    every path that evaluates a point cell by cell runs this loop.
+    """
+    simulate = context.routing if kind == "routing" else context.end_to_end
+    cells: List[SweepCell] = []
+    for name in context.select_benchmarks(benchmarks):  # type: ignore[arg-type]
+        baseline = simulate(name, DesignPoint.BASELINE_GPU)
+        for design in designs:
+            result = simulate(name, design)
+            cells.append(
+                SweepCell(
+                    name,
+                    str(design),
+                    result.time_seconds,
+                    result.energy_joules,
+                    baseline.time_seconds,
+                    baseline.energy_joules,
+                )
+            )
+    return cells
 
 
 def _axis_cell(value: object) -> str:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.scenario import Scenario, override_keys
+from repro.api.scenario import Scenario, _selection, override_keys
 
 #: Simulation kinds a sweep can evaluate per cell.
 SWEEP_KINDS = ("routing", "end-to-end")
@@ -79,6 +79,10 @@ class SweepAxis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", canonical_axis_key(self.key))
+        if isinstance(self.values, (str, Mapping)) or not isinstance(self.values, Iterable):
+            raise ValueError(
+                f"sweep axis {self.key!r} values must be a list, got {self.values!r}"
+            )
         values = tuple(self.values)
         if not values:
             raise ValueError(f"sweep axis {self.key!r} has no values")
@@ -175,7 +179,7 @@ class SweepSpec:
     ) -> "SweepSpec":
         """Build a spec from an ``{override-key: values}`` mapping."""
         return cls(
-            axes=tuple(SweepAxis(key, tuple(values)) for key, values in axes.items()),
+            axes=tuple(SweepAxis(key, values) for key, values in axes.items()),
             **kwargs,
         )
 
@@ -200,16 +204,9 @@ class SweepSpec:
         kwargs: Dict[str, object] = {"axes": _axes_from(data["axes"])}
         if "name" in data:
             kwargs["name"] = str(data["name"])
-        if data.get("benchmarks") is not None:
-            value = data["benchmarks"]
-            if isinstance(value, str):
-                value = [part.strip() for part in value.split(",") if part.strip()]
-            kwargs["benchmarks"] = tuple(str(item) for item in value)  # type: ignore[union-attr]
-        if data.get("designs") is not None:
-            value = data["designs"]
-            if isinstance(value, str):
-                value = [part.strip() for part in value.split(",") if part.strip()]
-            kwargs["designs"] = tuple(str(item) for item in value)  # type: ignore[union-attr]
+        for selection in ("benchmarks", "designs"):
+            if data.get(selection) is not None:
+                kwargs[selection] = _selection(data[selection], f"sweep key {selection!r}")
         if "kind" in data:
             kwargs["kind"] = str(data["kind"])
         return cls(**kwargs)  # type: ignore[arg-type]
@@ -298,7 +295,14 @@ class SweepSpec:
         label = ",".join(
             f"{key}={_format_value(value)}" for key, value in assignment.items()
         )
-        variant = base.with_overrides(assignment)
+        try:
+            variant = base.with_overrides(assignment)
+        except ValueError as error:
+            # The base is valid, so the axis values are at fault (alone or in
+            # combination); every front end answers this with one code.
+            from repro.api.request import RequestError
+
+            raise RequestError(str(error), "invalid_axis") from None
         return variant.with_overrides({"name": f"{base.name}+{label}"})
 
     def describe(self) -> str:
@@ -319,10 +323,10 @@ def _axis_from(value: object) -> SweepAxis:
             )
         if "key" not in value or "values" not in value:
             raise ValueError("a sweep axis needs both 'key' and 'values'")
-        return SweepAxis(str(value["key"]), tuple(value["values"]))  # type: ignore[arg-type]
+        return SweepAxis(str(value["key"]), value["values"])  # type: ignore[arg-type]
     if isinstance(value, Sequence) and not isinstance(value, str) and len(value) == 2:
         key, values = value
-        return SweepAxis(str(key), tuple(values))
+        return SweepAxis(str(key), values)
     raise ValueError(
         f"sweep axes entries must be SweepAxis, {{'key', 'values'}} mappings "
         f"or (key, values) pairs, got {type(value).__name__}"
@@ -332,7 +336,7 @@ def _axis_from(value: object) -> SweepAxis:
 def _axes_from(value: object) -> Tuple[SweepAxis, ...]:
     """Coerce the whole ``axes`` section (mapping or sequence of entries)."""
     if isinstance(value, Mapping):
-        return tuple(SweepAxis(str(key), tuple(values)) for key, values in value.items())
+        return tuple(SweepAxis(str(key), values) for key, values in value.items())
     if isinstance(value, Iterable) and not isinstance(value, str):
         return tuple(_axis_from(entry) for entry in value)
     raise ValueError(

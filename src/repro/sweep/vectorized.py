@@ -69,7 +69,7 @@ FREQUENCY_AXIS = "hmc.pe_frequency_mhz"
 VERIFY_MODES = ("full", "sample", "off")
 
 #: Axes that change *which* cells a point evaluates rather than their inputs.
-_SELECTION_AXES = ("benchmarks", "workloads")
+_SELECTION_AXES = ("benchmarks",)
 
 
 class VectorizedMismatchError(RuntimeError):

@@ -422,6 +422,20 @@ class WorkloadCatalog:
             )
         return canonical
 
+    def resolve(self, names: Iterable[str]) -> List[str]:
+        """Canonical keys of a benchmark selection (case-insensitive).
+
+        Raises:
+            ValueError: naming every unknown name at once, with the catalog.
+        """
+        names = [str(name) for name in names]
+        unknown = [name for name in names if name not in self]
+        if unknown:
+            raise ValueError(
+                f"unknown benchmark(s) {unknown}; choose from {self.names()}"
+            )
+        return [self._canonical[name.strip().casefold()] for name in names]
+
     def get(self, name: str) -> WorkloadSpec:
         """Look up a workload spec by (case-insensitive) name."""
         return self._specs[self.canonical_name(name)]

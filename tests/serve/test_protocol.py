@@ -212,6 +212,63 @@ def test_unknown_benchmark_is_a_structured_400(client):
     status, payload = client.post("/v1/run", {"benchmarks": ["Caps-Nope"]})
     assert status == 400
     assert _error_code(payload) == "unknown_benchmark"
+    message = payload["error"]["message"]
+    assert message.startswith("unknown benchmark(s) ['Caps-Nope']; choose from")
+    axes = {"hmc.pe_frequency_mhz": [625.0]}
+    for path, body in (
+        ("/v1/compare", {"set": ["pipeline_batches=4"], "benchmarks": ["Caps-Nope"]}),
+        ("/v1/sweep", {"axes": axes, "benchmarks": ["Caps-Nope"]}),
+        (
+            "/v1/optimize",
+            {"objective": "fig15.average_speedup", "axes": axes, "benchmarks": ["Caps-Nope"]},
+        ),
+    ):
+        status, payload = client.post(path, body)
+        assert status == 400, path
+        assert _error_code(payload) == "unknown_benchmark", path
+        assert payload["error"]["message"] == message, path
+
+
+def test_request_named_workload_files_are_never_read(client, tmp_path):
+    path = tmp_path / "secret.json"
+    spec = dict(Scenario.default().catalog.get("Caps-MN1").to_dict(), name="Caps-Secret")
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    axes = {"hmc.pe_frequency_mhz": [625.0]}
+    for endpoint, body in (
+        ("/v1/run", {"scenario": {"workloads": [str(path)]}, "experiments": ["fig15"]}),
+        ("/v1/run", {"set": [f"workloads={path}"], "experiments": ["fig15"]}),
+        ("/v1/sweep", {"axes": {**axes, "workloads": [str(path)]}}),
+        (
+            "/v1/optimize",
+            {"objective": "fig15.average_speedup", "axes": {**axes, "workloads": [str(path)]}},
+        ),
+    ):
+        status, payload = client.post(endpoint, body)
+        assert status == 400, body
+        assert "Caps-Secret" not in json.dumps(payload), body
+
+
+@pytest.mark.parametrize(
+    "path, body, code",
+    [
+        ("/v1/run", {"scenario": {"hmc": {"pe_frequency_mhz": None}}}, "invalid_scenario"),
+        ("/v1/run", {"scenario": {"hmc": {"num_vaults": [1]}}}, "invalid_scenario"),
+        ("/v1/run", {"scenario": {"designs": 5}}, "invalid_scenario"),
+        ("/v1/run", {"scenario": {"pipeline_batches": None}}, "invalid_scenario"),
+        ("/v1/run", {"scenario": {"workloads": 5}}, "invalid_workloads"),
+        ("/v1/compare", {"scenarios": [{"designs": 5}], "set": ["pipeline_batches=4"]},
+         "invalid_scenario"),
+        ("/v1/sweep", {"axes": {"hmc.pe_frequency_mhz": 5}}, "invalid_axis"),
+        ("/v1/sweep", {"spec": {"axes": {"hmc.pe_frequency_mhz": [625]}, "designs": 5}},
+         "invalid_spec"),
+        ("/v1/sweep", {"spec": {"axes": {"hmc.pe_frequency_mhz": [625]}, "benchmarks": 5}},
+         "invalid_spec"),
+    ],
+)
+def test_wrongly_typed_json_is_a_structured_400(client, path, body, code):
+    status, payload = client.post(path, body)
+    assert status == 400
+    assert _error_code(payload) == code
 
 
 def test_unknown_scenario_preset_is_a_structured_400(client):
@@ -323,6 +380,51 @@ def test_sweep_preset_spec_by_name(client):
     assert events[0]["event"] == "sweep_started"
     assert events[0]["sweep"] == "fig18-frequency"
     assert events[-1]["event"] == "summary"
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        {"hmc.pe_frequency_mhz": ["abc"]},
+        {"hmc.num_vaults": [0]},
+        {"hmc.pe_frequency_mhz": [-5]},
+        {"hmc.pe_frequency_mhz": [625.0], "hmc.num_vaults": [32, 0]},
+    ],
+)
+def test_bad_axis_values_are_invalid_axis_on_every_path(client, capsys, axes):
+    status, payload = client.post("/v1/sweep", {"axes": axes, "benchmarks": ["Caps-MN1"]})
+    assert status == 400
+    assert _error_code(payload) == "invalid_axis"
+    argv = ["sweep", "--benchmarks", "Caps-MN1", "--no-cache"]
+    for key, values in axes.items():
+        argv += ["--axis", f"{key}={','.join(map(str, values))}"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert str(exit_info.value.code) == payload["error"]["message"]
+    capsys.readouterr()
+    status, payload = client.post(
+        "/v1/optimize",
+        {"objective": "fig15.average_speedup", "axes": axes, "benchmarks": ["Caps-MN1"]},
+    )
+    assert status == 400
+    assert _error_code(payload) == "invalid_axis"
+    _, metrics = client.get("/metrics")
+    assert all("500" not in statuses for statuses in metrics["requests"].values())
+
+
+def test_a_later_probe_with_a_bad_axis_value_ends_the_stream_in_band(client):
+    body = {
+        "objective": "fig15.average_speedup",
+        "axes": {"hmc.num_vaults": [0, 16, 32]},
+        "benchmarks": ["Caps-MN1"],
+        "driver": "descent",
+    }
+    status, _, events = client.stream("/v1/optimize", body)
+    assert status == 200  # the median probe (16 vaults) streamed first
+    assert events[-1]["event"] == "error"
+    assert events[-1]["code"] == "invalid_axis"
+    _, metrics = client.get("/metrics")
+    assert metrics["requests"]["POST /v1/optimize"] == {"400": 1}
 
 
 def test_sweep_validation_errors_arrive_before_the_stream(client):

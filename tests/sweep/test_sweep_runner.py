@@ -133,7 +133,7 @@ def test_unknown_benchmark_fails_before_execution(tmp_path):
     spec = SweepSpec.from_axes(
         {"hmc.pe_frequency_mhz": [625.0]}, benchmarks=("Caps-XYZ",)
     )
-    with pytest.raises(ValueError, match="unknown workload"):
+    with pytest.raises(ValueError, match=r"unknown benchmark\(s\) \['Caps-XYZ'\]"):
         SweepRunner(spec, cache_dir=tmp_path)
 
 

@@ -378,6 +378,49 @@ def test_unknown_workload_file_rejected():
         main(["evaluate", "--workload", "/no/such/workload.json"])
 
 
+def test_workloads_is_not_an_override_key(workload_file):
+    with pytest.raises(SystemExit, match="unknown scenario key 'workloads'"):
+        main(["evaluate", "--set", f"workloads={workload_file}"])
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["reproduce", "--only", "overhead", "--scenario"], {"pipeline_batches": None}),
+        (["reproduce", "--only", "overhead", "--scenario"], {"hmc": {"num_vaults": [1]}}),
+        (["reproduce", "--only", "overhead", "--scenario"], {"designs": 5}),
+        (["sweep", "--spec"], {"axes": {"hmc.pe_frequency_mhz": 5}}),
+        (["sweep", "--spec"], {"axes": {"hmc.pe_frequency_mhz": [625]}, "designs": 5}),
+    ],
+)
+def test_wrongly_typed_json_files_exit_with_a_message(tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [str(path), "--no-cache"])
+    assert isinstance(exit_info.value.code, str) and exit_info.value.code
+
+
+def test_same_unknown_benchmark_message_on_every_subcommand(tmp_path, capsys):
+    axis = ["--axis", "hmc.pe_frequency_mhz=625", "--cache-dir", str(tmp_path)]
+    for argv in (
+        ["evaluate"],
+        ["compare", "--set", "pipeline_batches=4"],
+        ["sweep", *axis],
+        ["optimize", "--objective", "fig15.average_speedup", *axis],
+    ):
+        with pytest.raises(SystemExit, match=r"^unknown benchmark\(s\) \['Caps-Nope'\]; choose from"):
+            main(argv + ["--benchmarks", "Caps-Nope"])
+
+
+def test_empty_experiment_selection_exits_with_a_message(capsys):
+    from repro.engine.experiment import experiment_names
+
+    with pytest.raises(SystemExit, match="the experiment selection matches no experiments"):
+        main(["reproduce", "--skip", *experiment_names()])
+    assert capsys.readouterr().out == ""
+
+
 # ------------------------------------------------------- generalized sweeps
 
 
