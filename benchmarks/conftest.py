@@ -1,10 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures and checks
-the rendered report (the same rows/series the paper plots) against its
-golden file, ``benchmarks/reports/<name>.txt``; the pytest-benchmark timings
-measure how long the reproduction takes.  The tests never write the golden
-files: after an intended report change, ``python
+Every benchmark test regenerates one of the paper's tables or figures once
+and checks the rendered report (the same rows/series the paper plots)
+against its golden file, ``benchmarks/reports/<name>.txt``.  The tests
+never write the golden files: after an intended report change, ``python
 benchmarks/regenerate_reports.py`` rewrites them for review.
 """
 

@@ -6,11 +6,11 @@ review the diff before committing it::
 
     python benchmarks/regenerate_reports.py
 
-The script calls each ``benchmarks/test_*.py`` benchmark with a stand-in for
-pytest-benchmark's ``benchmark`` fixture that runs the function once,
-untimed, and a ``save_report`` that writes the file.  So a golden file holds
-exactly what its test checks, and the tests' own assertions still run.
-Table 5 trains six networks, so a run takes about half a minute.
+The script calls each ``benchmarks/test_*.py`` test that takes a
+``save_report`` fixture with a ``save_report`` that writes the file.  So a
+golden file holds exactly what its test checks, and the tests' own
+assertions still run.  Table 5 trains six networks, so a run takes about
+half a minute.
 """
 
 from __future__ import annotations
@@ -24,26 +24,15 @@ HERE = Path(__file__).resolve().parent
 REPORTS_DIR = HERE / "reports"
 
 
-class RunOnce:
-    """The ``benchmark`` fixture's call forms, running the function once."""
-
-    def __call__(self, function: Callable, *args, **kwargs):
-        return function(*args, **kwargs)
-
-    def pedantic(self, function: Callable, args=(), kwargs=None, **_timing):
-        return function(*args, **(kwargs or {}))
-
-
 def benchmark_tests() -> Iterator[Callable]:
-    """Every test of ``benchmarks/test_*.py`` that times and saves a report."""
+    """Every test of ``benchmarks/test_*.py`` that renders and saves a report."""
     for path in sorted(HERE.glob("test_*.py")):
         spec = importlib.util.spec_from_file_location(path.stem, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         for name, function in vars(module).items():
             if name.startswith("test_") and callable(function):
-                parameters = inspect.signature(function).parameters
-                if {"benchmark", "save_report"} <= set(parameters):
+                if list(inspect.signature(function).parameters) == ["save_report"]:
                     yield function
 
 
@@ -57,7 +46,7 @@ def main() -> int:
         return path
 
     for test in benchmark_tests():
-        test(benchmark=RunOnce(), save_report=write)
+        test(save_report=write)
     print(f"wrote {len(written)} reports to {REPORTS_DIR}: {', '.join(sorted(written))}")
     return 0
 

@@ -32,8 +32,8 @@ def _run():
     return rows
 
 
-def test_ablation_address_mapping(benchmark, save_report):
-    rows = benchmark(_run)
+def test_ablation_address_mapping(save_report):
+    rows = _run()
     table = format_table(
         ["Benchmark", "speedup w/ mapping", "speedup w/o mapping", "VRS share w/o", "mapping gain"],
         [

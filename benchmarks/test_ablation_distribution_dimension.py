@@ -38,8 +38,8 @@ def _run():
     return rows
 
 
-def test_ablation_distribution_dimension(benchmark, save_report):
-    rows = benchmark(_run)
+def test_ablation_distribution_dimension(save_report):
+    rows = _run()
     table = format_table(
         ["Benchmark", "auto dim", "auto", "B", "L", "H", "worst fixed"],
         [

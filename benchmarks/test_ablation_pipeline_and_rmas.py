@@ -28,8 +28,8 @@ def _run():
     return rows
 
 
-def test_ablation_pipeline_and_rmas(benchmark, save_report):
-    rows = benchmark(_run)
+def test_ablation_pipeline_and_rmas(save_report):
+    rows = _run()
     table = format_table(
         ["batch groups", "PIM-CapsNet", "RMAS-PIM", "RMAS-GPU"],
         [[r["depth"], r["pim"], r["rmas_pim"], r["rmas_gpu"]] for r in rows],

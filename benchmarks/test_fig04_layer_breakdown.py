@@ -3,8 +3,8 @@
 from repro.experiments import fig04_layer_breakdown
 
 
-def test_fig04_layer_breakdown(benchmark, save_report):
-    result = benchmark(fig04_layer_breakdown.run)
+def test_fig04_layer_breakdown(save_report):
+    result = fig04_layer_breakdown.run()
     report = fig04_layer_breakdown.format_report(result)
     save_report("fig04_layer_breakdown", report)
 

@@ -3,8 +3,8 @@
 from repro.experiments import fig05_stall_breakdown
 
 
-def test_fig05_stall_breakdown(benchmark, save_report):
-    result = benchmark(fig05_stall_breakdown.run)
+def test_fig05_stall_breakdown(save_report):
+    result = fig05_stall_breakdown.run()
     report = fig05_stall_breakdown.format_report(result)
     save_report("fig05_stall_breakdown", report)
 

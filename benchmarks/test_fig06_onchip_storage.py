@@ -3,8 +3,8 @@
 from repro.experiments import fig06_onchip_storage
 
 
-def test_fig06_onchip_storage(benchmark, save_report):
-    result = benchmark(fig06_onchip_storage.run)
+def test_fig06_onchip_storage(save_report):
+    result = fig06_onchip_storage.run()
     report = fig06_onchip_storage.format_report(result)
     save_report("fig06_onchip_storage", report)
 

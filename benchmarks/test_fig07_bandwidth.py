@@ -3,8 +3,8 @@
 from repro.experiments import fig07_bandwidth
 
 
-def test_fig07_bandwidth(benchmark, save_report):
-    result = benchmark(fig07_bandwidth.run)
+def test_fig07_bandwidth(save_report):
+    result = fig07_bandwidth.run()
     report = fig07_bandwidth.format_report(result)
     save_report("fig07_bandwidth", report)
 

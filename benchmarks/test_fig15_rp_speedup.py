@@ -3,8 +3,8 @@
 from repro.experiments import fig15_rp_acceleration
 
 
-def test_fig15_rp_speedup(benchmark, save_report):
-    result = benchmark(fig15_rp_acceleration.run)
+def test_fig15_rp_speedup(save_report):
+    result = fig15_rp_acceleration.run()
     report = fig15_rp_acceleration.format_report(result)
     save_report("fig15_rp_speedup", report)
 

@@ -3,8 +3,8 @@
 from repro.experiments import fig16_pim_breakdown
 
 
-def test_fig16_pim_breakdown(benchmark, save_report):
-    result = benchmark(fig16_pim_breakdown.run)
+def test_fig16_pim_breakdown(save_report):
+    result = fig16_pim_breakdown.run()
     report = fig16_pim_breakdown.format_report(result)
     save_report("fig16_pim_breakdown", report)
 

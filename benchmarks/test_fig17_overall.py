@@ -4,8 +4,8 @@ from repro.core.accelerator import DesignPoint
 from repro.experiments import fig17_end_to_end
 
 
-def test_fig17_overall(benchmark, save_report):
-    result = benchmark(fig17_end_to_end.run)
+def test_fig17_overall(save_report):
+    result = fig17_end_to_end.run()
     report = fig17_end_to_end.format_report(result)
     save_report("fig17_overall", report)
 

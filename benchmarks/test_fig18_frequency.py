@@ -4,8 +4,8 @@ from repro.experiments import fig18_frequency_sweep
 from repro.workloads.parallelism import Dimension
 
 
-def test_fig18_frequency_sweep(benchmark, save_report):
-    result = benchmark(fig18_frequency_sweep.run)
+def test_fig18_frequency_sweep(save_report):
+    result = fig18_frequency_sweep.run()
     report = fig18_frequency_sweep.format_report(result)
     save_report("fig18_frequency", report)
 

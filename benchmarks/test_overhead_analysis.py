@@ -3,8 +3,8 @@
 from repro.experiments import overhead
 
 
-def test_overhead_analysis(benchmark, save_report):
-    result = benchmark(overhead.run)
+def test_overhead_analysis(save_report):
+    result = overhead.run()
     report = overhead.format_report(result)
     save_report("overhead_analysis", report)
 

@@ -20,13 +20,8 @@ REPRESENTATIVE_BENCHMARKS = [
 ]
 
 
-def test_table5_accuracy(benchmark, save_report):
-    result = benchmark.pedantic(
-        table05_accuracy.run,
-        kwargs={"benchmarks": REPRESENTATIVE_BENCHMARKS, "epochs": 2},
-        rounds=1,
-        iterations=1,
-    )
+def test_table5_accuracy(save_report):
+    result = table05_accuracy.run(benchmarks=REPRESENTATIVE_BENCHMARKS, epochs=2)
     report = table05_accuracy.format_report(result)
     save_report("table5_accuracy", report)
 

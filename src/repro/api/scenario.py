@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -99,8 +100,8 @@ class Scenario:
             object.__setattr__(self, "pipeline_batches", int(batches))
         if self.pipeline_batches < 1:
             raise ValueError("pipeline_batches must be >= 1")
-        if float(self.rmas_queue_depth) <= 0:
-            raise ValueError("rmas_queue_depth must be positive")
+        if not 0 < float(self.rmas_queue_depth) < math.inf:  # NaN fails too
+            raise ValueError("rmas_queue_depth must be finite and positive")
         object.__setattr__(self, "workloads", _workloads_from(self.workloads))
         for attr in ("benchmarks", "designs"):
             value = getattr(self, attr)
@@ -325,11 +326,10 @@ class Scenario:
 
         Values may be strings (coerced to the target field's type) or already
         typed.  Unknown keys raise :class:`ValueError` listing the valid ones.
+        Only the final scenario is validated, so the order of the overrides
+        never decides whether a combination is valid.
         """
-        scenario = self
-        for key, raw in overrides.items():
-            scenario = scenario._apply_override(str(key), raw)
-        return scenario
+        return self._apply_overrides([(str(key), raw) for key, raw in overrides.items()])
 
     def with_set(self, assignments: Iterable[str]) -> "Scenario":
         """Apply CLI-style ``KEY=VALUE`` overrides (the ``--set`` option).
@@ -346,22 +346,34 @@ class Scenario:
                     f"(e.g. hmc.pe_frequency_mhz=625)"
                 )
             pairs.append((key.strip(), raw.strip()))
-        scenario = self
-        for key, raw in pairs:
-            scenario = scenario._apply_override(key, raw)
+        scenario = self._apply_overrides(pairs)
         if pairs and not any(key == "name" for key, _ in pairs):
             suffix = ",".join(f"{key}={raw}" for key, raw in pairs)
             scenario = dataclasses.replace(scenario, name=f"{self.name}+{suffix}")
         return scenario
 
-    def _apply_override(self, key: str, raw: object) -> "Scenario":
-        head, _, rest = key.partition(".")
-        if head not in _OVERRIDABLE:
-            raise ValueError(
-                f"unknown scenario key {key!r}; valid keys: {override_keys()}"
-            )
-        if rest:
-            sub = getattr(self, head)
+    def _apply_overrides(self, pairs: List[Tuple[str, object]]) -> "Scenario":
+        """Apply ``(key, value)`` overrides in order; validate only the result.
+
+        A nested config (``hmc``, ``gpu``, ``gpu_params``) takes all of its
+        field overrides in one ``replace``, on top of the last whole value
+        assigned to it (a later whole value drops earlier field overrides),
+        and the scenario takes its fields in one more.  So a 512-byte block
+        is valid next to a 1024-byte maximum in either order.
+        """
+        fields: Dict[str, object] = {}
+        nested: Dict[str, Dict[str, object]] = {}
+        for key, raw in pairs:
+            head, _, rest = key.partition(".")
+            if head not in _OVERRIDABLE:
+                raise ValueError(
+                    f"unknown scenario key {key!r}; valid keys: {override_keys()}"
+                )
+            if not rest:
+                fields[head] = self._whole_value(head, raw, key)
+                nested.pop(head, None)
+                continue
+            sub = fields.get(head, getattr(self, head))
             if not dataclasses.is_dataclass(sub):
                 raise ValueError(f"scenario key {head!r} has no nested fields")
             if "." in rest:
@@ -371,16 +383,21 @@ class Scenario:
                 raise ValueError(
                     f"unknown scenario key {key!r}; valid keys: {override_keys()}"
                 )
-            value = _coerce(raw, getattr(sub, rest), key)
-            return dataclasses.replace(self, **{head: dataclasses.replace(sub, **{rest: value})})
+            nested.setdefault(head, {})[rest] = _coerce(raw, getattr(sub, rest), key)
+        for head, values in nested.items():
+            fields[head] = dataclasses.replace(fields.get(head, getattr(self, head)), **values)
+        return dataclasses.replace(self, **fields) if fields else self
+
+    def _whole_value(self, head: str, raw: object, key: str) -> object:
+        """The value of one top-level override key."""
         if head == "gpu":
             if isinstance(raw, str):
                 try:
-                    return dataclasses.replace(self, gpu=get_device(raw))
+                    return get_device(raw)
                 except KeyError as error:
                     raise ValueError(str(error)) from None
             if isinstance(raw, GPUDevice):
-                return dataclasses.replace(self, gpu=raw)
+                return raw
             raise ValueError(f"gpu must name a catalog device ({sorted(GPU_DEVICES)})")
         if head in ("hmc", "gpu_params"):
             if not isinstance(raw, type(getattr(self, head))):
@@ -388,12 +405,10 @@ class Scenario:
                     f"{head} cannot be assigned directly from {type(raw).__name__}; "
                     f"override its fields (e.g. {head}.<field>=<value>)"
                 )
-            return dataclasses.replace(self, **{head: raw})
+            return raw
         if head in ("benchmarks", "designs"):
-            value = _selection(raw, f"scenario key {head!r}")
-            return dataclasses.replace(self, **{head: value})
-        value = _coerce(raw, getattr(self, head), key)
-        return dataclasses.replace(self, **{head: value})
+            return _selection(raw, f"scenario key {head!r}")
+        return _coerce(raw, getattr(self, head), key)
 
     # ----------------------------------------------------------------- workloads
 

@@ -242,10 +242,6 @@ class PIMCapsNet:
                 )
             return self._host_stage_cache
 
-    # Backwards-compatible aliases for the pre-engine private helpers.
-    _hmc_device = hmc_device
-    _host_stage = host_stage
-
     def clear_cache(self) -> None:
         """Drop memoized simulation results (after mutating model attributes)."""
         with self._simulation_lock:
@@ -314,10 +310,3 @@ class PIMCapsNet:
             DesignPoint.PIM_CAPSNET,
         ]
         return {design: self.simulate_end_to_end(design) for design in designs}
-
-
-def _dense_operation_mix(flops: float):
-    """Deprecated alias of :func:`repro.engine.design_points.dense_operation_mix`."""
-    from repro.engine.design_points import dense_operation_mix
-
-    return dense_operation_mix(flops)

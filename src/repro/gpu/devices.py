@@ -17,6 +17,7 @@ vendor datasheets so the reproduced ratios line up with Fig. 6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List
@@ -63,6 +64,24 @@ class GPUDevice:
     tdp_watts: float
     idle_watts: float
 
+    def __post_init__(self) -> None:
+        # Written so that NaN fails: it compares false to everything.
+        for name in (
+            "shading_units",
+            "core_clock_mhz",
+            "onchip_storage_bytes",
+            "memory_bandwidth_gbs",
+            "memory_capacity_gb",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0 <= self.idle_watts <= self.tdp_watts < math.inf:
+            raise ValueError(
+                f"powers must satisfy 0 <= idle_watts <= tdp_watts < inf, got "
+                f"idle_watts={self.idle_watts}, tdp_watts={self.tdp_watts}"
+            )
+
     @property
     def peak_flops(self) -> float:
         """Peak FP32 throughput in FLOP/s (2 FLOPs per core per cycle)."""
@@ -75,14 +94,10 @@ class GPUDevice:
 
     def with_memory_bandwidth(self, bandwidth_gbs: float) -> "GPUDevice":
         """Return a copy with a different off-chip bandwidth (Fig. 7 sweeps)."""
-        if bandwidth_gbs <= 0:
-            raise ValueError("bandwidth must be positive")
         return replace(self, memory_bandwidth_gbs=bandwidth_gbs)
 
     def with_onchip_storage(self, storage_bytes: int) -> "GPUDevice":
         """Return a copy with a different on-chip storage size (Fig. 6b sweeps)."""
-        if storage_bytes <= 0:
-            raise ValueError("storage must be positive")
         return replace(self, onchip_storage_bytes=storage_bytes)
 
 

@@ -20,6 +20,7 @@ how Fig. 5's breakdown is reproduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict
@@ -94,9 +95,14 @@ class GPUCostParameters:
             "routing_latency_seconds_per_byte",
             "barrier_cost_seconds",
             "kernel_launch_seconds",
+            "resource_stall_fraction",
+            "fetch_stall_fraction",
+            "other_stall_fraction",
+            "routing_kernels_per_iteration",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            # Written so that NaN fails: it compares false to everything.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass

@@ -45,13 +45,20 @@ class HMCConfig:
     pe_frequency_mhz: float = 312.5
 
     def __post_init__(self) -> None:
-        if self.num_vaults < 1 or self.banks_per_vault < 1 or self.pes_per_vault < 1:
+        # Every check is written so that NaN fails: it compares false to
+        # everything.
+        counts = (self.num_vaults, self.banks_per_vault, self.pes_per_vault)
+        if not all(count >= 1 for count in counts):
             raise ValueError("vault/bank/PE counts must be positive")
-        if self.block_bytes < 1 or self.max_block_bytes < self.block_bytes:
+        if not 1 <= self.block_bytes <= self.max_block_bytes:
             raise ValueError("invalid block / max-block sizes")
-        if min(self.external_bandwidth_gbs, self.internal_bandwidth_gbs) <= 0:
-            raise ValueError("bandwidths must be positive")
-        # NaN fails both comparisons.
+        if not 0 <= self.packet_overhead_bytes < math.inf:
+            raise ValueError("packet_overhead_bytes must be finite and non-negative")
+        for value in (self.external_bandwidth_gbs, self.internal_bandwidth_gbs):
+            if not 0 < value < math.inf:
+                raise ValueError("bandwidths must be finite and positive")
+        if not 0 < self.capacity_gb < math.inf:
+            raise ValueError("capacity_gb must be finite and positive")
         if not all_true((self.pe_frequency_mhz > 0) & (self.pe_frequency_mhz < math.inf)):
             raise ValueError("PE frequency must be finite and positive")
 

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.api.scenario import Scenario
 from repro.api.session import headline_metrics
 from repro.engine.context import CacheStats, SimulationContext
-from repro.engine.diskcache import CACHE_SCHEMA_VERSION, SimulationCache
+from repro.engine.diskcache import SimulationCache
 from repro.engine.runner import run_experiments, select_experiments
 from repro.optimize.objective import ObjectiveSpec, extract_metric
 from repro.optimize.pareto import pareto_indices
@@ -83,7 +83,6 @@ class OptimizeDriver:
             layer injects its own); overrides the ``cache_dir`` flags.
         cache_dir: persistent cache root (default cache dir when ``None``).
         use_cache: disable the persistent cache entirely with ``False``.
-        cache_version: entry schema version (tests exercise invalidation).
         on_probe: observer called after every evaluated probe (the serve
             layer streams these as NDJSON events).
         should_stop: polled before each probe; returning ``True`` abandons
@@ -104,7 +103,6 @@ class OptimizeDriver:
         cache: Optional[SimulationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         use_cache: bool = True,
-        cache_version: int = CACHE_SCHEMA_VERSION,
         on_probe: Optional[Callable[[ProbePoint], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -141,7 +139,7 @@ class OptimizeDriver:
         if cache is not None:
             self._cache: Optional[SimulationCache] = cache
         elif use_cache:
-            self._cache = SimulationCache(cache_dir, version=int(cache_version))
+            self._cache = SimulationCache(cache_dir)
         else:
             self._cache = None
         self.on_probe = on_probe

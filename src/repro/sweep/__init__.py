@@ -11,22 +11,24 @@ package is the exploration tool for the rest of it:
   :class:`~repro.api.scenario.Scenario` and
   :class:`~repro.workloads.catalog.WorkloadSpec`; :func:`~repro.sweep.spec.
   sweep_presets` ships Fig. 18 as the ``fig18-frequency`` preset.
-* :class:`~repro.sweep.runner.SweepRunner` expands the grid against a base
-  scenario, executes the points in the calling process or, with ``jobs``
-  above one, over a ``ProcessPoolExecutor`` (scenarios and results are
-  frozen/JSON-serializable and cross process boundaries cleanly; the models
-  are pure Python, so points never fan out over threads), and memoizes
-  every simulation in the persistent
-  :class:`~repro.engine.diskcache.SimulationCache`, so repeated and
-  overlapping sweeps are incremental.
+* :class:`~repro.sweep.runner.SweepRunner` is the one sweep executor: it
+  checks the options, picks the backend, evaluates any slice of the grid
+  -- in the calling process or, with ``jobs`` above one, over a
+  ``ProcessPoolExecutor`` (the frozen point scenarios are pickled as they
+  are; the models are pure Python, so points never fan out over threads)
+  -- and assembles the result.  Every simulation is memoized in the
+  persistent :class:`~repro.engine.diskcache.SimulationCache`, so repeated
+  and overlapping sweeps are incremental.
 * :mod:`~repro.sweep.vectorized` batches eligible sweeps: the registered
   strategies run once per frequency plane on models whose PE frequency is a
   numpy array, bit-exact against the scalar path (a hard equivalence gate
   re-checks fresh points).  ``SweepRunner``
   picks it automatically (``backend="auto"``).
 * :mod:`~repro.sweep.queue` shards a grid into a filesystem work queue:
-  independent worker processes lease shards via atomic lockfiles, publish
-  results into the shared disk cache, and a merger aggregates a
+  independent worker processes rebuild the runner from the workdir's
+  manifest, lease shards via atomic lockfiles, evaluate them through the
+  runner and publish results into the shared disk cache; the runner's
+  assembler merges the done-files into a
   :class:`~repro.sweep.runner.SweepResult`; killed sweeps resume
   (``repro sweep --workers N --resume``).
 

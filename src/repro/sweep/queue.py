@@ -13,9 +13,11 @@ channel (the batch-job pattern of condor/slurm runners):
 ``workdir/``
     ``manifest.json``          the full job description: sweep spec, base
                                scenario, resolved benchmarks, shard size,
-                               cache settings and a content digest.  Workers
-                               read *only* this file; they never need the
-                               merger process.
+                               cache settings, backend, verify mode and a
+                               content digest.  Workers read *only* this
+                               file (once), rebuild the
+                               :class:`~repro.sweep.runner.SweepRunner` it
+                               describes and never need the merger process.
     ``leases/shard-NNNNN.lock``  an **atomic claim** (``O_CREAT | O_EXCL``)
                                naming the worker (pid + host).  At most one
                                worker can ever hold a shard; leases of dead
@@ -39,7 +41,10 @@ channel (the batch-job pattern of condor/slurm runners):
 
 Shards are deterministic, contiguous slices of the row-major grid
 (``spec.assignments()``), so any worker can recompute the whole partition
-from the manifest alone.  Results additionally flow into the shared
+from the manifest alone.  The runner evaluates each slice and assembles the
+merged result; this module only adds what a queue alone needs: manifest,
+leases, heartbeats, attempt records, done-files and merge order.  Results
+additionally flow into the shared
 :class:`~repro.engine.diskcache.SimulationCache`, which means a *resumed*
 sweep finishes from done-files and cache hits with zero re-executed
 simulations -- and an unrelated ``repro compare`` benefits from a sweep that
@@ -58,30 +63,20 @@ import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import List, Optional, Set, Union
 
 from repro.api.scenario import Scenario
 from repro.engine.diskcache import (
     CACHE_SCHEMA_VERSION,
-    SimulationCache,
     canonical_digest,
     default_cache_dir,
 )
 from repro.faults import point as fault_point
 from repro.faults.retry import with_retries
-from repro.sweep.runner import (
-    _NO_CACHE,
-    BACKENDS,
-    SweepCell,
-    SweepPoint,
-    SweepResult,
-    SweepRunner,
-    _execute_points,
-)
-from repro.sweep.spec import SweepSpec, _format_value
-from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
+from repro.sweep.runner import SweepCell, SweepResult, SweepRunner, map_in_processes
+from repro.sweep.spec import SweepSpec
 
 #: Version of the workdir layout; bumping it orphans old workdirs.
 QUEUE_SCHEMA_VERSION = 1
@@ -185,7 +180,6 @@ class _ShardQueue:
 
     def __init__(self, workdir: Path, manifest: dict, worker_id: str) -> None:
         self.workdir = workdir
-        self.manifest = manifest
         self.worker_id = worker_id
         self.leases = workdir / "leases"
         self.done = workdir / "done"
@@ -199,10 +193,18 @@ class _ShardQueue:
         self.heartbeat_ttl = float(
             manifest.get("heartbeat_ttl", DEFAULT_HEARTBEAT_TTL)
         )
-        self.spec = SweepSpec.from_dict(manifest["sweep"])
-        self.base = Scenario.from_dict(manifest["base_scenario"])
-        self.benchmarks: Optional[List[str]] = manifest["benchmarks"]
-        self.assignments = self.spec.assignments()
+        # Manifests written before backend and verify were recorded there
+        # evaluate with the defaults, as their workers did.
+        self.runner = SweepRunner(
+            SweepSpec.from_dict(manifest["sweep"]),
+            Scenario.from_dict(manifest["base_scenario"]),
+            jobs=1,
+            cache_dir=manifest["cache_dir"],
+            use_cache=manifest["use_cache"],
+            backend=manifest.get("backend", "auto"),
+            verify=manifest.get("verify", "sample"),
+        )
+        self.assignments = self.runner.spec.assignments()
         self.ranges = shard_ranges(len(self.assignments), manifest["shard_size"])
         #: shards whose done-file this worker already validated.
         self._done_valid: Set[int] = set()
@@ -396,56 +398,25 @@ class _ShardQueue:
 
     # ------------------------------------------------------------- execution
 
-    def execute(self, shard: int, backend: str, verify: str) -> dict:
+    def execute(self, shard: int) -> List[dict]:
         """Evaluate one shard's grid slice and publish its done-file."""
         fault_point("queue.shard.execute")
         start, stop = self.ranges[shard]
-        chunk = self.assignments[start:stop]
-        manifest = self.manifest
-        use_cache = manifest["use_cache"]
-        blocker = vectorization_blocker(self.spec, self.base)
-        if backend == "vectorized" and blocker is not None:
-            raise ValueError(f"sweep cannot be vectorized: {blocker}")
-        if backend != "scalar" and blocker is None:
-            cache = (
-                SimulationCache(
-                    manifest["cache_dir"], version=manifest["cache_version"]
-                )
-                if use_cache
-                else None
-            )
-            outcomes = evaluate_grid(
-                self.spec,
-                self.base,
-                self.benchmarks,
-                assignments=chunk,
-                cache=cache,
-                verify=verify,
-            )
-        else:
-            outcomes = _execute_points(
-                [
-                    {
-                        "scenario": self.spec.scenario_for(self.base, assignment).to_dict(),
-                        "benchmarks": self.benchmarks,
-                        "designs": list(self.spec.designs),
-                        "kind": self.spec.kind,
-                        "cache_dir": manifest["cache_dir"] if use_cache else _NO_CACHE,
-                        "cache_version": manifest["cache_version"],
-                    }
-                    for assignment in chunk
-                ]
-            )
+        outcomes, _ = self.runner.evaluate(self.assignments[start:stop])
         payload = {
             "schema": QUEUE_SCHEMA_VERSION,
             "shard": shard,
             "start": start,
             "stop": stop,
             "worker": self.worker_id,
-            "outcomes": outcomes,
+            # A done-file stores each cell as a field-name mapping.
+            "outcomes": [
+                {**outcome, "cells": [cell._asdict() for cell in outcome["cells"]]}
+                for outcome in outcomes
+            ],
         }
         _atomic_write_json(self.done_path(shard), payload, fault="queue.done.publish")
-        return payload
+        return outcomes
 
 
 def _describe_error(error: BaseException) -> str:
@@ -485,13 +456,12 @@ def run_worker(
     worker_id: Optional[str] = None,
     *,
     max_shards: Optional[int] = None,
-    backend: str = "auto",
-    verify: str = "sample",
     max_attempts: Optional[int] = None,
 ) -> dict:
     """Drain the queue at ``workdir``: claim shards until none remain.
 
-    Workers need nothing but the workdir path -- launch any number of
+    Workers need nothing but the workdir path: the manifest names the
+    sweep, its cache, backend and verify mode.  Launch any number of
     ``repro sweep --workers``/:func:`run_worker` processes against the same
     directory (including from other hosts sharing the filesystem) and they
     partition the grid among themselves through lease files alone.
@@ -508,8 +478,6 @@ def run_worker(
         worker_id: label recorded in leases/done-files (host-pid by default).
         max_shards: stop after executing this many shards (simulates a
             mid-flight kill in tests; ``None`` drains the queue).
-        backend: one of :data:`BACKENDS`.
-        verify: vectorized equivalence-gate mode (:data:`VERIFY_MODES`).
         max_attempts: executions a shard gets before it is retired
             (``None``: the manifest's value, or :data:`DEFAULT_MAX_ATTEMPTS`).
 
@@ -518,10 +486,6 @@ def run_worker(
         ``disk_hits``, ``disk_misses``, ``shard_failures``.
     """
     workdir = Path(workdir)
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {list(BACKENDS)}")
-    if verify not in VERIFY_MODES:
-        raise ValueError(f"unknown verify mode {verify!r}; choose from {list(VERIFY_MODES)}")
     manifest = load_manifest(workdir)
     if worker_id is None:
         worker_id = f"{socket.gethostname()}-{os.getpid()}"
@@ -529,12 +493,6 @@ def run_worker(
         max_attempts = int(manifest.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
     max_attempts = max(1, int(max_attempts))
     queue = _ShardQueue(workdir, manifest, worker_id)
-    if backend == "vectorized":
-        # A config error would fail every shard identically; fail fast
-        # instead of burning the whole grid's attempt budget on it.
-        blocker = vectorization_blocker(queue.spec, queue.base)
-        if blocker is not None:
-            raise ValueError(f"sweep cannot be vectorized: {blocker}")
     report = {
         "worker_id": worker_id,
         "shards_executed": 0,
@@ -570,7 +528,7 @@ def run_worker(
                     if queue.settled(shard):
                         continue
                     try:
-                        payload = queue.execute(shard, backend, verify)
+                        outcomes = queue.execute(shard)
                     except Exception as error:  # repro: allow(RPR-H001) -- a poison shard must not kill the worker; the failure is recorded, bounded by max_attempts, and surfaced in the partial-results report
                         report["shard_failures"] += 1
                         attempts = queue.record_attempt(shard, error)
@@ -578,7 +536,7 @@ def run_worker(
                             queue.mark_failed(shard, error, attempts)
                         continue
                     report["shards_executed"] += 1
-                    for outcome in payload["outcomes"]:
+                    for outcome in outcomes:
                         report["simulations"] += outcome["simulations"]
                         report["disk_hits"] += outcome["disk_hits"]
                         report["disk_misses"] += outcome["disk_misses"]
@@ -610,18 +568,6 @@ def _heartbeat_loop(
         queue.beat()
 
 
-def _worker_entry(payload: dict) -> dict:
-    """Picklable pool entry point for :func:`run_worker`."""
-    return run_worker(
-        payload["workdir"],
-        payload["worker_id"],
-        max_shards=payload["max_shards"],
-        backend=payload["backend"],
-        verify=payload["verify"],
-        max_attempts=payload.get("max_attempts"),
-    )
-
-
 # -------------------------------------------------------------------- merger
 
 
@@ -633,7 +579,6 @@ def queue_workdir(
     shard_size: int,
     cache_dir: Optional[str],
     use_cache: bool,
-    cache_version: int,
 ) -> Path:
     """The default content-addressed workdir of one queue job.
 
@@ -647,7 +592,6 @@ def queue_workdir(
         shard_size=shard_size,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        cache_version=cache_version,
     )
     root = Path(cache_dir) if cache_dir is not None else Path(default_cache_dir())
     return root / "sweeps" / manifest["digest"][:16]
@@ -661,7 +605,8 @@ def _build_manifest(
     shard_size: int,
     cache_dir: Optional[str],
     use_cache: bool,
-    cache_version: int,
+    backend: str = "auto",
+    verify: str = "sample",
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     heartbeat_ttl: float = DEFAULT_HEARTBEAT_TTL,
 ) -> dict:
@@ -674,9 +619,12 @@ def _build_manifest(
         "grid_size": spec.grid_size(),
         "cache_dir": cache_dir,
         "use_cache": bool(use_cache),
-        "cache_version": int(cache_version),
-        # Robustness knobs: deliberately excluded from the digest, so the
-        # same sweep resumes into the same workdir whatever they are set to.
+        "cache_version": CACHE_SCHEMA_VERSION,
+        # Evaluation and robustness knobs: deliberately excluded from the
+        # digest (every backend computes the same cells), so the same sweep
+        # resumes into the same workdir whatever they are set to.
+        "backend": backend,
+        "verify": verify,
         "max_attempts": max(1, int(max_attempts)),
         "heartbeat_ttl": float(heartbeat_ttl),
     }
@@ -695,11 +643,9 @@ def run_queued_sweep(
     workdir: Optional[Union[str, Path]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     use_cache: bool = True,
-    cache_version: int = CACHE_SCHEMA_VERSION,
     backend: str = "auto",
     verify: str = "sample",
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    heartbeat_ttl: float = DEFAULT_HEARTBEAT_TTL,
 ) -> SweepResult:
     """Execute a sweep through the sharded work queue and merge the result.
 
@@ -713,29 +659,26 @@ def run_queued_sweep(
     failures and reported in the result's ``failed_shards`` (an explicit
     partial-results section) instead of hanging the sweep; ``resume=True``
     clears previous failed/attempt records so cleared faults get a fresh
-    budget.  ``heartbeat_ttl`` bounds how long a worker killed on another
-    host can strand its leases.
+    budget.
 
     The result's statistics count **this run only**: a resumed sweep whose
     shards were all published before reports zero executed simulations.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {list(BACKENDS)}")
-    if verify not in VERIFY_MODES:
-        raise ValueError(f"unknown verify mode {verify!r}; choose from {list(VERIFY_MODES)}")
     start_time = time.perf_counter()
     shard_size = DEFAULT_SHARD_SIZE if shard_size is None else max(1, int(shard_size))
-    # SweepRunner owns spec loading and benchmark canonicalization.
+    workers = max(1, int(workers))
+    # SweepRunner owns the option checks, spec loading and benchmark
+    # canonicalization; the workers rebuild it from the manifest.
     runner = SweepRunner(
         spec,
         base,
-        jobs=max(1, int(workers)),
+        jobs=1,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        cache_version=cache_version,
+        backend=backend,
+        verify=verify,
     )
     spec, base = runner.spec, runner.base
-    workers = max(1, int(workers))
     manifest = _build_manifest(
         spec,
         base,
@@ -743,9 +686,9 @@ def run_queued_sweep(
         shard_size=shard_size,
         cache_dir=runner.cache_dir,
         use_cache=runner.use_cache,
-        cache_version=runner.cache_version,
+        backend=runner.backend,
+        verify=runner.verify,
         max_attempts=max_attempts,
-        heartbeat_ttl=heartbeat_ttl,
     )
     if workdir is None:
         workdir = queue_workdir(
@@ -755,7 +698,6 @@ def run_queued_sweep(
             shard_size=shard_size,
             cache_dir=runner.cache_dir,
             use_cache=runner.use_cache,
-            cache_version=runner.cache_version,
         )
     workdir = Path(workdir)
     manifest_path = workdir / "manifest.json"
@@ -776,43 +718,22 @@ def run_queued_sweep(
             # fresh attempt budget -- the operator presumably cleared the
             # fault before retrying.
             _clear_queue_state(workdir, only=("failed", "attempts"))
-    # (Re)publish the manifest: same digest, but the robustness knobs
-    # (max_attempts, heartbeat_ttl) track the latest invocation.
+    # (Re)publish the manifest: same digest, but the knobs outside it
+    # (backend, verify, max_attempts, heartbeat_ttl) track the latest
+    # invocation.
     _atomic_write_json(manifest_path, manifest)
     (workdir / "leases").mkdir(parents=True, exist_ok=True)
     (workdir / "done").mkdir(parents=True, exist_ok=True)
 
-    payloads = [
-        {
-            "workdir": str(workdir),
-            "worker_id": f"worker-{index}",
-            "max_shards": None,
-            "backend": backend,
-            "verify": verify,
-            "max_attempts": manifest["max_attempts"],
-        }
-        for index in range(workers)
-    ]
-    reports, mode = _run_workers(payloads)
+    reports, mode = map_in_processes(
+        partial(run_worker, workdir),
+        [f"worker-{index}" for index in range(workers)],
+        workers,
+    )
     # Final in-process drain: reclaims stale leases of killed workers and
     # executes anything still missing, so the merge below cannot starve.
-    reports.append(
-        run_worker(
-            workdir,
-            "merger",
-            backend=backend,
-            verify=verify,
-            max_attempts=manifest["max_attempts"],
-        )
-    )
-
-    result = _merge(workdir, spec, base, manifest)
-    result.executor_used = f"queue-{mode}"
-    result.jobs = workers
-    for report in reports:
-        result.simulations_executed += report["simulations"]
-        result.cache.hits += report["disk_hits"]
-        result.cache.misses += report["disk_misses"]
+    reports.append(run_worker(workdir, "merger"))
+    result = _merge(workdir, runner, manifest, reports, f"queue-{mode}", workers)
     result.elapsed_seconds = time.perf_counter() - start_time
     return result
 
@@ -835,31 +756,27 @@ def _clear_queue_state(
                 pass
 
 
-def _run_workers(payloads: List[dict]):
-    """Run worker entries over a process pool, or in-process like the runner."""
-    if len(payloads) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                return list(pool.map(_worker_entry, payloads)), "process"
-        except (OSError, NotImplementedError):
-            pass
-    return [_worker_entry(payload) for payload in payloads], "serial"
+def _merge(
+    workdir: Path,
+    runner: SweepRunner,
+    manifest: dict,
+    reports: List[dict],
+    executor_used: str,
+    jobs: int,
+) -> SweepResult:
+    """Assemble every done-file, in grid order, into a :class:`SweepResult`.
 
-
-def _merge(workdir: Path, spec: SweepSpec, base: Scenario, manifest: dict) -> SweepResult:
-    """Assemble every done-file into an ordered :class:`SweepResult`.
-
-    Shards retired as *failed* (poison shards) contribute no points; they
-    are collected into the result's ``failed_shards`` so the report states
-    exactly which grid slices are missing and why.  A shard that is
-    neither done nor failed still raises -- that sweep genuinely did not
-    finish and ``--resume`` will.
+    The statistics sum this run's worker ``reports``, not the outcomes the
+    done-files store.  Shards retired as *failed* (poison shards)
+    contribute no points; they are collected into the result's
+    ``failed_shards`` so the report states exactly which grid slices are
+    missing and why.  A shard that is neither done nor failed still raises
+    -- that sweep genuinely did not finish and ``--resume`` will.
     """
-    assignments = spec.assignments()
-    ranges = shard_ranges(len(assignments), manifest["shard_size"])
-    outcomes: List[Optional[dict]] = [None] * len(assignments)
+    assignments = runner.spec.assignments()
+    cells: List[Optional[List[SweepCell]]] = [None] * len(assignments)
     failed: List[dict] = []
-    for shard, (start, stop) in enumerate(ranges):
+    for shard, (start, stop) in enumerate(shard_ranges(len(assignments), manifest["shard_size"])):
         payload = _load_done(workdir / "done" / f"{_shard_name(shard)}.json")
         if payload is None:
             failure = _load_failed(workdir / "failed" / f"{_shard_name(shard)}.json")
@@ -871,22 +788,10 @@ def _merge(workdir: Path, spec: SweepSpec, base: Scenario, manifest: dict) -> Sw
                 f"published result in {workdir}; re-run with --resume"
             )
         for offset, outcome in enumerate(payload["outcomes"]):
-            outcomes[start + offset] = outcome
-    points: List[SweepPoint] = []
-    for index, (assignment, outcome) in enumerate(zip(assignments, outcomes)):
-        if outcome is None:
-            continue  # a failed shard's slice: reported, not fabricated
-        label = ",".join(
-            f"{key}={_format_value(value)}" for key, value in assignment.items()
-        )
-        point = SweepPoint(
-            index=index,
-            assignment=assignment,
-            scenario_name=f"{base.name}+{label}",
-            cells=[SweepCell(**cell) for cell in outcome["cells"]],
-        )
-        points.append(point)
-    return SweepResult(spec=spec, base=base, points=points, failed_shards=failed)
+            cells[start + offset] = [SweepCell(**cell) for cell in outcome["cells"]]
+    return runner.assemble(
+        assignments, cells, reports, executor_used=executor_used, jobs=jobs, failed_shards=failed
+    )
 
 
 def _load_failed(path: Path) -> Optional[dict]:

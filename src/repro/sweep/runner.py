@@ -1,26 +1,33 @@
-"""Sweep execution: grid expansion, parallel point runs, persistent caching.
+"""Sweep execution: option checks, point evaluation and result assembly.
 
-:class:`SweepRunner` turns a :class:`~repro.sweep.spec.SweepSpec` plus a base
-:class:`~repro.api.scenario.Scenario` into results:
+:class:`SweepRunner` is the one sweep executor.  It turns a
+:class:`~repro.sweep.spec.SweepSpec` plus a base
+:class:`~repro.api.scenario.Scenario` into results, and is the only place
+that
 
-* the grid is expanded to one variant scenario per point
-  (:meth:`SweepSpec.scenario_for`),
-* eligible grids evaluate whole planes at once through
+* checks the sweep options (backend, verify mode, benchmark restriction),
+* picks the backend: eligible grids evaluate whole planes at once through
   :mod:`repro.sweep.vectorized`; every other grid evaluates point by point,
   in the calling process with ``jobs=1`` or over a ``ProcessPoolExecutor``
-  of ``jobs`` workers -- scenarios cross the process boundary as plain JSON
-  dictionaries and workers send back plain metric dictionaries, so the
-  process path needs no custom pickling.  The simulations are pure-Python
-  analytical models (GIL-bound), which is why the points fan out over
-  processes and never threads.  Where the platform cannot provide a process
-  pool the points run in-process instead.  (The process path relies on the
-  ``fork`` start method to inherit custom strategy/experiment registrations;
-  on spawn-only platforms use ``jobs=1`` for custom designs.)
-* every simulation is memoized in the persistent
-  :class:`~repro.engine.diskcache.SimulationCache`, so a repeated or
-  overlapping sweep re-runs only the points it has never seen.  A fully warm
-  sweep executes **zero** simulations -- :attr:`SweepResult.simulations_executed`
-  and :attr:`SweepResult.cache` prove it.
+  of ``jobs`` workers.  The point scenarios are frozen
+  :class:`~repro.api.scenario.Scenario` objects and cross the process
+  boundary as they are (pickled); workers send back their cells.  The
+  simulations are pure-Python analytical models (GIL-bound), which is why
+  the points fan out over processes and never threads.  Where the platform
+  cannot provide a process pool the points run in-process instead.  (The
+  process path relies on the ``fork`` start method to inherit custom
+  strategy/experiment registrations; on spawn-only platforms use
+  ``jobs=1`` for custom designs.)
+* evaluates any slice of grid points (:meth:`SweepRunner.evaluate`):
+  :meth:`SweepRunner.run` passes the whole grid, and each shard of the work
+  queue (:mod:`repro.sweep.queue`) passes its own slice, and
+* assembles a :class:`SweepResult` (:meth:`SweepRunner.assemble`).
+
+Every simulation is memoized in the persistent
+:class:`~repro.engine.diskcache.SimulationCache`, so a repeated or
+overlapping sweep re-runs only the points it has never seen.  A fully warm
+sweep executes **zero** simulations -- :attr:`SweepResult.simulations_executed`
+and :attr:`SweepResult.cache` prove it.
 
 :meth:`SweepResult.format_report` and :meth:`SweepResult.to_dict` contain
 only grid data (no timings, no cache counters), so reports are byte-identical
@@ -35,13 +42,24 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.tables import format_columns
 from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
 from repro.engine.context import CacheStats, SimulationContext
-from repro.engine.diskcache import CACHE_SCHEMA_VERSION, SimulationCache
+from repro.engine.diskcache import SimulationCache
 from repro.faults import point as fault_point
 from repro.sweep.spec import SweepSpec, _format_value
 from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
@@ -163,8 +181,10 @@ class SweepResult:
         """Render the sweep as plain-text tables (grid data only)."""
         metric = "RP speedup" if self.spec.kind == "routing" else "end-to-end speedup"
         axis_headers = list(self.spec.axis_keys)
+        # Axis values render in their grid-label form (312.5, 625), so one
+        # axis column stays uniform when its values mix int and float.
         labels = [
-            [_axis_cell(point.assignment[key]) for key in axis_headers]
+            [_format_value(point.assignment[key]) for key in axis_headers]
             for point in self.points
         ]
         cells = [cell for point in self.points for cell in point.cells]
@@ -267,7 +287,7 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Expand and execute one sweep over a base scenario.
+    """Expand, evaluate and assemble one sweep over a base scenario.
 
     Args:
         spec: the sweep (a :class:`~repro.sweep.spec.SweepSpec`, a preset
@@ -280,8 +300,8 @@ class SweepRunner:
         cache_dir: persistent cache root
             (:func:`~repro.engine.diskcache.default_cache_dir` when ``None``).
         use_cache: disable the persistent cache entirely with ``False``.
-        cache_version: entry schema version (tests exercise invalidation).
-        backend: evaluation backend (:data:`BACKENDS`).
+        backend: evaluation backend (:data:`BACKENDS`); ``"vectorized"``
+            raises the blocker reason here when the sweep is ineligible.
         verify: vectorized equivalence-gate mode
             (:data:`~repro.sweep.vectorized.VERIFY_MODES`; ignored by the
             scalar path).
@@ -295,7 +315,6 @@ class SweepRunner:
         jobs: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         use_cache: bool = True,
-        cache_version: int = CACHE_SCHEMA_VERSION,
         backend: str = "auto",
         verify: str = "sample",
     ) -> None:
@@ -314,7 +333,6 @@ class SweepRunner:
         self.verify = verify
         self.use_cache = bool(use_cache)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.cache_version = int(cache_version)
         # Resolve (and canonicalize) the benchmark restriction up front so a
         # typo fails before any worker is spawned.
         self.benchmarks: Optional[List[str]] = (
@@ -322,73 +340,76 @@ class SweepRunner:
             if self.spec.benchmarks is None
             else self.base.catalog.resolve(self.spec.benchmarks)
         )
+        blocker = None if backend == "scalar" else vectorization_blocker(self.spec)
+        if backend == "vectorized" and blocker is not None:
+            # A config error would fail every point (or queue shard)
+            # identically; fail before any of them runs.
+            raise ValueError(f"sweep cannot be vectorized: {blocker}")
+        #: Whether points evaluate through the batched plane evaluator.
+        self.vectorized = backend != "scalar" and blocker is None
 
     # ------------------------------------------------------------------ running
 
     def run(self) -> SweepResult:
-        """Execute the grid and aggregate cells + execution statistics."""
+        """Evaluate the whole grid and assemble cells + execution statistics."""
         start = time.perf_counter()
         assignments = self.spec.assignments()
-        if self._use_vectorized():
-            result = self._run_vectorized(assignments)
-            result.elapsed_seconds = time.perf_counter() - start
-            return result
-        variants = [
-            self.spec.scenario_for(self.base, assignment) for assignment in assignments
-        ]
-        points = [
-            SweepPoint(index=index, assignment=assignment, scenario_name=variant.name)
-            for index, (assignment, variant) in enumerate(zip(assignments, variants))
-        ]
-        payloads = [
-            {
-                "scenario": variant.to_dict(),
-                "benchmarks": self.benchmarks,
-                "designs": list(self.spec.designs),
-                "kind": self.spec.kind,
-                "cache_dir": self.cache_dir if self.use_cache else _NO_CACHE,
-                "cache_version": self.cache_version,
-            }
-            for variant in variants
-        ]
-        outcomes, mode = _execute(payloads, self.jobs)
-        result = SweepResult(
-            spec=self.spec,
-            base=self.base,
-            points=points,
-            executor_used=mode,
-            jobs=min(self.jobs, len(payloads)) if mode == "process" else 1,
+        outcomes, executor = self.evaluate(assignments)
+        result = self.assemble(
+            assignments,
+            [outcome["cells"] for outcome in outcomes],
+            outcomes,
+            executor_used=executor,
+            jobs=min(self.jobs, len(assignments)) if executor == "process" else 1,
         )
-        for point, outcome in zip(points, outcomes):
-            point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
-            result.simulations_executed += outcome["simulations"]
-            result.cache.hits += outcome["disk_hits"]
-            result.cache.misses += outcome["disk_misses"]
         result.elapsed_seconds = time.perf_counter() - start
         return result
 
-    # ------------------------------------------------------------- vectorized
+    def evaluate(self, assignments: List[Dict[str, object]]) -> Tuple[List[dict], str]:
+        """Evaluate grid points (the whole grid or any slice of it), in order.
 
-    def _use_vectorized(self) -> bool:
-        """Whether this run takes the batched plane evaluator.
-
-        ``backend="vectorized"`` forces it (:func:`evaluate_grid` raises the
-        blocker reason when the sweep is ineligible), ``"scalar"`` forbids
-        it and ``"auto"`` takes it for eligible sweeps.
+        Returns one outcome per assignment -- ``{"cells": [SweepCell, ...],
+        "simulations", "disk_hits", "disk_misses"}`` -- and the executor that
+        ran them: ``"vectorized"``, ``"process"`` or ``"serial"``.
         """
-        if self.backend == "vectorized":
-            return True
-        if self.backend == "scalar":
-            return False
-        return vectorization_blocker(self.spec, self.base) is None
+        if self.vectorized:
+            outcomes = evaluate_grid(
+                self.spec,
+                self.base,
+                self.benchmarks,
+                assignments=assignments,
+                cache=SimulationCache(self.cache_dir) if self.use_cache else None,
+                verify=self.verify,
+            )
+            return outcomes, "vectorized"
+        scenarios = [self.spec.scenario_for(self.base, assignment) for assignment in assignments]
+        workers = min(self.jobs, len(scenarios))
+        chunks = [scenarios]
+        if workers > 1:
+            size = -(-len(scenarios) // (workers * CHUNKS_PER_WORKER))
+            chunks = [scenarios[start : start + size] for start in range(0, len(scenarios), size)]
+        results, mode = map_in_processes(self._evaluate_points, chunks, workers)
+        return [outcome for chunk in results for outcome in chunk], mode
 
-    def _run_vectorized(self, assignments: List[Dict[str, object]]) -> SweepResult:
-        """Evaluate the whole grid through :func:`evaluate_grid`.
+    def assemble(
+        self,
+        assignments: List[Dict[str, object]],
+        cells: Sequence[Optional[List[SweepCell]]],
+        counted: Iterable[Mapping[str, int]],
+        *,
+        executor_used: str,
+        jobs: int,
+        failed_shards: Sequence[dict] = (),
+    ) -> SweepResult:
+        """The :class:`SweepResult` of the grid ``assignments``.
 
-        Point names are composed directly from the assignment labels --
-        provably what :meth:`SweepSpec.scenario_for` names each variant --
-        so no per-point ``Scenario`` is ever built; on 100k-point grids the
-        scenario objects alone would dwarf the model arithmetic.
+        ``cells`` holds each grid point's cells (``None`` for a point a
+        failed queue shard left out).  The statistics sum ``simulations``,
+        ``disk_hits`` and ``disk_misses`` over ``counted``: this run's
+        outcomes, or its queue workers' reports.  Points are named from the
+        axis labels -- what :meth:`SweepSpec.scenario_for` names each
+        variant -- so no per-point ``Scenario`` is built; on 100k-point grids
+        the scenario objects alone would dwarf the model arithmetic.
         """
         # One formatted string per distinct axis value, not per grid point.
         formatted = {
@@ -396,43 +417,54 @@ class SweepRunner:
             for axis in self.spec.axes
         }
         prefix = f"{self.base.name}+"
-        points = []
-        for index, assignment in enumerate(assignments):
-            label = ",".join(
-                f"{key}={formatted[key][value]}" for key, value in assignment.items()
-            )
-            points.append(
-                SweepPoint(
-                    index=index,
-                    assignment=assignment,
-                    scenario_name=prefix + label,
-                )
-            )
-        cache = (
-            SimulationCache(self.cache_dir, version=self.cache_version)
-            if self.use_cache
-            else None
-        )
-        outcomes = evaluate_grid(
-            self.spec,
-            self.base,
-            self.benchmarks,
-            assignments=assignments,
-            cache=cache,
-            verify=self.verify,
-        )
         result = SweepResult(
             spec=self.spec,
             base=self.base,
-            points=points,
-            executor_used="vectorized",
+            points=[],
+            executor_used=executor_used,
+            jobs=jobs,
+            failed_shards=list(failed_shards),
         )
-        for point, outcome in zip(points, outcomes):
-            point.cells = [SweepCell(**cell) for cell in outcome["cells"]]
-            result.simulations_executed += outcome["simulations"]
-            result.cache.hits += outcome["disk_hits"]
-            result.cache.misses += outcome["disk_misses"]
+        for index, (assignment, point) in enumerate(zip(assignments, cells)):
+            if point is None:
+                continue
+            label = ",".join(
+                f"{key}={formatted[key][value]}" for key, value in assignment.items()
+            )
+            result.points.append(SweepPoint(index, assignment, prefix + label, point))
+        for item in counted:
+            result.simulations_executed += item["simulations"]
+            result.cache.hits += item["disk_hits"]
+            result.cache.misses += item["disk_misses"]
         return result
+
+    # ---------------------------------------------------------- point by point
+
+    def _evaluate_points(self, scenarios: List[Scenario]) -> List[dict]:
+        """Evaluate grid points one by one, in order (a pool task when ``jobs > 1``).
+
+        The points share one cache instance, published once at the end (also
+        when a point fails): the points of a frequency plane share one shard,
+        which a publish per point would rewrite once per point.
+        """
+        cache = SimulationCache(self.cache_dir) if self.use_cache else None
+        try:
+            return [self._evaluate_point(scenario, cache) for scenario in scenarios]
+        finally:
+            if cache is not None:
+                cache.flush()
+
+    def _evaluate_point(self, scenario: Scenario, cache: Optional[SimulationCache]) -> dict:
+        """Evaluate one grid point against a shared (unflushed) cache."""
+        fault_point("sweep.point.execute")
+        hits, misses = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
+        context = SimulationContext(scenario=scenario, disk_cache=cache)
+        return {
+            "cells": point_cells(context, self.spec.kind, self.spec.designs, self.benchmarks),
+            "simulations": context.simulations_executed,
+            "disk_hits": context.disk_stats.hits - hits,
+            "disk_misses": context.disk_stats.misses - misses,
+        }
 
 
 def run_sweep(
@@ -444,80 +476,28 @@ def run_sweep(
     return SweepRunner(spec, base, **kwargs).run()
 
 
-# ------------------------------------------------------------- point execution
-
-#: Sentinel distinguishing "cache disabled" from "default cache directory".
-_NO_CACHE = "__no_cache__"
-
-
 #: Chunks of grid points per worker process: enough to balance the load,
 #: few enough that each chunk's cache publish covers many points.
 CHUNKS_PER_WORKER = 4
 
 
-def _execute(payloads: List[dict], jobs: int):
-    """Run every payload, over ``jobs`` worker processes when there are more
-    than one of each, preserving order; returns ``(outcomes, mode)``.
+def map_in_processes(function: Callable, items: Sequence, workers: int) -> Tuple[list, str]:
+    """``function`` over ``items`` in order, over ``workers`` processes when
+    there are more than one; returns ``(results, mode)``.
 
-    The pool runs contiguous chunks of points, a few per worker.  Where the
-    platform cannot provide a process pool (sandboxes without semaphores,
-    missing ``/dev/shm``) the points run in this process; results are
-    identical either way, only wall-clock differs.
+    ``mode`` is ``"process"``, or ``"serial"`` when the items ran in this
+    process: with one worker, or where the platform cannot provide a process
+    pool (sandboxes without semaphores, missing ``/dev/shm``).  Results are
+    identical either way, only wall-clock differs.  Scalar sweep chunks
+    (``jobs``) and work-queue workers (``workers``) both run through here.
     """
-    workers = min(jobs, len(payloads))
     if workers > 1:
-        size = -(-len(payloads) // (workers * CHUNKS_PER_WORKER))
-        chunks = [payloads[start : start + size] for start in range(0, len(payloads), size)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = [
-                    outcome
-                    for chunk in pool.map(_execute_points, chunks)
-                    for outcome in chunk
-                ]
-            return outcomes, "process"
+                return list(pool.map(function, items)), "process"
         except (OSError, NotImplementedError):
             pass
-    return _execute_points(payloads), "serial"
-
-
-def _execute_points(payloads: List[Mapping[str, object]]) -> List[dict]:
-    """Execute grid points of one sweep in order; plain dicts in and out (picklable).
-
-    The points share one cache instance, published once at the end (also
-    when a point fails): the points of a frequency plane share one shard,
-    which a publish per point would rewrite once per point.
-    """
-    cache_dir = payloads[0]["cache_dir"] if payloads else _NO_CACHE
-    cache = (
-        None
-        if cache_dir == _NO_CACHE
-        else SimulationCache(cache_dir, version=int(payloads[0]["cache_version"]))  # type: ignore[arg-type]
-    )
-    try:
-        return [_execute_point(payload, cache) for payload in payloads]
-    finally:
-        if cache is not None:
-            cache.flush()
-
-
-def _execute_point(
-    payload: Mapping[str, object], cache: Optional[SimulationCache]
-) -> dict:
-    """Execute one grid point against a shared (unflushed) cache."""
-    fault_point("sweep.point.execute")
-    scenario = Scenario.from_dict(payload["scenario"])  # type: ignore[arg-type]
-    hits, misses = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-    context = SimulationContext(scenario=scenario, disk_cache=cache)
-    cells = point_cells(
-        context, payload["kind"], payload["designs"], payload["benchmarks"]  # type: ignore[arg-type]
-    )
-    return {
-        "cells": [cell._asdict() for cell in cells],
-        "simulations": context.simulations_executed,
-        "disk_hits": context.disk_stats.hits - hits,
-        "disk_misses": context.disk_stats.misses - misses,
-    }
+    return [function(item) for item in items], "serial"
 
 
 def point_cells(
@@ -548,12 +528,3 @@ def point_cells(
                 )
             )
     return cells
-
-
-def _axis_cell(value: object) -> str:
-    """Axis values render in their compact label form (``312.5``, ``625``).
-
-    Reusing the grid-label formatting keeps one axis column uniform even
-    when its values mix int and float spellings.
-    """
-    return _format_value(value)

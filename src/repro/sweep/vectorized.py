@@ -92,14 +92,13 @@ def _design_points_module():
     return design_points
 
 
-def vectorization_blocker(spec: SweepSpec, base: Optional[Scenario] = None) -> Optional[str]:
+def vectorization_blocker(spec: SweepSpec) -> Optional[str]:
     """Why this sweep cannot be vectorized, or ``None`` if it can.
 
-    The ``base`` scenario is accepted for signature stability but does not
-    influence eligibility today: planes anchor on whatever scenario each
-    grid point produces, so any base that survives scalar execution works.
+    The base scenario does not influence eligibility: planes anchor on
+    whatever scenario each grid point produces, so any base that survives
+    scalar execution works.
     """
-    del base
     if FREQUENCY_AXIS not in spec.axis_keys:
         return (
             f"no {FREQUENCY_AXIS!r} axis to broadcast; only frequency planes "
@@ -280,12 +279,13 @@ def evaluate_grid(
 
     Returns:
         One outcome dict per assignment, shaped exactly like the scalar
-        executor's: ``{"cells", "simulations", "disk_hits", "disk_misses"}``.
+        executor's: ``{"cells": [SweepCell, ...], "simulations",
+        "disk_hits", "disk_misses"}``.
     """
     base = base if base is not None else Scenario.default()
     if verify not in VERIFY_MODES:
         raise ValueError(f"unknown verify mode {verify!r}; choose from {list(VERIFY_MODES)}")
-    blocker = vectorization_blocker(spec, base)
+    blocker = vectorization_blocker(spec)
     if blocker is not None:
         raise ValueError(f"sweep cannot be vectorized: {blocker}")
     if assignments is None:
@@ -381,27 +381,29 @@ def _evaluate_plane(
 
     # The only per-point Python cost of the whole backend: it must only
     # index lists.
+    from repro.sweep.runner import SweepCell  # the runner imports this module
+
     time_rows = times.tolist()
     energy_rows = energies.tolist()
     misses = fresh.sum(axis=0).tolist()
     per_name = len(cell_designs)
     design_names = [str(design) for design in cell_designs[1:]]
     for i in range(count):
-        cells: List[dict] = []
+        cells = []
         for b, name in enumerate(names):
             base_row = b * per_name
             baseline_time = time_rows[base_row][i]
             baseline_energy = energy_rows[base_row][i]
             for d, design_name in enumerate(design_names, start=base_row + 1):
                 cells.append(
-                    {
-                        "benchmark": name,
-                        "design": design_name,
-                        "time_seconds": time_rows[d][i],
-                        "energy_joules": energy_rows[d][i],
-                        "baseline_time_seconds": baseline_time,
-                        "baseline_energy_joules": baseline_energy,
-                    }
+                    SweepCell(
+                        name,
+                        design_name,
+                        time_rows[d][i],
+                        energy_rows[d][i],
+                        baseline_time,
+                        baseline_energy,
+                    )
                 )
         outcomes[positions[i]] = {
             "cells": cells,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -29,8 +30,11 @@ from repro.api.request import (
     scenario_from,
     sweep_request,
 )
-from repro.api.scenario import Scenario
+from repro.api.scenario import Scenario, override_keys
+from repro.api.session import Session
+from repro.engine.strategies import strategy_names
 from repro.optimize.objective import ObjectiveSpec
+from repro.sweep.runner import SweepRunner, point_cells
 from repro.sweep.spec import SweepSpec, sweep_presets
 from repro.workloads.catalog import WorkloadSpec, default_catalog
 
@@ -263,11 +267,63 @@ def test_bad_axis_values_fail_as_invalid_axis_only_in_combination():
         spec.scenario_for(base, spec.assignments()[0])
     assert error.value.code == "invalid_axis"
     # A 512-byte block alone is invalid against the base's 256-byte maximum;
-    # with the maximum raised first, the grid point is valid.
+    # next to a 1024-byte maximum it is valid, whichever override comes first.
+    cells = []
+    for axes in (
+        {"hmc.max_block_bytes": [1024], "hmc.block_bytes": [512]},
+        {"hmc.block_bytes": [512], "hmc.max_block_bytes": [1024]},
+    ):
+        base, spec, _ = sweep_request(
+            {"axes": {**axes, "hmc.pe_frequency_mhz": [312.5, 625.0]}, "benchmarks": ["Caps-MN1"]}
+        )
+        hmc = spec.scenario_for(base, spec.assignments()[0]).hmc
+        assert (hmc.block_bytes, hmc.max_block_bytes) == (512, 1024)
+        for backend in ("scalar", "vectorized"):
+            result = SweepRunner(spec, base, jobs=1, use_cache=False, backend=backend).run()
+            cells.append([point.cells for point in result.points])
+    assert cells[1:] == cells[:-1]
+    pairs = ["hmc.block_bytes=512", "hmc.max_block_bytes=1024"]
+    assert Scenario().with_set(pairs).hmc == Scenario().with_set(pairs[::-1]).hmc
+    # A combination invalid in the end still fails.
     base, spec, _ = sweep_request(
-        {"axes": {"hmc.max_block_bytes": [1024], "hmc.block_bytes": [512]}}
+        {"axes": {"hmc.block_bytes": [512], "hmc.max_block_bytes": [1024, 256]}}
     )
-    assert spec.scenario_for(base, spec.assignments()[0]).hmc.block_bytes == 512
+    with pytest.raises(RequestError, match="invalid block / max-block sizes") as error:
+        spec.scenario_for(base, spec.assignments()[1])
+    assert error.value.code == "invalid_axis"
+
+
+def _numeric_override_keys():
+    keys = []
+    for key in override_keys():
+        head, _, rest = key.partition(".")
+        value = getattr(Scenario.default(), head)
+        if rest:
+            value = getattr(value, rest)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            keys.append(key)
+    return keys
+
+
+def test_numeric_values_are_rejected_or_run_to_finite_positive_results():
+    # A value the request accepts must run: no exception inside the run
+    # (serve would answer it with a 500) and no NaN, infinite, zero or
+    # negative time or energy in any simulated cell.
+    keys = _numeric_override_keys()
+    assert {"gpu.shading_units", "gpu_params.other_stall_fraction", "rmas_queue_depth"} <= set(keys)
+    designs = [name for name in strategy_names() if name != "baseline"]
+    for key in keys:
+        for value in ("nan", "inf", "-inf", "0", "-1"):
+            try:
+                scenario = run_request({"set": [f"{key}={value}"]}).scenario
+            except RequestError:
+                continue
+            session = Session(scenario)
+            session.run(["fig15", "fig17"], benchmarks=["Caps-MN1"])
+            for kind in ("routing", "end-to-end"):
+                for cell in point_cells(session.context, kind, designs, ["Caps-MN1"]):
+                    for number in cell[2:]:
+                        assert 0 < number < math.inf, (key, value, cell)
 
 
 @pytest.mark.parametrize(

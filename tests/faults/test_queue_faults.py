@@ -45,7 +45,6 @@ def _make_workdir(tmp_path, spec, shard_size=1, heartbeat_ttl=60.0):
         shard_size=shard_size,
         cache_dir=runner.cache_dir,
         use_cache=True,
-        cache_version=runner.cache_version,
         heartbeat_ttl=heartbeat_ttl,
     )
     workdir = tmp_path / "wd"

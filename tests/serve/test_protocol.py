@@ -208,6 +208,16 @@ def test_unknown_experiment_is_a_structured_400(client):
     assert _error_code(payload) == "unknown_experiment"
 
 
+def test_a_scenario_that_would_break_the_run_is_a_structured_400(client):
+    # A GPU without shading units would divide by zero inside the run; the
+    # request must be rejected before it starts.
+    body = {"scenario": {"gpu": {"shading_units": 0}}, "experiments": ["fig15"]}
+    status, payload = client.post("/v1/run", body)
+    assert status == 400
+    assert _error_code(payload) == "invalid_scenario"
+    assert "shading_units must be finite and positive" in payload["error"]["message"]
+
+
 def test_unknown_benchmark_is_a_structured_400(client):
     status, payload = client.post("/v1/run", {"benchmarks": ["Caps-Nope"]})
     assert status == 400

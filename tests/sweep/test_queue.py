@@ -37,7 +37,6 @@ def _make_workdir(tmp_path, spec, shard_size=1, use_cache=True):
         shard_size=shard_size,
         cache_dir=runner.cache_dir,
         use_cache=use_cache,
-        cache_version=runner.cache_version,
     )
     workdir = tmp_path / "wd"
     _atomic_write_json(workdir / "manifest.json", manifest)
@@ -106,6 +105,50 @@ def test_killed_sweep_resumes_without_redoing_completed_shards(tmp_path, spec):
         resume=True,
     )
     assert again.simulations_executed == 0
+
+
+def test_resume_reads_a_workdir_in_its_json_form(tmp_path, spec):
+    # A workdir as earlier versions wrote it: a manifest without the backend
+    # and verify keys, and a done-file storing each cell as a field-name
+    # mapping.  Its worker evaluates with the default backend, and the merge
+    # takes the stored cells as they are.
+    workdir = _make_workdir(tmp_path, spec, shard_size=2)
+    manifest = load_manifest(workdir)
+    del manifest["backend"], manifest["verify"]
+    _atomic_write_json(workdir / "manifest.json", manifest)
+    stored = [
+        {
+            "benchmark": name,
+            "design": "pim-capsnet",
+            "time_seconds": 1.0,
+            "energy_joules": 2.0,
+            "baseline_time_seconds": 4.0,
+            "baseline_energy_joules": 8.0,
+        }
+        for name in ("Caps-MN1", "Caps-SV1")
+    ]
+    outcome = {"cells": stored, "simulations": 4, "disk_hits": 0, "disk_misses": 4}
+    _atomic_write_json(
+        workdir / "done" / "shard-00000.json",
+        {"schema": 1, "shard": 0, "start": 0, "stop": 2, "worker": "old", "outcomes": [outcome] * 2},
+    )
+    assert run_worker(workdir, "w0")["shards_executed"] == 1
+
+    resumed = run_queued_sweep(
+        spec, workers=1, shard_size=2, cache_dir=tmp_path / "cache", workdir=workdir, resume=True
+    )
+    assert resumed.simulations_executed == 0
+    assert [cell._asdict() for cell in resumed.points[0].cells] == stored
+    assert resumed.points[1].cells[1].speedup == 4.0
+    reference = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "ref").run().to_dict()["points"]
+    points = resumed.to_dict()["points"]
+    assert [point["scenario"] for point in points] == [point["scenario"] for point in reference]
+    assert points[2:] == reference[2:]
+    with open(workdir / "done" / "shard-00001.json") as stream:
+        written = json.load(stream)["outcomes"]
+    assert [outcome["cells"] for outcome in written] == [
+        [cell._asdict() for cell in point.cells] for point in resumed.points[2:]
+    ]
 
 
 def test_concurrent_workers_never_double_execute_a_shard(tmp_path, spec):
@@ -216,7 +259,6 @@ def test_manifest_roundtrip_and_digest_stability(tmp_path, spec):
         shard_size=2,
         cache_dir=runner.cache_dir,
         use_cache=True,
-        cache_version=runner.cache_version,
     )
     assert rebuilt["digest"] == manifest["digest"]
 

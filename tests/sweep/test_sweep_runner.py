@@ -74,7 +74,6 @@ def test_executors_produce_identical_output(tmp_path, small_spec):
 def test_sweeps_run_in_process_without_a_process_pool(
     tmp_path, small_spec, monkeypatch
 ):
-    import repro.sweep.queue as queue_module
     import repro.sweep.runner as runner_module
     from repro.sweep import run_queued_sweep
 
@@ -85,8 +84,8 @@ def test_sweeps_run_in_process_without_a_process_pool(
     def no_process_pool(*args, **kwargs):
         raise OSError("process pools are unavailable on this platform")
 
+    # One pool helper serves both the --jobs chunks and the queue workers.
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_process_pool)
-    monkeypatch.setattr(queue_module, "ProcessPoolExecutor", no_process_pool)
     scalar = SweepRunner(
         small_spec, jobs=2, backend="scalar", cache_dir=tmp_path / "scalar"
     ).run()
@@ -101,15 +100,6 @@ def test_sweeps_run_in_process_without_a_process_pool(
     assert queued.executor_used == "queue-serial"
     assert scalar.format_report() == reference.format_report()
     assert queued.format_report() == reference.format_report()
-
-
-def test_schema_version_bump_invalidates_sweep_cache(tmp_path, small_spec):
-    SweepRunner(small_spec, jobs=1, cache_dir=tmp_path).run()
-    bumped = SweepRunner(
-        small_spec, jobs=1, cache_dir=tmp_path, cache_version=99
-    ).run()
-    assert bumped.cache.hits == 0
-    assert bumped.simulations_executed > 0
 
 
 def test_different_base_scenario_misses_the_cache(tmp_path, small_spec):
