@@ -1,6 +1,6 @@
 """Benchmark the sweep engine and record the result as BENCH_sweep.json.
 
-Times five configurations:
+Times six configurations:
 
 * ``cold_serial``   -- fixed reference grid, fresh cache, scalar path,
   ``jobs=1`` (the baseline the acceptance criteria compare against),
@@ -13,6 +13,8 @@ Times five configurations:
   with a long frequency axis) through the batched numpy backend, cache off:
   every cell is *computed*, yet the per-cell overhead must be >= 10x lower
   than the scalar warm path's.
+* ``vectorized_render`` -- ``format_report()`` of that grid's result: the
+  text report built column by column (recorded as context, not gated).
 * ``queue``         -- the reference grid through the sharded work queue
   with 2 workers, then resumed; the resumed run must execute zero
   simulations (everything comes from done-files + disk cache).
@@ -102,6 +104,10 @@ def _repeat_once(jobs: int) -> dict:
         runs["vectorized"] = _timed(
             VECTORIZED_SPEC, jobs=1, backend="vectorized", use_cache=False
         )
+        vectorized = runs["vectorized"][0]
+        start = time.perf_counter()
+        vectorized.format_report()
+        runs["vectorized_render"] = (vectorized, time.perf_counter() - start)
         # Sharded queue: cold with 2 workers, then a resume that must be free.
         for name, resume in (("queue_cold", False), ("queue_resume", True)):
             start = time.perf_counter()
@@ -199,6 +205,7 @@ def main() -> int:
         "vectorized_cells": vec_cells,
         "vectorized_seconds": vec_s,
         "vectorized_simulations": vec.simulations_executed,
+        "vectorized_render_seconds": seconds["vectorized_render"],
         "per_point_overhead_us": vectorized_us,
         "vectorized_overhead_ratio": overhead_ratio,
         "queue_workers": 2,

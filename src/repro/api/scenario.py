@@ -268,10 +268,17 @@ class Scenario:
         RMAS queue depth.  The scenario ``name`` is a label, and the
         ``workloads``/``benchmarks``/``designs`` selections only pick *which*
         simulations run, so none of them belong in a result cache key.
+        Neither do ``hmc.capacity_gb`` and ``gpu.memory_capacity_gb``: no
+        simulated time or energy reads them (the HMC capacity only sizes the
+        address mapping's histogram helpers), so scenarios that differ only
+        in capacity share one cache plane.  Restore them here once a model
+        reads them.
         """
         data = self.to_dict()
         for selection in ("name", "workloads", "benchmarks", "designs"):
             data.pop(selection)
+        del data["hmc"]["capacity_gb"]
+        del data["gpu"]["memory_capacity_gb"]
         return data
 
     def hardware_hash(self) -> str:
@@ -312,12 +319,16 @@ class Scenario:
         return digest
 
     def content_hash(self) -> str:
-        """Content hash (SHA-256 hex) of the whole scenario except its name."""
-        from repro.engine.diskcache import canonical_digest
+        """Content hash (SHA-256 hex) of the whole scenario except its name.
 
-        data = self.to_dict()
-        data.pop("name")
-        return canonical_digest(data)
+        Memoized like :meth:`hardware_hash`.
+        """
+        cached = self.__dict__.get("_content_hash")
+        if cached is None:
+            data = self.to_dict()
+            data.pop("name")
+            cached = self._memoize_digest("_content_hash", data)
+        return cached
 
     # ---------------------------------------------------------------- overrides
 

@@ -41,6 +41,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Callable,
@@ -54,6 +56,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.analysis.tables import format_columns
 from repro.api.scenario import Scenario
@@ -79,6 +83,34 @@ def default_worker_count() -> int:
     return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
 
 
+def speedup_of(baseline_seconds, seconds):
+    """Speedup of a design over the GPU baseline: ``baseline_seconds / seconds``.
+
+    A time ``<= 0`` gives ``inf``; a NaN time gives NaN.  Takes Python floats
+    or float64 arrays (then elementwise, with the same bits per element).
+    """
+    if isinstance(seconds, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(seconds <= 0, np.inf, baseline_seconds / seconds)
+    if seconds <= 0:
+        return float("inf")
+    return baseline_seconds / seconds
+
+
+def energy_saving_of(joules, baseline_joules):
+    """Fractional energy saving over the GPU baseline: ``1 - joules / baseline_joules``.
+
+    A baseline energy ``<= 0`` gives ``0.0``.  Takes Python floats or float64
+    arrays, like :func:`speedup_of`.
+    """
+    if isinstance(baseline_joules, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(baseline_joules <= 0, 0.0, 1.0 - joules / baseline_joules)
+    if baseline_joules <= 0:
+        return 0.0
+    return 1.0 - joules / baseline_joules
+
+
 class SweepCell(NamedTuple):
     """One ``(grid point, benchmark, design)`` measurement.
 
@@ -96,17 +128,13 @@ class SweepCell(NamedTuple):
 
     @property
     def speedup(self) -> float:
-        """Speedup of the design over the GPU baseline."""
-        if self.time_seconds <= 0:
-            return float("inf")
-        return self.baseline_time_seconds / self.time_seconds
+        """Speedup of the design over the GPU baseline (:func:`speedup_of`)."""
+        return speedup_of(self.baseline_time_seconds, self.time_seconds)
 
     @property
     def energy_saving(self) -> float:
-        """Fractional energy saving of the design over the GPU baseline."""
-        if self.baseline_energy_joules <= 0:
-            return 0.0
-        return 1.0 - self.energy_joules / self.baseline_energy_joules
+        """Fractional energy saving over the GPU baseline (:func:`energy_saving_of`)."""
+        return energy_saving_of(self.energy_joules, self.baseline_energy_joules)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form: the fields, then the speedup and energy saving."""
@@ -125,21 +153,6 @@ class SweepPoint:
     assignment: Dict[str, object]
     scenario_name: str
     cells: List[SweepCell] = field(default_factory=list)
-
-    def cell(self, benchmark: str, design: str) -> SweepCell:
-        """Look up one cell of this point."""
-        for cell in self.cells:
-            if cell.benchmark == benchmark and cell.design == design:
-                return cell
-        raise KeyError((benchmark, design))
-
-    def average_speedup(self, design: Optional[str] = None) -> float:
-        """Mean speedup across this point's benchmarks (one design)."""
-        design = design if design is not None else self.cells[0].design
-        speedups = [cell.speedup for cell in self.cells if cell.design == design]
-        if not speedups:
-            raise KeyError(design)
-        return sum(speedups) / len(speedups)
 
 
 @dataclass
@@ -178,44 +191,43 @@ class SweepResult:
         return list(seen)
 
     def format_report(self) -> str:
-        """Render the sweep as plain-text tables (grid data only)."""
+        """Render the sweep as plain-text tables (grid data only).
+
+        The tables are built from whole columns: the cells' float fields are
+        read into float64 arrays once, and the speedup, energy-saving and
+        per-point average columns are computed on those arrays.
+        """
         metric = "RP speedup" if self.spec.kind == "routing" else "end-to-end speedup"
         axis_headers = list(self.spec.axis_keys)
         # Axis values render in their grid-label form (312.5, 625), so one
         # axis column stays uniform when its values mix int and float.
         labels = [
-            [_format_value(point.assignment[key]) for key in axis_headers]
-            for point in self.points
+            [_format_value(point.assignment[key]) for point in self.points]
+            for key in axis_headers
         ]
-        cells = [cell for point in self.points for cell in point.cells]
-        # One column per axis, then per cell field: each point's axis labels
-        # repeat on every one of its cells.
-        axis_columns = [
-            [
-                label[axis]
-                for label, point in zip(labels, self.points)
-                for _ in point.cells
-            ]
-            for axis in range(len(axis_headers))
-        ]
+        counts = [len(point.cells) for point in self.points]
+        cells = list(chain.from_iterable(point.cells for point in self.points))
+        seconds, joules, baseline_seconds, baseline_joules = (
+            np.fromiter(map(itemgetter(index), cells), float, len(cells))
+            for index in range(2, 6)
+        )
+        speedups = speedup_of(baseline_seconds, seconds)
+        # Each point's axis labels repeat on every one of its cells.
         table = format_columns(
             axis_headers + ["Benchmark", "Design", "Speedup", "Energy saving"],
-            axis_columns
+            [list(chain.from_iterable(map(repeat, column, counts))) for column in labels]
             + [
-                [cell.benchmark for cell in cells],
-                [cell.design for cell in cells],
-                [cell.speedup for cell in cells],
-                [cell.energy_saving for cell in cells],
+                list(map(itemgetter(0), cells)),
+                list(map(itemgetter(1), cells)),
+                speedups.tolist(),
+                energy_saving_of(joules, baseline_joules).tolist(),
             ],
             title=f"Sweep {self.spec.name!r} -- {metric} over the GPU baseline",
         )
+        averages = _average_speedups(cells, speedups, counts, self.spec.designs)
         summary = format_columns(
             axis_headers + [f"avg {design}" for design in self.spec.designs],
-            [[label[axis] for label in labels] for axis in range(len(axis_headers))]
-            + [
-                [point.average_speedup(design) for point in self.points]
-                for design in self.spec.designs
-            ],
+            labels + [averages[design] for design in self.spec.designs],
             title=f"Per-point average {metric} ({len(self.benchmarks)} benchmarks)",
         )
         lines = [
@@ -284,6 +296,38 @@ class SweepResult:
             f"{self.elapsed_seconds:.2f}s ({self.executor_used}, jobs={self.jobs})"
             f"{failed}"
         )
+
+
+def _average_speedups(
+    cells: Sequence[SweepCell],
+    speedups: np.ndarray,
+    counts: Sequence[int],
+    designs: Sequence[str],
+) -> Dict[str, List[float]]:
+    """Each design's mean speedup at every point, over that point's cells.
+
+    ``cells`` are the points' cells in order (``counts[p]`` of point ``p``)
+    and ``speedups`` their speedups.  A point's cells of one design are
+    summed left to right from ``0.0`` in cell order on every Python version,
+    then divided by their count.  That is what ``sum()`` does through Python
+    3.11; from 3.12 ``sum()`` compensates its float additions, so there an
+    average can differ in its last bits from ``sum(speedups) / n``.  A point
+    without a cell of some design raises ``KeyError``.
+    """
+    distinct = list(dict.fromkeys(designs))
+    code = {design: index for index, design in enumerate(distinct)}
+    codes = np.fromiter(map(code.get, map(itemgetter(1), cells), repeat(-1)), np.intp, len(cells))
+    used = codes >= 0
+    slots = codes[used] * len(counts) + np.repeat(np.arange(len(counts)), counts)[used]
+    totals = np.zeros(len(distinct) * len(counts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(totals, slots, speedups[used])  # in index order: cell order
+    members = np.bincount(slots, minlength=totals.size).reshape(len(distinct), -1)
+    for design, row in zip(distinct, members):
+        if not row.all():
+            raise KeyError(design)
+    averages = totals.reshape(len(distinct), -1) / members
+    return {design: row.tolist() for design, row in zip(distinct, averages)}
 
 
 class SweepRunner:

@@ -49,7 +49,9 @@ vectorized sweep executes zero simulations.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Tuple
+import functools
+from itertools import chain, repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -379,34 +381,42 @@ def _evaluate_plane(
             times[k, found[k]] = arrays.time_seconds
             energies[k, found[k]] = arrays.energy_joules
 
-    # The only per-point Python cost of the whole backend: it must only
-    # index lists.
+    # The plane's cells, built from point-major columns in one pass: each
+    # cell is a tuple made without a Python frame of its own, and a point's
+    # baseline floats are shared by that benchmark's designs.  Slicing the
+    # cells per point is the only per-point Python cost of the backend.
     from repro.sweep.runner import SweepCell  # the runner imports this module
 
-    time_rows = times.tolist()
-    energy_rows = energies.tolist()
-    misses = fresh.sum(axis=0).tolist()
-    per_name = len(cell_designs)
     design_names = [str(design) for design in cell_designs[1:]]
+    rows = np.arange(len(pairs)).reshape(len(names), len(cell_designs))
+    design_rows, baseline_rows = rows[:, 1:].ravel(), rows[:, 0]
+    width = len(design_rows)  # cells per point
+
+    def by_point(values: np.ndarray, selected: np.ndarray) -> List[float]:
+        """The ``selected`` rows' values, point after point."""
+        return values[selected].T.ravel().tolist()
+
+    def per_design(values: List[float]) -> Iterator[float]:
+        """Each of a point's baseline floats once per design."""
+        return chain.from_iterable(map(repeat, values, repeat(len(design_names))))
+
+    cells = list(
+        map(
+            functools.partial(tuple.__new__, SweepCell),
+            zip(
+                [name for name in names for _ in design_names] * count,
+                design_names * (len(names) * count),
+                by_point(times, design_rows),
+                by_point(energies, design_rows),
+                per_design(by_point(times, baseline_rows)),
+                per_design(by_point(energies, baseline_rows)),
+            ),
+        )
+    )
+    misses = fresh.sum(axis=0).tolist()
     for i in range(count):
-        cells = []
-        for b, name in enumerate(names):
-            base_row = b * per_name
-            baseline_time = time_rows[base_row][i]
-            baseline_energy = energy_rows[base_row][i]
-            for d, design_name in enumerate(design_names, start=base_row + 1):
-                cells.append(
-                    SweepCell(
-                        name,
-                        design_name,
-                        time_rows[d][i],
-                        energy_rows[d][i],
-                        baseline_time,
-                        baseline_energy,
-                    )
-                )
         outcomes[positions[i]] = {
-            "cells": cells,
+            "cells": cells[i * width : (i + 1) * width],
             "simulations": misses[i],
             "disk_hits": len(pairs) - misses[i] if cache is not None else 0,
             "disk_misses": misses[i] if cache is not None else 0,

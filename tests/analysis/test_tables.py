@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -137,3 +138,81 @@ def test_format_columns_rejects_ragged_or_missing_columns():
         format_columns(["a", "b"], [[1, 2], [3]])
     with pytest.raises(ValueError):
         format_columns(["a", "b"], [[1, 2]])
+
+
+# ------------------------------------------------ typed, column-at-a-time path
+
+
+def _around(value):
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+#: Floats at every boundary of the cell format, with both signs: the 0.001
+#: and 1000 thresholds, the value that rounds up to 1000.000, signed zeros,
+#: the subnormal range and the non-finite values.
+TYPED_EDGES = [
+    sign * value
+    for sign in (1.0, -1.0)
+    for value in (
+        _around(0.001) + _around(1000.0) + _around(999.9995)
+        + [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+        + [math.inf, math.nan]
+    )
+]
+
+
+def _from_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+FLOAT_CELLS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(_from_bits),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from(TYPED_EDGES),
+)
+
+
+class Label(str):
+    """A ``str`` subclass: its columns convert cell by cell."""
+
+    def __str__(self):
+        return f"<{str.__str__(self)}>"
+
+
+#: One strategy per column type: every cell of a drawn column has that type.
+COLUMN_CELLS = {
+    "float": FLOAT_CELLS,
+    "str": st.one_of(st.just(""), st.text(max_size=6)),
+    "str and subclass": st.one_of(st.just(""), st.text(max_size=6), st.text(max_size=6).map(Label)),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "np.float64": FLOAT_CELLS.map(np.float64),
+    "mixed": CELLS,
+}
+
+
+@st.composite
+def typed_tables(draw):
+    """Columns of one type each, as short as an experiment table or as long as a sweep's."""
+    height = draw(st.sampled_from([0, 1, 2, 12, 36, 48, 101]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=4))
+    columns = [
+        draw(st.lists(COLUMN_CELLS[kind], min_size=height, max_size=height)) for kind in kinds
+    ]
+    headers = draw(st.lists(st.text(max_size=8), min_size=len(kinds), max_size=len(kinds)))
+    return headers, columns, draw(st.text(max_size=10))
+
+
+@given(typed_tables())
+def test_typed_columns_match_the_per_cell_reference(table):
+    headers, columns, title = table
+    rows = [list(row) for row in zip(*columns)]
+    assert format_columns(headers, columns, title) == _reference_table(headers, rows, title)
+
+
+def test_long_float_columns_format_like_the_per_cell_rule():
+    bits = np.random.default_rng(0).integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    column = TYPED_EDGES + bits.view(np.float64).tolist()
+    expected = _reference_table(["value"], [[value] for value in column])
+    assert format_columns(["value"], [column]) == expected

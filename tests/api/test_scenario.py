@@ -33,6 +33,33 @@ def test_scenarios_are_frozen_and_hashable():
     assert hash(scenario) != hash(scenario.with_overrides({"pipeline_batches": 16}))
 
 
+def test_content_hash_is_memoized_and_never_stale():
+    import pickle
+
+    from repro.engine.diskcache import canonical_digest
+
+    scenario = Scenario.default().with_set(["hmc.pe_frequency_mhz=625"])
+    digest = scenario.content_hash()
+    assert scenario.__dict__["_content_hash"] == digest
+    assert scenario.content_hash() is digest  # the stored digest, not a new one
+    fresh = Scenario.from_dict(scenario.to_dict())
+    assert "_content_hash" not in fresh.__dict__
+    assert fresh.content_hash() == digest
+    payload = scenario.to_dict()
+    payload.pop("name")
+    assert digest == canonical_digest(payload)
+    # Derived scenarios are built anew: none carries the stored digest.
+    for derived in (
+        dataclasses.replace(scenario, pipeline_batches=16),
+        scenario.with_set(["hmc.pe_frequency_mhz=937.5"]),
+    ):
+        assert "_content_hash" not in derived.__dict__
+        assert derived.content_hash() != digest
+    assert dataclasses.replace(scenario, name="renamed").content_hash() == digest
+    copied = pickle.loads(pickle.dumps(scenario))
+    assert copied == scenario and copied.content_hash() == digest
+
+
 def test_to_dict_from_dict_round_trip():
     scenario = Scenario(
         name="custom",

@@ -84,12 +84,49 @@ def test_unknown_result_types_are_uncacheable():
 # ----------------------------------------------------------------- hashing
 
 
+#: Scenario keys that no simulated time or energy reads, so they stay out of
+#: the cache key (``Scenario.hardware_dict``).
+UNREAD_KEYS = {"hmc.capacity_gb": 32.0, "gpu.memory_capacity_gb": 4.0}
+
+
 def test_scenario_hash_ignores_name_and_selections():
     base = Scenario.default()
     renamed = dataclasses.replace(base, name="elsewhere")
     selected = dataclasses.replace(base, benchmarks=("Caps-MN1",))
     assert base.hardware_hash() == renamed.hardware_hash()
     assert base.hardware_hash() == selected.hardware_hash()
+    for key, value in UNREAD_KEYS.items():
+        resized = base.with_overrides({key: value})
+        assert resized != base
+        assert base.hardware_hash() == resized.hardware_hash()
+        assert base.plane_hash() == resized.plane_hash()
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_KEYS))
+def test_capacity_keys_change_no_simulated_result(key):
+    # Guard for leaving them out of the cache key: the day a model reads one
+    # of them, this fails, and hardware_dict must hash it again.
+    from repro.engine.strategies import strategy_names
+
+    base = SimulationContext(scenario=Scenario.default())
+    resized = SimulationContext(
+        scenario=Scenario.default().with_overrides({key: UNREAD_KEYS[key]})
+    )
+    for name in ("Caps-MN1", "Caps-EN1"):
+        for design in strategy_names():
+            assert resized.routing(name, design) == base.routing(name, design)
+            assert resized.end_to_end(name, design) == base.end_to_end(name, design)
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_KEYS))
+def test_capacity_sweep_points_share_cache_entries(tmp_path, key):
+    spec = SweepSpec.from_axes({key: [8.0, 16.0]}, benchmarks=("Caps-MN1",))
+    runner = SweepRunner(spec, jobs=1, backend="scalar", cache_dir=tmp_path)
+    first, second = runner.evaluate(spec.assignments())[0]
+    assert first["simulations"] > 0
+    assert second["simulations"] == 0
+    assert second["disk_misses"] == 0
+    assert second["cells"] == first["cells"]
 
 
 def test_scenario_hash_tracks_hardware():
