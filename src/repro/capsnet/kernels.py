@@ -42,8 +42,7 @@ regression tests compare against those naive forms directly.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +55,7 @@ __all__ = [
     "capsule_input_gradient",
     "capsule_weight_gradient",
     "col2im",
+    "col2im_indices",
     "conv_output_size",
     "im2col",
     "predict_vectors",
@@ -80,8 +80,21 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _buffer(buffer: Optional[np.ndarray], shape: Tuple[int, ...], name: str) -> np.ndarray:
+    """``buffer`` checked to hold ``shape`` in place, or a fresh array when ``None``."""
+    if buffer is None:
+        return np.empty(shape, dtype=np.float32)
+    if buffer.shape != shape or buffer.dtype != np.float32 or not buffer.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous float32 array of shape {shape}")
+    return buffer
+
+
 def im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: int,
+    padding: int,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold image patches into columns.
 
@@ -90,6 +103,9 @@ def im2col(
         kernel: ``(kh, kw)``.
         stride: stride in both dimensions.
         padding: zero padding in both dimensions.
+        out: a C-contiguous float32 array of the columns' shape to write
+            them into (a layer's reused workspace); a fresh one when omitted.
+            The unfold is pure data movement, so both give the same values.
 
     Returns:
         ``(columns, (out_h, out_w))`` where columns has shape
@@ -115,53 +131,38 @@ def im2col(
         ),
         writeable=False,
     )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, channels * kh * kw)
-    return np.ascontiguousarray(cols, dtype=np.float32), (out_h, out_w)
+    cols = _buffer(out, (batch, out_h * out_w, channels * kh * kw), "im2col out")
+    np.copyto(
+        cols.reshape(batch, out_h, out_w, channels, kh, kw), windows.transpose(0, 2, 3, 1, 4, 5)
+    )
+    return cols, (out_h, out_w)
 
 
-#: Flat scatter indices per convolution geometry, so repeated backward passes
-#: through the same layer never rebuild them.  Keyed by the full geometry
-#: (including batch size -- the final training batch of an epoch may be
-#: smaller).  Entries weigh ~8x the cols array they serve, so the cache is a
-#: bounded LRU: one experiment run touches a handful of geometries, but a
-#: long-lived process sweeping many workloads must not accumulate them
-#: forever.
-_COL2IM_INDEX_CACHE: "OrderedDict[Tuple[int, int, int, int, int, int, int, int, int], np.ndarray]" = (
-    OrderedDict()
-)
-
-#: Upper bound on cached scatter-index geometries (LRU-evicted beyond it).
-_COL2IM_INDEX_CACHE_SIZE = 32
-
-
-def _col2im_indices(
-    batch: int,
-    channels: int,
-    padded_h: int,
-    padded_w: int,
-    out_h: int,
-    out_w: int,
+def col2im_indices(
+    input_shape: Tuple[int, int, int, int],
     kernel: Tuple[int, int],
     stride: int,
+    padding: int,
 ) -> np.ndarray:
-    """Cached flat scatter indices mapping ``(b, c, kh, kw, oh, ow)`` -> pixel."""
+    """Flat scatter indices of :func:`col2im`: ``(b, c, kh, kw, oh, ow)`` -> pixel.
+
+    They depend on the geometry alone (batch size included: the last batch
+    of an epoch may be smaller), and weigh ~2x the columns they scatter, so
+    a layer builds them once per input shape and passes them to every call.
+    """
+    batch, channels, height, width = input_shape
     kh, kw = kernel
-    key = (batch, channels, padded_h, padded_w, out_h, out_w, kh, kw, stride)
-    indices = _COL2IM_INDEX_CACHE.get(key)
-    if indices is None:
-        i = np.arange(kh)[:, None, None, None]
-        j = np.arange(kw)[None, :, None, None]
-        oh = np.arange(out_h)[None, None, :, None]
-        ow = np.arange(out_w)[None, None, None, :]
-        spatial = ((i + stride * oh) * padded_w + (j + stride * ow)).reshape(-1)
-        planes = np.arange(batch * channels, dtype=np.intp) * (padded_h * padded_w)
-        indices = (planes[:, None] + spatial[None, :]).reshape(-1).astype(np.intp, copy=False)
-        _COL2IM_INDEX_CACHE[key] = indices
-        while len(_COL2IM_INDEX_CACHE) > _COL2IM_INDEX_CACHE_SIZE:
-            _COL2IM_INDEX_CACHE.popitem(last=False)
-    else:
-        _COL2IM_INDEX_CACHE.move_to_end(key)
-    return indices
+    out_h = conv_output_size(height, kh, stride, padding)
+    out_w = conv_output_size(width, kw, stride, padding)
+    padded_h = height + 2 * padding
+    padded_w = width + 2 * padding
+    i = np.arange(kh)[:, None, None, None]
+    j = np.arange(kw)[None, :, None, None]
+    oh = np.arange(out_h)[None, None, :, None]
+    ow = np.arange(out_w)[None, None, None, :]
+    spatial = ((i + stride * oh) * padded_w + (j + stride * ow)).reshape(-1)
+    planes = np.arange(batch * channels, dtype=np.intp) * (padded_h * padded_w)
+    return (planes[:, None] + spatial[None, :]).reshape(-1).astype(np.intp, copy=False)
 
 
 def col2im(
@@ -170,6 +171,10 @@ def col2im(
     kernel: Tuple[int, int],
     stride: int,
     padding: int,
+    *,
+    indices: Optional[np.ndarray] = None,
+    contributions: Optional[np.ndarray] = None,
+    padded: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Fold column gradients back into an image gradient (inverse of :func:`im2col`).
 
@@ -185,26 +190,35 @@ def col2im(
     and ``ufunc.at`` applies them sequentially, so every target pixel
     accumulates its overlapping contributions in exactly the loop's
     ``(i, j)`` order -- the result is bit-identical, not just close.
+
+    A caller that folds the same geometry repeatedly passes its own arrays:
+    ``indices`` from :func:`col2im_indices`, ``contributions`` of shape
+    ``(batch, channels, kh, kw, out_h, out_w)`` and ``padded`` of shape
+    ``(batch, channels, height + 2*padding, width + 2*padding)``, both
+    C-contiguous float32.  Each is built fresh when omitted.  The result is
+    ``padded`` (or its interior view), so it is overwritten by the next call
+    through the same arrays.
     """
     batch, channels, height, width = input_shape
     kh, kw = kernel
     out_h = conv_output_size(height, kh, stride, padding)
     out_w = conv_output_size(width, kw, stride, padding)
-    padded_h = height + 2 * padding
-    padded_w = width + 2 * padding
-    indices = _col2im_indices(
-        batch, channels, padded_h, padded_w, out_h, out_w, kernel, stride
+    if indices is None:
+        indices = col2im_indices(input_shape, kernel, stride, padding)
+    ordered = _buffer(
+        contributions, (batch, channels, kh, kw, out_h, out_w), "col2im contributions"
     )
-    contributions = np.ascontiguousarray(
-        cols.reshape(batch, out_h, out_w, channels, kh, kw).transpose(0, 3, 4, 5, 1, 2),
-        dtype=np.float32,
-    ).reshape(-1)
-    padded = np.zeros(batch * channels * padded_h * padded_w, dtype=np.float32)
-    np.add.at(padded, indices, contributions)
-    padded = padded.reshape(batch, channels, padded_h, padded_w)
+    np.copyto(
+        ordered, cols.reshape(batch, out_h, out_w, channels, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    )
+    image = _buffer(
+        padded, (batch, channels, height + 2 * padding, width + 2 * padding), "col2im padded"
+    )
+    image.fill(0)
+    np.add.at(image.reshape(-1), indices, ordered.reshape(-1))
     if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        return image[:, :, padding:-padding, padding:-padding]
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,7 @@ class CapsNet:
         )
 
         self.decoder_layers: List[Layer] = []
+        self._decoder_mask: Optional[np.ndarray] = None
         if config.use_decoder:
             decoder_input = config.num_classes * config.class_caps_dim
             sizes = config.decoder.layer_sizes(decoder_input, config.num_pixels)
@@ -321,8 +322,13 @@ class CapsNet:
         )
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Return class predictions for a batch of images (no decoder)."""
-        return self.forward(images, run_decoder=False).predictions
+        """Return class predictions for a batch of images (no decoder).
+
+        The same values as ``forward(images, run_decoder=False).predictions``,
+        computed through the layers' ``infer`` steps, so no layer keeps
+        anything of the batch.
+        """
+        return self.predictions_from_pre_squash(self.primary_pre_squash(images))
 
     # -- split inference (multi-context evaluation) ---------------------------
 
@@ -333,21 +339,22 @@ class CapsNet:
         FP32 convolution arithmetic and therefore computes identical values
         under every :class:`~repro.arithmetic.context.MathContext`; the
         Table-5 evaluation computes it once per batch and shares it across
-        the exact / approximate / recovered contexts.
+        the exact / approximate / recovered contexts.  Each convolution frees
+        its columns before the next one builds its own.
         """
         images = np.asarray(images, dtype=np.float32)
-        features = self.relu.forward(self.conv.forward(images))
-        return self.primary.capsules_pre_squash(self.primary.conv.forward(features))
+        features = self.relu.infer(self.conv.infer(images))
+        return self.primary.capsules_pre_squash(self.primary.conv.infer(features))
 
     def predictions_from_pre_squash(self, pre_squash: np.ndarray) -> np.ndarray:
         """The context-dependent head: squash, routing, and the class argmax.
 
         Combined with :meth:`primary_pre_squash` this computes exactly what
-        :meth:`predict` computes (bit-identical), just split at the trunk
-        boundary.
+        ``forward`` computes for the predictions (bit-identical), just split
+        at the trunk boundary.
         """
         low = self.primary.context.squash(pre_squash, axis=-1)
-        high = self.class_caps.forward(low)
+        high = self.class_caps.infer(low)
         lengths = F.capsule_lengths(high)
         return np.argmax(lengths, axis=1)
 
@@ -379,6 +386,16 @@ class CapsNet:
         """Reset gradients of every trainable layer."""
         for layer in self.trainable_layers:
             layer.zero_grads()
+
+    def release(self) -> None:
+        """Drop every layer's backward cache and workspace (parameters stay).
+
+        :meth:`repro.capsnet.training.Trainer.fit` calls this when training
+        ends, so a trained model holds its parameters and gradients only.
+        """
+        for layer in [self.conv, self.relu, self.primary, self.class_caps, *self.decoder_layers]:
+            layer.release()
+        self._decoder_mask = None
 
     def backward_from_losses(
         self,
@@ -460,7 +477,9 @@ def evaluate_accuracies(
     contexts (:meth:`CapsNet.with_context`).  The context-independent
     convolution trunk is computed once per batch and reused for every
     context, which is where most of the evaluation time goes; the result is
-    bit-identical to calling :meth:`CapsNet.accuracy` once per model.
+    bit-identical to calling :meth:`CapsNet.accuracy` once per model.  Both
+    halves run the layers' ``infer`` steps, so no model keeps anything of a
+    batch once its predictions are counted.
     """
     labels = np.asarray(labels)
     first = next(iter(models.values()))

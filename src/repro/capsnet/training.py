@@ -187,6 +187,10 @@ class Trainer:
     ) -> TrainingResult:
         """Train on the dataset's training split and evaluate on the test split.
 
+        When training ends the model drops its step caches and workspaces
+        (:meth:`~repro.capsnet.model.CapsNet.release`), so it returns holding
+        its parameters and gradients only.
+
         Args:
             dataset: the synthetic dataset to fit.
             epochs: full passes over the training split.
@@ -201,14 +205,19 @@ class Trainer:
             raise ValueError("epochs must be >= 1")
         rng = np.random.default_rng(self.seed)
         epoch_losses: List[float] = []
-        for epoch in range(epochs):
-            losses: List[float] = []
-            for images, _, onehot in dataset.train_batches(batch_size, rng=rng):
-                losses.append(self.train_step(images, onehot))
-            epoch_loss = float(np.mean(losses)) if losses else 0.0
-            epoch_losses.append(epoch_loss)
-            if verbose:  # pragma: no cover - logging only
-                print(f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f}")
+        try:
+            for epoch in range(epochs):
+                losses: List[float] = []
+                for images, _, onehot in dataset.train_batches(batch_size, rng=rng):
+                    losses.append(self.train_step(images, onehot))
+                epoch_loss = float(np.mean(losses)) if losses else 0.0
+                epoch_losses.append(epoch_loss)
+                if verbose:  # pragma: no cover - logging only
+                    print(f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f}")
+        finally:
+            # The step caches and workspaces are dead once training ends;
+            # evaluation (here or the caller's) must not stack on them.
+            self.model.release()
 
         if evaluate:
             train_acc = self.model.accuracy(dataset.train_images, dataset.train_labels)

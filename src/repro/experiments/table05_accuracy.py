@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.tables import format_table
@@ -162,6 +162,34 @@ def training_cache_key(
     }
 
 
+def _train_and_evaluate(
+    spec: DatasetSpec,
+    model_config: CapsNetConfig,
+    epochs: int,
+    num_train: int,
+    num_test: int,
+    seed: int,
+    eval_contexts: Dict[str, MathContext],
+) -> Tuple[CapsNet, Dict[str, float]]:
+    """Train one dataset's CapsNet; return it with its accuracy per context.
+
+    The dataset, the trainer's optimizer state and the evaluation clones are
+    local, so they are freed when this returns.
+    """
+    dataset = dataset_for_spec(spec, num_train=num_train, num_test=num_test, seed=seed)
+    model = CapsNet(model_config, context=MathContext.exact(), seed=seed)
+    trainer = Trainer(model, seed=seed, **TRAINER_KWARGS)
+    # The experiment evaluates below (sharing the conv trunk across
+    # contexts), so fit's own train/test evaluation passes would be dead work.
+    trainer.fit(dataset, epochs=epochs, batch_size=16, evaluate=False)
+    test_images, test_labels = dataset.test_set()
+    eval_models = {
+        label: model.with_context(math_context)
+        for label, math_context in eval_contexts.items()
+    }
+    return model, evaluate_accuracies(eval_models, test_images, test_labels)
+
+
 def run(
     benchmarks: Optional[List[str]] = None,
     epochs: int = 4,
@@ -221,25 +249,15 @@ def run(
             if artifact is not None:
                 accuracies = artifact.accuracies
             else:
-                dataset = dataset_for_spec(
-                    spec, num_train=n_train, num_test=n_test, seed=seed
+                model, accuracies = _train_and_evaluate(
+                    spec, model_config, epochs, n_train, n_test, seed, eval_contexts
                 )
-                model = CapsNet(model_config, context=MathContext.exact(), seed=seed)
-                trainer = Trainer(model, seed=seed, **TRAINER_KWARGS)
-                # The experiment evaluates below (sharing the conv trunk
-                # across contexts), so fit's own train/test evaluation
-                # passes would be dead work.
-                trainer.fit(dataset, epochs=epochs, batch_size=16, evaluate=False)
-                test_images, test_labels = dataset.test_set()
-                eval_models = {
-                    label: model.with_context(math_context)
-                    for label, math_context in eval_contexts.items()
-                }
-                accuracies = evaluate_accuracies(eval_models, test_images, test_labels)
                 if model_cache is not None:
                     model_cache.put(
                         cache_key, state=model.state_dict(), accuracies=accuracies
                     )
+                # The next dataset trains without this one's weights alive.
+                del model
             accuracies_by_spec[spec] = accuracies
 
         rows.append(

@@ -180,16 +180,6 @@ class SweepResult:
     #: report and dict renderings are byte-identical to pre-fault builds.
     failed_shards: List[dict] = field(default_factory=list)
 
-    @property
-    def benchmarks(self) -> List[str]:
-        """Benchmarks evaluated at every point (grid order of the first)."""
-        if not self.points:
-            return []
-        seen: Dict[str, None] = {}
-        for cell in self.points[0].cells:
-            seen.setdefault(cell.benchmark, None)
-        return list(seen)
-
     def format_report(self) -> str:
         """Render the sweep as plain-text tables (grid data only).
 
@@ -228,7 +218,7 @@ class SweepResult:
         summary = format_columns(
             axis_headers + [f"avg {design}" for design in self.spec.designs],
             labels + [averages[design] for design in self.spec.designs],
-            title=f"Per-point average {metric} ({len(self.benchmarks)} benchmarks)",
+            title=f"Per-point average {metric} ({_benchmark_count(self.points)} benchmarks)",
         )
         lines = [
             f"Base scenario: {self.base.describe()}",
@@ -296,6 +286,17 @@ class SweepResult:
             f"{self.elapsed_seconds:.2f}s ({self.executor_used}, jobs={self.jobs})"
             f"{failed}"
         )
+
+
+def _benchmark_count(points: Sequence[SweepPoint]) -> str:
+    """How many benchmarks each point averages: one count, or ``low-high``.
+
+    A ``benchmarks`` axis can give points different selections, so the
+    per-point average table's title names the range when they differ.
+    """
+    counts = [len(set(map(itemgetter(0), point.cells))) for point in points]
+    low, high = min(counts, default=0), max(counts, default=0)
+    return str(low) if low == high else f"{low}-{high}"
 
 
 def _average_speedups(

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.capsnet import kernels
+from repro.capsnet.layers import Conv2D
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,23 @@ CONV_GEOMETRIES = [
     (2, 3, 6, 6, 1, 1, 0),
 ]
 
+#: The Table-5 convolutions at the training batch (16) and at a ragged last
+#: batch (EMNIST-BALANCED trains 376 = 23 x 16 + 8 images), with the output
+#: channel count of their layer: conv1 on 28x28 / 32x32 inputs (24 channels)
+#: and PrimaryCaps (2 capsule channels x 8D = 16 channels).
+TABLE5_CONV_GEOMETRIES = [
+    # (batch, channels, height, width, kernel, stride, padding, out_channels)
+    (16, 1, 28, 28, 9, 1, 0, 24),
+    (16, 3, 32, 32, 9, 1, 0, 24),
+    (16, 24, 20, 20, 9, 2, 0, 16),
+    (16, 24, 24, 24, 9, 2, 0, 16),
+    (8, 24, 20, 20, 9, 2, 0, 16),
+]
+
+#: Every convolution the reused-buffer gates cover (7 output channels for
+#: the coverage geometries).
+BUFFER_GEOMETRIES = [(*geometry, 7) for geometry in CONV_GEOMETRIES] + TABLE5_CONV_GEOMETRIES
+
 #: Capsule contraction shapes: the Table-5 models (L in {72, 128}, J in
 #: {10, 26, 47, 62}) plus small odd shapes; batch 16 (training), 64 (eval)
 #: and ragged remainders.
@@ -185,15 +203,121 @@ def test_col2im_bit_exact_vs_naive_loop(geometry):
     assert np.array_equal(fast, ref)
 
 
+def _buffer_case(geometry, seed):
+    """Input, column gradient and ``(out_h, out_w)`` for one buffer geometry."""
+    batch, channels, height, width, kernel, stride, padding, _ = geometry
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    rng = np.random.default_rng([seed, *geometry])
+    x = rng.standard_normal((batch, channels, height, width)).astype(np.float32)
+    cols = (rng.standard_normal((batch, out_h * out_w, channels * kernel * kernel)) * 0.5).astype(
+        np.float32
+    )
+    return x, cols, (out_h, out_w)
+
+
+@pytest.mark.parametrize("geometry", BUFFER_GEOMETRIES)
+def test_im2col_through_a_reused_buffer_is_bit_exact(geometry):
+    *_, kernel, stride, padding, _ = geometry
+    _, cols, (out_h, out_w) = _buffer_case(geometry, 1)
+    buffer = np.full(cols.shape, np.nan, dtype=np.float32)
+    # The second call writes different data over the first one's columns.
+    for seed in (1, 2):
+        x, _, _ = _buffer_case(geometry, seed)
+        reused, hw = kernels.im2col(x, (kernel, kernel), stride, padding, out=buffer)
+        assert reused is buffer and hw == (out_h, out_w)
+        fresh, _ = kernels.im2col(x, (kernel, kernel), stride, padding)
+        ref, _ = naive_im2col(x, (kernel, kernel), stride, padding)
+        assert np.array_equal(reused, fresh)
+        assert np.array_equal(reused, ref)
+
+
+@pytest.mark.parametrize("geometry", BUFFER_GEOMETRIES)
+def test_col2im_through_reused_buffers_is_bit_exact(geometry):
+    batch, channels, height, width, kernel, stride, padding, _ = geometry
+    shape = (batch, channels, height, width)
+    _, _, (out_h, out_w) = _buffer_case(geometry, 1)
+    indices = kernels.col2im_indices(shape, (kernel, kernel), stride, padding)
+    contributions = np.full((batch, channels, kernel, kernel, out_h, out_w), np.nan, np.float32)
+    padded = np.full((batch, channels, height + 2 * padding, width + 2 * padding), np.nan, np.float32)
+    for seed in (1, 2):
+        _, cols, _ = _buffer_case(geometry, seed)
+        reused = kernels.col2im(
+            cols,
+            shape,
+            (kernel, kernel),
+            stride,
+            padding,
+            indices=indices,
+            contributions=contributions,
+            padded=padded,
+        )
+        assert np.shares_memory(reused, padded)
+        fresh = kernels.col2im(cols, shape, (kernel, kernel), stride, padding)
+        assert np.array_equal(reused, fresh)
+        assert np.array_equal(reused, naive_col2im(cols, shape, (kernel, kernel), stride, padding))
+
+
+@pytest.mark.parametrize("geometry", BUFFER_GEOMETRIES)
+def test_grad_cols_matmul_into_a_buffer_is_bit_exact(geometry):
+    """Conv2D.backward's ``np.matmul(..., out=)`` returns the bits of ``@``."""
+    batch, channels, _, _, kernel, _, _, out_channels = geometry
+    _, cols, (out_h, out_w) = _buffer_case(geometry, 1)
+    buffer = np.full(cols.shape, np.nan, dtype=np.float32)
+    for seed in (1, 2):
+        rng = np.random.default_rng([seed, *geometry])
+        grad_cols_out = rng.standard_normal((batch, out_h * out_w, out_channels)).astype(np.float32)
+        weight = rng.standard_normal((out_channels, channels * kernel * kernel)).astype(np.float32)
+        reused = np.matmul(grad_cols_out, weight, out=buffer)
+        assert reused is buffer
+        assert np.array_equal(reused, grad_cols_out @ weight)
+
+
+def _conv_step(conv, x, grad):
+    """One forward/backward through the layer, and the same step from fresh kernels."""
+    conv.zero_grads()
+    out = conv.forward(x)
+    grad_input = conv.backward(grad).copy()
+    kernel = (conv.kernel_size, conv.kernel_size)
+    cols, (out_h, out_w) = kernels.im2col(x, kernel, conv.stride, conv.padding)
+    weight = conv.params["weight"].reshape(conv.out_channels, -1)
+    expected_out = (cols @ weight.T + conv.params["bias"]).reshape(
+        x.shape[0], out_h, out_w, -1
+    ).transpose(0, 3, 1, 2)
+    grad_cols_out = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(
+        x.shape[0], out_h * out_w, -1
+    )
+    expected_input = naive_col2im(
+        grad_cols_out @ weight, x.shape, kernel, conv.stride, conv.padding
+    )
+    expected_weight = np.einsum("bpo,bpk->ok", grad_cols_out, cols)
+    assert np.array_equal(out, expected_out)
+    assert np.array_equal(grad_input, expected_input)
+    assert np.array_equal(conv.grads["weight"].reshape(conv.out_channels, -1), expected_weight)
+
+
 def test_col2im_index_cache_is_reused_and_correct():
-    shape = (2, 3, 12, 12)
-    out = (12 + 2 * 1 - 3) // 2 + 1
-    cols = np.random.default_rng(0).standard_normal((2, out * out, 3 * 9)).astype(np.float32)
-    first = kernels.col2im(cols, shape, (3, 3), 2, 1)
-    second = kernels.col2im(cols, shape, (3, 3), 2, 1)
-    assert np.array_equal(first, second)
-    key = (2, 3, 14, 14, out, out, 3, 3, 2)
-    assert key in kernels._COL2IM_INDEX_CACHE
+    """The scatter indices live on the layer, one entry per input shape."""
+    rng = np.random.default_rng(0)
+    conv = Conv2D(3, 5, kernel_size=3, stride=2, padding=1, rng=rng)
+    full, ragged = (2, 3, 12, 12), (1, 3, 12, 12)
+
+    def step(shape):
+        x = rng.standard_normal(shape).astype(np.float32)
+        grad = rng.standard_normal((shape[0], 5, 6, 6)).astype(np.float32)
+        _conv_step(conv, x, grad)
+
+    step(full)
+    indices = conv._workspace[("indices", full)]
+    step(full)
+    assert conv._workspace[("indices", full)] is indices
+    # An epoch's smaller last batch gets its own entry and keeps the first.
+    step(ragged)
+    step(full)
+    assert conv._workspace[("indices", full)] is indices
+    assert ("indices", ragged) in conv._workspace
+    conv.release()
+    assert not conv._workspace and conv._cache is None
 
 
 def test_im2col_col2im_round_trip_counts_contributions():
