@@ -263,15 +263,16 @@ class CapsNet:
         its own layer caches and gradients, so the Table-5 experiments can
         evaluate one set of trained weights under the exact and approximate
         PE arithmetics without rebuilding or reloading a network per context.
+        The clone's gradient dicts start empty: evaluation never reads them,
+        and :meth:`zero_grads` (called by every training step) allocates
+        them should the clone ever be trained.
         """
         clone = CapsNet(self.config, context=context, init_weights=False)
         for mine, theirs in zip(self._parameterized_layers(), clone._parameterized_layers()):
             theirs.params = mine.params
-            theirs.zero_grads()
         # PrimaryCaps aliases its inner convolution's parameter dict; re-link
         # the clone's inner conv to the shared dict as well.
         clone.primary.conv.params = clone.primary.params
-        clone.primary.conv.grads = clone.primary.grads
         return clone
 
     # -- inference ------------------------------------------------------------

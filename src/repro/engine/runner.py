@@ -40,8 +40,10 @@ class RunnerResult:
         """Structured output of every executed experiment, in report order.
 
         Built once and shared by later calls, so treat it as read-only:
-        serve answers every repeat of a memoized run from the same result,
-        and lowering it is most of a warm request's work.
+        every session sharing a memoized run reads the same dict.  Serve
+        lowers and encodes a memoized run's reply once per warm session and
+        answers repeats from those bytes, so lowering is no longer part of a
+        warm request's work.
         """
         if self._dict is None:
             self._dict = {

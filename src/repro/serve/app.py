@@ -89,6 +89,11 @@ _POST_PATHS = ("/v1/run", "/v1/compare", "/v1/sweep", "/v1/optimize")
 # ----------------------------------------------------------- request parsing
 
 
+def encode_json(payload: object) -> bytes:
+    """The body of a JSON reply: ``payload`` dumped, newline-terminated."""
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
 def _check_fields(body: Mapping, allowed: Sequence[str], endpoint: str) -> None:
     unknown = sorted(set(body) - set(allowed))
     if unknown:
@@ -225,11 +230,12 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         payload: object,
         headers: Sequence[Tuple[str, str]] = (),
     ) -> None:
+        """Send ``payload``, or ``bytes`` already made by :func:`encode_json`."""
         # Payloads are already JSON-ready (`.to_dict()` shapes, the same the
         # CLI dumps); to_jsonable is NOT applied wholesale here because its
         # tuple-key convention escapes literal slashes in string keys, which
         # would mangle the metrics' "GET /healthz"-style endpoint keys.
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+        body = payload if isinstance(payload, bytes) else encode_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -362,7 +368,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         finally:
             self.state.end_work()
 
-    def _post_run(self, body: dict) -> Tuple[int, dict]:
+    def _post_run(self, body: dict) -> Tuple[int, bytes]:
         state = self.state
         scenario, names, benchmarks = run_request(body, state.base_scenario)
         # Identical concurrent requests (same scenario *content*, same
@@ -370,21 +376,29 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         # label and deliberately not part of the identity.
         key = ("run", scenario.content_hash(), tuple(names), tuple(benchmarks or ()))
 
-        def execute() -> dict:
+        def execute():
             fault_point("serve.handler.execute")
-            session = state.session_for(scenario)
-            result = session.run(names, benchmarks=benchmarks)
-            return {
-                "scenario": {
-                    "name": session.scenario.name,
-                    "content_hash": scenario.content_hash(),
-                },
-                "experiments": names,
-                "report": result.report(),
-                "data": result.runner.to_dict(),
-            }
+            warm = state.warm_session(scenario)
+            return warm, warm.session.run(names, benchmarks=benchmarks)
 
-        return self._coalesced(key, execute)
+        (warm, result), coalesced = self._coalesced(key, execute)
+        # The session memoized the run, so its reply is encoded once per
+        # coalesced flag and every repeat writes the stored bytes.
+        reply = warm.replies.get((key, coalesced))
+        if reply is None:
+            reply = warm.replies[key, coalesced] = encode_json(
+                {
+                    "scenario": {
+                        "name": warm.session.scenario.name,
+                        "content_hash": scenario.content_hash(),
+                    },
+                    "experiments": names,
+                    "report": result.report(),
+                    "data": result.runner.to_dict(),
+                    "coalesced": coalesced,
+                }
+            )
+        return 200, reply
 
     def _post_compare(self, body: dict) -> Tuple[int, dict]:
         state = self.state
@@ -416,14 +430,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 "data": comparison.to_dict(),
             }
 
-        return self._coalesced(key, execute)
+        payload, coalesced = self._coalesced(key, execute)
+        return 200, {**payload, "coalesced": coalesced}
 
-    def _coalesced(self, key: tuple, execute) -> Tuple[int, dict]:
-        """Run ``execute`` once per identical in-flight ``key``, within the timeout."""
-        payload, coalesced = self._execute_with_timeout(
+    def _coalesced(self, key: tuple, execute) -> Tuple[object, bool]:
+        """``(result, coalesced)``: ``execute`` runs once per identical
+        in-flight ``key``, within the timeout."""
+        return self._execute_with_timeout(
             lambda: self.state.coalescer.run(key, execute)
         )
-        return 200, {**payload, "coalesced": coalesced}
 
     def _post_sweep(self, body: dict) -> int:
         """Streamed sweep: NDJSON progress events over chunked transfer."""
@@ -457,8 +472,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         try:
             try:
                 while True:
-                    line = json.dumps(to_jsonable(event)) + "\n"
-                    self._write_chunk(line.encode("utf-8"))
+                    self._write_chunk(encode_json(to_jsonable(event)))
                     event = next(events)
             except StopIteration:
                 pass
@@ -480,7 +494,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     "message": str(error) or type(error).__name__,
                 }
                 self._record(status)
-                self._write_chunk((json.dumps(failure) + "\n").encode("utf-8"))
+                self._write_chunk(encode_json(failure))
                 self._write_chunk(b"")
                 return status
             self._record(200)

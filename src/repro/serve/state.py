@@ -3,11 +3,13 @@
 One :class:`ServerState` is shared by every handler thread of a
 :class:`~repro.serve.app.ReproServer`:
 
-* a bounded LRU of warm :class:`~repro.api.session.Session` objects, keyed
-  by :meth:`~repro.api.scenario.Scenario.content_hash` -- every request for
+* a bounded LRU of :class:`WarmSession` entries, keyed by
+  :meth:`~repro.api.scenario.Scenario.content_hash` -- every request for
   the same scenario (regardless of its name) lands on the same memoizing
   :class:`~repro.engine.context.SimulationContext`, whose ``RLock`` makes
-  concurrent simulation lookups safe;
+  concurrent simulation lookups safe, and each entry keeps the
+  ``/v1/run`` replies encoded from its session, so a repeated run writes
+  stored bytes instead of re-encoding its result;
 * the process-wide persistent caches
   (:class:`~repro.engine.diskcache.SimulationCache` /
   :class:`~repro.engine.diskcache.TrainedModelCache`) threaded into every
@@ -27,7 +29,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Hashable, Optional
 
 from repro.api.scenario import Scenario
 from repro.api.session import Session
@@ -53,7 +55,8 @@ class ServeConfig:
         cache_dir: persistent cache root (``None``: ``$REPRO_CACHE_DIR`` or
             ``~/.cache/repro``).
         use_cache: disable both persistent caches with ``False``.
-        max_sessions: warm sessions kept in the LRU.
+        max_sessions: warm sessions kept in the LRU, with their encoded
+            ``/v1/run`` replies.
         drain_timeout: seconds shutdown waits for in-flight work before
             closing anyway.
         quiet: suppress per-request access logging.
@@ -157,6 +160,26 @@ class Metrics:
         }
 
 
+class WarmSession:
+    """One LRU entry: a scenario's warm :class:`Session` and its encoded replies.
+
+    ``replies`` maps a ``/v1/run`` reply key (the run key plus the
+    ``coalesced`` flag) to the reply body, encoded on first use.  A reply
+    depends only on the session (its scenario name included) and the
+    session's memoized run, so the bytes stay valid for as long as the
+    session does, and are dropped with it: when the LRU evicts the entry,
+    or rebuilds it under another scenario name.  Each stored reply pairs
+    with one memoized run the session already holds, so ``max_sessions``
+    bounds both.
+    """
+
+    __slots__ = ("session", "replies")
+
+    def __init__(self, session: Session) -> None:
+        self.session = session
+        self.replies: Dict[Hashable, bytes] = {}
+
+
 class ServerState:
     """Everything the handler threads share (see module docstring)."""
 
@@ -174,7 +197,7 @@ class ServerState:
         self.metrics = Metrics()
         self.coalescer = Coalescer()
         self._lock = threading.RLock()
-        self._sessions: "OrderedDict[str, Session]" = OrderedDict()
+        self._sessions: "OrderedDict[str, WarmSession]" = OrderedDict()
         self.sessions_evicted = 0
         self._draining = threading.Event()
         self._work_done = threading.Condition()
@@ -185,37 +208,41 @@ class ServerState:
 
     # ---------------------------------------------------------------- sessions
 
-    def session_for(self, scenario: Scenario) -> Session:
-        """The warm session of one scenario (created and LRU-tracked on demand).
+    def warm_session(self, scenario: Scenario) -> WarmSession:
+        """The LRU entry of one scenario (created and LRU-tracked on demand).
 
         Sessions are keyed by content hash, so two scenarios differing only
         in name share one warm context.  Evicting the least-recently-used
-        session drops only in-memory memos; everything it simulated stays in
-        the persistent caches.
+        entry drops only in-memory memos and encoded replies; everything it
+        simulated stays in the persistent caches.
         """
         key = scenario.content_hash()
         with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
-                if session.scenario == scenario:
+            warm = self._sessions.get(key)
+            if warm is not None:
+                if warm.session.scenario == scenario:
                     self._sessions.move_to_end(key)
-                    return session
+                    return warm
                 # Same content, different name: the name is only a label,
-                # but downstream consumers (compare legends) must see the
-                # requested one, so rebuild under it.  The persistent caches
-                # keep the replacement warm.
+                # but downstream consumers (compare legends, run replies)
+                # must see the requested one, so rebuild under it.  The
+                # persistent caches keep the replacement warm.
                 del self._sessions[key]
             context = SimulationContext(
                 scenario=scenario,
                 disk_cache=self.disk_cache,
                 model_cache=self.model_cache,
             )
-            session = Session(scenario, context=context)
-            self._sessions[key] = session
+            warm = WarmSession(Session(scenario, context=context))
+            self._sessions[key] = warm
             while len(self._sessions) > self.config.max_sessions:
                 self._sessions.popitem(last=False)
                 self.sessions_evicted += 1
-            return session
+            return warm
+
+    def session_for(self, scenario: Scenario) -> Session:
+        """The warm session of one scenario (see :meth:`warm_session`)."""
+        return self.warm_session(scenario).session
 
     @property
     def session_count(self) -> int:
@@ -226,8 +253,8 @@ class ServerState:
     def simulations_executed(self) -> int:
         """Simulations actually executed across every warm session."""
         with self._lock:
-            sessions = list(self._sessions.values())
-        return sum(session.context.simulations_executed for session in sessions)
+            entries = list(self._sessions.values())
+        return sum(warm.session.context.simulations_executed for warm in entries)
 
     # ------------------------------------------------------------------- drain
 

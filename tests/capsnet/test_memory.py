@@ -95,6 +95,42 @@ def test_fit_and_evaluation_leave_no_large_arrays_on_layers(mnist):
         assert _held_by_layers(model) == []
 
 
+def _gradient_bytes(model):
+    return sum(g.nbytes for layer in model.trainable_layers for g in layer.grads.values())
+
+
+def test_evaluation_clones_hold_no_gradients(mnist):
+    dataset, config = mnist
+    trainer = _trainer(config)
+    trainer.fit(dataset, epochs=1, batch_size=16, evaluate=False)
+    contexts = {
+        "origin": MathContext.exact(),
+        "approx": MathContext.approximate(),
+        "recovered": MathContext.approximate_with_recovery(),
+    }
+    clones = {label: trainer.model.with_context(c) for label, c in contexts.items()}
+    assert [_gradient_bytes(clone) for clone in clones.values()] == [0, 0, 0]
+    # Table 5's accuracies: the gradient-free clones classify exactly as
+    # models reloaded from the trained weights, which own full gradients.
+    test_images, test_labels = dataset.test_set()
+    state = trainer.model.state_dict()
+    expected = {}
+    for label, context in contexts.items():
+        reloaded = CapsNet(config, context=context)
+        reloaded.load_state_dict(state)
+        assert _gradient_bytes(reloaded) == _gradient_bytes(trainer.model) > 0
+        expected[label] = reloaded.accuracy(test_images, test_labels)
+    assert evaluate_accuracies(clones, test_images, test_labels) == expected
+    assert [_gradient_bytes(clone) for clone in clones.values()] == [0, 0, 0]
+    # A clone that is trained allocates its own gradients on its first step.
+    clone = clones["origin"]
+    images, _, onehot = next(dataset.train_batches(16, rng=np.random.default_rng(0)))
+    Trainer(clone, seed=3, **TRAINER_KWARGS).train_step(images, onehot)
+    assert _gradient_bytes(clone) == _gradient_bytes(trainer.model)
+    assert clone.primary.grads is clone.primary.conv.grads
+    assert clone.class_caps.grads is not trainer.model.class_caps.grads
+
+
 def test_fit_evaluates_on_a_released_model(mnist):
     dataset, config = mnist
     trainer = _trainer(config)

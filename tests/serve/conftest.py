@@ -26,8 +26,8 @@ class ServeClient:
     def __init__(self, url: str):
         self.url = url
 
-    def request(self, method: str, path: str, body=None, timeout: float = 120.0):
-        """(status, parsed JSON body) of one request; 4xx/5xx do not raise."""
+    def raw(self, method: str, path: str, body=None, timeout: float = 120.0):
+        """(status, body bytes exactly as sent) of one request; 4xx/5xx do not raise."""
         data = None
         headers = {}
         if body is not None:
@@ -38,20 +38,30 @@ class ServeClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, json.loads(response.read().decode())
+                return response.status, response.read()
         except urllib.error.HTTPError as error:
-            raw = error.read().decode()
-            try:
-                payload = json.loads(raw)
-            except ValueError:
-                payload = raw
-            return error.code, payload
+            return error.code, error.read()
+
+    def request(self, method: str, path: str, body=None, timeout: float = 120.0):
+        """(status, parsed JSON body) of one request; 4xx/5xx do not raise."""
+        status, raw = self.raw(method, path, body=body, timeout=timeout)
+        text = raw.decode()
+        try:
+            return status, json.loads(text)
+        except ValueError:
+            if status < 400:
+                raise
+            return status, text
 
     def get(self, path: str, timeout: float = 120.0):
         return self.request("GET", path, timeout=timeout)
 
     def post(self, path: str, body=None, timeout: float = 120.0):
         return self.request("POST", path, body=body, timeout=timeout)
+
+    def post_raw(self, path: str, body=None, timeout: float = 120.0):
+        """(status, reply bytes) of one POST, unparsed, to compare byte for byte."""
+        return self.raw("POST", path, body=body, timeout=timeout)
 
     def stream(self, path: str, body, timeout: float = 300.0):
         """(status, headers, parsed NDJSON events) of one streaming POST."""

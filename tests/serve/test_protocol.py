@@ -174,6 +174,129 @@ def test_run_with_scenario_preset_name(client):
     assert payload["scenario"]["name"] == "paper-default"
 
 
+# ----------------------------------------------------- encoded /v1/run replies
+
+RUN_EXPERIMENTS = ["fig15", "fig16", "fig17"]
+
+
+def _expected_reply(scenario, names, coalesced=False) -> bytes:
+    """The reply body of a run: ``json.dumps`` of the whole payload, built
+    from a fresh session."""
+    result = Session(scenario).run(names)
+    payload = {
+        "scenario": {"name": scenario.name, "content_hash": scenario.content_hash()},
+        "experiments": list(names),
+        "report": result.report(),
+        "data": result.runner.to_dict(),
+    }
+    return (json.dumps({**payload, "coalesced": coalesced}) + "\n").encode("utf-8")
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Count the server's JSON encodes (replies answered from stored bytes skip it)."""
+    from repro.serve import app
+
+    calls = []
+    encode = app.encode_json
+
+    def counting(payload):
+        calls.append(payload)
+        return encode(payload)
+
+    monkeypatch.setattr(app, "encode_json", counting)
+    return calls
+
+
+def test_cold_and_warm_run_replies_equal_the_encoded_payload(client):
+    expected = _expected_reply(Scenario.default(), RUN_EXPERIMENTS)
+    body = {"experiments": RUN_EXPERIMENTS}
+    assert client.post_raw("/v1/run", body) == (200, expected)  # cold
+    assert client.post_raw("/v1/run", body) == (200, expected)  # warm
+
+
+def test_a_warm_repeat_calls_the_encoder_zero_times(client, encodes):
+    body = {"experiments": RUN_EXPERIMENTS, "set": ["hmc.pes_per_vault=8"]}
+    status, cold = client.post_raw("/v1/run", body)
+    assert status == 200
+    assert len(encodes) == 1
+    for _ in range(3):
+        assert client.post_raw("/v1/run", body) == (200, cold)
+    assert len(encodes) == 1
+
+
+def test_a_coalesced_follower_gets_the_same_bytes_flagged_coalesced(
+    client, blocking_experiment
+):
+    body = {"experiments": [blocking_experiment.name]}
+    replies = []
+    replies_lock = threading.Lock()
+
+    def invoke():
+        outcome = client.post_raw("/v1/run", body, timeout=120.0)
+        with replies_lock:
+            replies.append(outcome)
+
+    threads = [threading.Thread(target=invoke) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    assert blocking_experiment.started.wait(30)
+    client.wait_metrics(lambda m: m["runs"]["waiting"] == 1)
+    blocking_experiment.gate.set()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    names = [blocking_experiment.name]
+    leader = _expected_reply(Scenario.default(), names)
+    follower = _expected_reply(Scenario.default(), names, coalesced=True)
+    assert sorted(replies) == sorted([(200, leader), (200, follower)])
+    # A later, uncoalesced repeat is the leader's reply again.
+    assert client.post_raw("/v1/run", body) == (200, leader)
+    _, metrics = client.get("/metrics")
+    assert metrics["runs"]["executed"] == 2
+    assert metrics["runs"]["coalesced"] == 1
+
+
+def test_one_content_under_two_names_keeps_each_reply_name(client):
+    preset = Scenario.preset("hmc-625mhz")
+    override = Scenario.default().with_set(["hmc.pe_frequency_mhz=625"])
+    assert preset.content_hash() == override.content_hash()
+    assert preset.name != override.name
+    bodies = [
+        ({"scenario": "hmc-625mhz", "experiments": RUN_EXPERIMENTS}, preset),
+        ({"set": ["hmc.pe_frequency_mhz=625"], "experiments": RUN_EXPERIMENTS}, override),
+    ]
+    replies = {}
+    for body, scenario in bodies * 2:
+        status, reply = client.post_raw("/v1/run", body)
+        assert (status, reply) == (200, _expected_reply(scenario, RUN_EXPERIMENTS))
+        replies[scenario.name] = json.loads(reply)
+    named, renamed = replies[preset.name], replies[override.name]
+    assert named["scenario"]["name"] == "hmc-625mhz"
+    assert renamed["scenario"]["name"] == override.name
+    assert named["report"] == renamed["report"]
+    assert named["data"] == renamed["data"]
+
+
+def test_an_evicted_session_drops_its_encoded_reply(serve_factory, make_client, encodes):
+    client = make_client(serve_factory(max_sessions=1))
+    first = {"experiments": RUN_EXPERIMENTS}
+    second = {"experiments": RUN_EXPERIMENTS, "set": ["pipeline_batches=16"]}
+    status, reply = client.post_raw("/v1/run", first)
+    assert status == 200
+    assert client.post_raw("/v1/run", first) == (200, reply)
+    assert len(encodes) == 1
+    assert client.post_raw("/v1/run", second)[0] == 200
+    assert len(encodes) == 2
+    # The second scenario evicted the first one's session and its reply:
+    # the first scenario's next reply is encoded anew, with equal bytes.
+    assert client.post_raw("/v1/run", first) == (200, reply)
+    assert len(encodes) == 3
+    _, metrics = client.get("/metrics")
+    assert metrics["sessions"]["evicted"] == 2
+
+
 # ----------------------------------------------------------- structured 4xx
 
 
