@@ -14,8 +14,10 @@ Before them it profiles single training steps at the Table-5 MNIST
 geometry (batch 16: 1 x 28 x 28 -> 24 x 20 x 20 -> 16 x 6 x 6 PrimaryCaps) in
 the fresh process, as a cold ``reproduce`` trains, after two warm-up steps:
 the bytes of new arrays one step allocates (tracemalloc's peak over the
-step, in MiB), and over ``repeats`` further steps the median minor page
-faults (``getrusage`` of this process) and the median step time.
+step, in MiB), the bytes of the arrays the layers keep in their step
+workspaces after it (``workspace_mb``), and over ``repeats`` further steps
+the median minor page faults (``getrusage`` of this process) and the median
+step time.
 ``peak_rss_mb`` is this process's high-water RSS at the end, which the cold
 six-dataset run sets.
 
@@ -67,6 +69,19 @@ def _timed_run(cache_dir):
     return result, elapsed, training.train_steps_executed(), context.trained_models.stats
 
 
+def _workspace_bytes(model: CapsNet) -> int:
+    """Bytes of the arrays a model's layers keep in their step workspaces."""
+    layers = [
+        model.conv,
+        model.relu,
+        model.primary,
+        model.primary.conv,
+        model.class_caps,
+        *model.decoder_layers,
+    ]
+    return sum(array.nbytes for layer in layers for array in layer._workspace.values())
+
+
 def _step_profile(repeats: int = REPEATS) -> dict:
     """Allocation, faults and time of Table-5 MNIST training steps."""
     spec = DATASET_SPECS["MNIST"]
@@ -88,6 +103,7 @@ def _step_profile(repeats: int = REPEATS) -> dict:
         new_array_bytes = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    workspace_bytes = _workspace_bytes(trainer.model)
     faults, seconds = [], []
     for images, onehot in batches[2:]:
         faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -97,6 +113,7 @@ def _step_profile(repeats: int = REPEATS) -> dict:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before)
     return {
         "step_new_array_mb": new_array_bytes / 2**20,
+        "workspace_mb": workspace_bytes / 2**20,
         "minor_faults_per_step": statistics.median(faults),
         "step_ms": 1e3 * statistics.median(seconds),
         "repeats": len(seconds),
@@ -110,6 +127,7 @@ def main() -> int:
     step = _step_profile()
     print(
         f"MNIST step: {step['step_new_array_mb']:.2f} MiB of new arrays, "
+        f"{step['workspace_mb']:.2f} MiB kept in workspaces, "
         f"{step['minor_faults_per_step']:g} minor faults, {step['step_ms']:.2f} ms "
         f"(medians of {step['repeats']})"
     )

@@ -22,7 +22,7 @@ bit-safe classes:
   preserves the accumulation *order* of the double loop it replaces
   (contributions arrive per target cell in ``(kh, kw, out_h, out_w)``
   order, which is what :func:`numpy.ufunc.at` guarantees for the
-  precomputed index array).
+  precomputed index array of one image).
 * **Operand memory-layout changes under an unchanged ``einsum``.**
   ``np.einsum``'s direct contraction loops were measured to be
   layout-invariant bit-wise for the subscript/layout pairs used here while
@@ -35,6 +35,12 @@ bit-safe classes:
 * **Algebraically identical re-associations** that keep the per-element
   reduction order (e.g. fusing ``(u_hat * c).sum(axis=1)`` into a single
   ``einsum`` with the same ``l``-major accumulation).
+
+The convolutions keep the seed-era BLAS ``@`` their golden outputs came
+from.  :func:`col2im` runs the input-gradient product per image and
+transposed (``weight.T @ cols[b].T`` in place of the batch's ``cols @
+weight``); the tests lock its bits in across the grid, and CI runs them
+with one and with the default number of OpenBLAS threads.
 
 Every public kernel documents the naive formulation it must match; the
 regression tests compare against those naive forms directly.
@@ -139,18 +145,18 @@ def im2col(
 
 
 def col2im_indices(
-    input_shape: Tuple[int, int, int, int],
+    image_shape: Tuple[int, int, int],
     kernel: Tuple[int, int],
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Flat scatter indices of :func:`col2im`: ``(b, c, kh, kw, oh, ow)`` -> pixel.
+    """Flat scatter indices of :func:`col2im` for one image: ``(c, kh, kw, oh, ow)`` -> pixel.
 
-    They depend on the geometry alone (batch size included: the last batch
-    of an epoch may be smaller), and weigh ~2x the columns they scatter, so
-    a layer builds them once per input shape and passes them to every call.
+    ``image_shape`` is ``(channels, height, width)``; the indices address one
+    padded image, so a layer builds them once and passes them to every call,
+    whatever the batch size.
     """
-    batch, channels, height, width = input_shape
+    channels, height, width = image_shape
     kh, kw = kernel
     out_h = conv_output_size(height, kh, stride, padding)
     out_w = conv_output_size(width, kw, stride, padding)
@@ -161,7 +167,7 @@ def col2im_indices(
     oh = np.arange(out_h)[None, None, :, None]
     ow = np.arange(out_w)[None, None, None, :]
     spatial = ((i + stride * oh) * padded_w + (j + stride * ow)).reshape(-1)
-    planes = np.arange(batch * channels, dtype=np.intp) * (padded_h * padded_w)
+    planes = np.arange(channels, dtype=np.intp) * (padded_h * padded_w)
     return (planes[:, None] + spatial[None, :]).reshape(-1).astype(np.intp, copy=False)
 
 
@@ -172,6 +178,7 @@ def col2im(
     stride: int,
     padding: int,
     *,
+    weight: Optional[np.ndarray] = None,
     indices: Optional[np.ndarray] = None,
     contributions: Optional[np.ndarray] = None,
     padded: Optional[np.ndarray] = None,
@@ -185,15 +192,23 @@ def col2im(
                 padded[:, :, i:i+stride*oh:stride, j:j+stride*ow:stride] += \
                     cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
 
-    but as one flat ``np.add.at`` scatter with precomputed indices.  The
-    index array enumerates contributions in ``(b, c, kh, kw, oh, ow)`` order
-    and ``ufunc.at`` applies them sequentially, so every target pixel
-    accumulates its overlapping contributions in exactly the loop's
+    but folded one image at a time: image ``b``'s columns transposed,
+    ``cols[b].T``, are already its contributions in ``(c, kh, kw, oh, ow)``
+    order, and one ``np.add.at`` with one image's indices adds them into
+    ``padded[b]``.  ``ufunc.at`` applies them sequentially, so every target
+    pixel accumulates its overlapping contributions in exactly the loop's
     ``(i, j)`` order -- the result is bit-identical, not just close.
+
+    With ``weight`` (``(out_channels, channels*kh*kw)``), ``cols`` are a
+    convolution's output-gradient columns ``(batch, out_h*out_w,
+    out_channels)`` and the fold is of ``cols @ weight``, the convolution's
+    input gradient: each image's product is written straight into scatter
+    order as ``weight.T @ cols[b].T``, so the batch-wide product is never
+    formed.
 
     A caller that folds the same geometry repeatedly passes its own arrays:
     ``indices`` from :func:`col2im_indices`, ``contributions`` of shape
-    ``(batch, channels, kh, kw, out_h, out_w)`` and ``padded`` of shape
+    ``(channels*kh*kw, out_h*out_w)`` and ``padded`` of shape
     ``(batch, channels, height + 2*padding, width + 2*padding)``, both
     C-contiguous float32.  Each is built fresh when omitted.  The result is
     ``padded`` (or its interior view), so it is overwritten by the next call
@@ -204,18 +219,22 @@ def col2im(
     out_h = conv_output_size(height, kh, stride, padding)
     out_w = conv_output_size(width, kw, stride, padding)
     if indices is None:
-        indices = col2im_indices(input_shape, kernel, stride, padding)
+        indices = col2im_indices((channels, height, width), kernel, stride, padding)
     ordered = _buffer(
-        contributions, (batch, channels, kh, kw, out_h, out_w), "col2im contributions"
-    )
-    np.copyto(
-        ordered, cols.reshape(batch, out_h, out_w, channels, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+        contributions, (channels * kh * kw, out_h * out_w), "col2im contributions"
     )
     image = _buffer(
         padded, (batch, channels, height + 2 * padding, width + 2 * padding), "col2im padded"
     )
     image.fill(0)
-    np.add.at(image.reshape(-1), indices, ordered.reshape(-1))
+    for b in range(batch):
+        if weight is None:
+            np.copyto(ordered, cols[b].T)
+        else:
+            # `out=` writes the bits of `(cols[b] @ weight).T` (the kernel
+            # tests gate it); the seed-era exemption of the conv's `@` applies.
+            np.matmul(weight.T, cols[b].T, out=ordered)  # repro: allow(RPR-D002)
+        np.add.at(image[b].reshape(-1), indices, ordered.reshape(-1))
     if padding:
         return image[:, :, padding:-padding, padding:-padding]
     return image

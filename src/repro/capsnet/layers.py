@@ -195,8 +195,9 @@ class Conv2D(Layer):
                 the single most expensive backward kernel and its result
                 would be discarded (``None`` is returned instead).
 
-        The input gradient is folded into the layer's workspace, so it is
-        valid until the next ``backward`` call.
+        The input gradient, ``grad_cols_out @ weight`` folded by ``col2im``,
+        is computed and folded one image at a time into the layer's
+        workspace, so it is valid until the next ``backward`` call.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -212,32 +213,26 @@ class Conv2D(Layer):
         self.grads["bias"] += grad_cols_out.sum(axis=(0, 1))
         if not compute_input_grad:
             return None
-        # `out=` writes the bits `grad_cols_out @ weight` returns (the kernel
-        # tests gate it); the seed-era exemption of `_convolve` still applies.
-        grad_cols = np.matmul(  # repro: allow(RPR-D002)
-            grad_cols_out, weight, out=self._buffer("grad_cols", cols.shape)
-        )
         batch, channels, height, width = input_shape
         kernel = (self.kernel_size, self.kernel_size)
-        # Scatter indices are kept per input shape (an epoch's last batch
-        # may be smaller); the other buffers follow the current shape.
-        key = ("indices", input_shape)
+        # The scatter indices address one image, so an epoch's smaller last
+        # batch reuses them; the padded image follows the current batch.
+        key = ("indices", input_shape[1:])
         indices = self._workspace.get(key)
         if indices is None:
             indices = self._workspace[key] = kernels.col2im_indices(
-                input_shape, kernel, self.stride, self.padding
+                input_shape[1:], kernel, self.stride, self.padding
             )
         pad = 2 * self.padding
         return col2im(
-            grad_cols,
+            grad_cols_out,
             input_shape,
             kernel,
             self.stride,
             self.padding,
+            weight=weight,
             indices=indices,
-            contributions=self._buffer(
-                "contributions", (batch, channels, *kernel, out_h, out_w)
-            ),
+            contributions=self._buffer("contributions", (weight.shape[1], out_h * out_w)),
             padded=self._buffer("padded", (batch, channels, height + pad, width + pad)),
         )
 

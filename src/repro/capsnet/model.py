@@ -34,6 +34,11 @@ from repro.capsnet.layers import (
 )
 from repro.capsnet.routing import DynamicRouting
 
+#: Images :meth:`CapsNet.primary_pre_squash` convolves at a time: Table 5's
+#: training batch.  Routing still sees the whole evaluation batch, whose
+#: batch-shared coefficients decide the predictions.
+TRUNK_IMAGES = 16
+
 
 @dataclass(frozen=True)
 class DecoderConfig:
@@ -340,12 +345,22 @@ class CapsNet:
         FP32 convolution arithmetic and therefore computes identical values
         under every :class:`~repro.arithmetic.context.MathContext`; the
         Table-5 evaluation computes it once per batch and shares it across
-        the exact / approximate / recovered contexts.  Each convolution frees
-        its columns before the next one builds its own.
+        the exact / approximate / recovered contexts.  The trunk convolves
+        at most :data:`TRUNK_IMAGES` images at a time, and each convolution
+        frees its columns before the next one builds its own, so evaluating
+        a batch needs no larger columns than a training step.  Each image's
+        values are those of the whole batch at once: no operation of the
+        trunk mixes images.
         """
         images = np.asarray(images, dtype=np.float32)
-        features = self.relu.infer(self.conv.infer(images))
-        return self.primary.capsules_pre_squash(self.primary.conv.infer(features))
+        return np.concatenate(
+            [
+                self.primary.capsules_pre_squash(
+                    self.primary.conv.infer(self.relu.infer(self.conv.infer(part)))
+                )
+                for part in np.split(images, range(TRUNK_IMAGES, len(images), TRUNK_IMAGES))
+            ]
+        )
 
     def predictions_from_pre_squash(self, pre_squash: np.ndarray) -> np.ndarray:
         """The context-dependent head: squash, routing, and the class argmax.

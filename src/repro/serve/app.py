@@ -155,13 +155,11 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     status = result
                 else:
                     status, payload = result
-                    self._record(status)
                     self._send_json(status, payload)
             except (ServeError, RequestError) as error:
                 if isinstance(error, RequestError):
                     error = BadRequest(str(error), code=error.code)
                 status = error.status
-                self._record(status)
                 retry_after = getattr(error, "retry_after", None)
                 headers = (
                     (("Retry-After", str(max(1, math.ceil(retry_after)))),)
@@ -178,7 +176,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             except Exception:  # repro: allow(RPR-H001)
                 traceback.print_exc(file=sys.stderr)
                 status = 500
-                self._record(status)
                 self._send_json(
                     status, InternalError("internal server error").to_dict()
                 )
@@ -230,12 +227,17 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         payload: object,
         headers: Sequence[Tuple[str, str]] = (),
     ) -> None:
-        """Send ``payload``, or ``bytes`` already made by :func:`encode_json`."""
+        """Send ``payload``, or ``bytes`` already made by :func:`encode_json`.
+
+        The request is recorded after its body is encoded, so its latency
+        includes the encoding, and before the bytes leave.
+        """
         # Payloads are already JSON-ready (`.to_dict()` shapes, the same the
         # CLI dumps); to_jsonable is NOT applied wholesale here because its
         # tuple-key convention escapes literal slashes in string keys, which
         # would mangle the metrics' "GET /healthz"-style endpoint keys.
         body = payload if isinstance(payload, bytes) else encode_json(payload)
+        self._record(status)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -382,11 +384,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             return warm, warm.session.run(names, benchmarks=benchmarks)
 
         (warm, result), coalesced = self._coalesced(key, execute)
-        # The session memoized the run, so its reply is encoded once per
-        # coalesced flag and every repeat writes the stored bytes.
-        reply = warm.replies.get((key, coalesced))
+        # The session memoized the run, so a reply asked for again is kept:
+        # its first answer remembers only the key, the first repeat stores
+        # the bytes, and every later repeat writes them.  A scenario asked
+        # for once holds no reply.  Racing threads can at worst store the
+        # same bytes a request later (they are equal however often encoded).
+        slot = (key, coalesced)
+        reply = warm.replies.get(slot)
         if reply is None:
-            reply = warm.replies[key, coalesced] = encode_json(
+            reply = encode_json(
                 {
                     "scenario": {
                         "name": warm.session.scenario.name,
@@ -398,6 +404,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     "coalesced": coalesced,
                 }
             )
+            warm.replies[slot] = reply if slot in warm.replies else None
         return 200, reply
 
     def _post_compare(self, body: dict) -> Tuple[int, dict]:

@@ -8,8 +8,8 @@ One :class:`ServerState` is shared by every handler thread of a
   the same scenario (regardless of its name) lands on the same memoizing
   :class:`~repro.engine.context.SimulationContext`, whose ``RLock`` makes
   concurrent simulation lookups safe, and each entry keeps the
-  ``/v1/run`` replies encoded from its session, so a repeated run writes
-  stored bytes instead of re-encoding its result;
+  ``/v1/run`` replies of its session asked for more than once, so a
+  repeated run writes stored bytes instead of re-encoding its result;
 * the process-wide persistent caches
   (:class:`~repro.engine.diskcache.SimulationCache` /
   :class:`~repro.engine.diskcache.TrainedModelCache`) threaded into every
@@ -164,7 +164,8 @@ class WarmSession:
     """One LRU entry: a scenario's warm :class:`Session` and its encoded replies.
 
     ``replies`` maps a ``/v1/run`` reply key (the run key plus the
-    ``coalesced`` flag) to the reply body, encoded on first use.  A reply
+    ``coalesced`` flag) to the reply body, stored from the reply's first
+    repeat on; ``None`` marks a reply answered once.  A reply
     depends only on the session (its scenario name included) and the
     session's memoized run, so the bytes stay valid for as long as the
     session does, and are dropped with it: when the LRU evicts the entry,
@@ -177,7 +178,7 @@ class WarmSession:
 
     def __init__(self, session: Session) -> None:
         self.session = session
-        self.replies: Dict[Hashable, bytes] = {}
+        self.replies: Dict[Hashable, Optional[bytes]] = {}
 
 
 class ServerState:

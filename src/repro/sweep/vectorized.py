@@ -228,7 +228,8 @@ def _plane_results(
     models: List[PIMCapsNet] = []
     groups: List[np.ndarray] = []
     where: List[Tuple[int, int]] = [(0, 0)] * n
-    for group, winner in enumerate(np.unique(winners)):
+    # The winning codes in ascending order (np.unique would import numpy.ma).
+    for group, winner in enumerate(np.flatnonzero(np.bincount(winners))):
         positions = np.flatnonzero(winners == winner)
         models.append(
             PIMCapsNet(

@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from repro.capsnet import kernels
+from repro.capsnet.datasets import DATASET_SPECS
 from repro.capsnet.layers import Conv2D
+from repro.capsnet.model import TRUNK_IMAGES, CapsNet
+from repro.experiments.table05_accuracy import _scaled_config_for
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +240,8 @@ def test_col2im_through_reused_buffers_is_bit_exact(geometry):
     batch, channels, height, width, kernel, stride, padding, _ = geometry
     shape = (batch, channels, height, width)
     _, _, (out_h, out_w) = _buffer_case(geometry, 1)
-    indices = kernels.col2im_indices(shape, (kernel, kernel), stride, padding)
-    contributions = np.full((batch, channels, kernel, kernel, out_h, out_w), np.nan, np.float32)
+    indices = kernels.col2im_indices(shape[1:], (kernel, kernel), stride, padding)
+    contributions = np.full((channels * kernel * kernel, out_h * out_w), np.nan, np.float32)
     padded = np.full((batch, channels, height + 2 * padding, width + 2 * padding), np.nan, np.float32)
     for seed in (1, 2):
         _, cols, _ = _buffer_case(geometry, seed)
@@ -260,17 +263,41 @@ def test_col2im_through_reused_buffers_is_bit_exact(geometry):
 
 @pytest.mark.parametrize("geometry", BUFFER_GEOMETRIES)
 def test_grad_cols_matmul_into_a_buffer_is_bit_exact(geometry):
-    """Conv2D.backward's ``np.matmul(..., out=)`` returns the bits of ``@``."""
-    batch, channels, _, _, kernel, _, _, out_channels = geometry
+    """Conv2D.backward's per-image product and fold give the bits of the naive fold.
+
+    Each image's ``np.matmul(weight.T, grad_cols_out[b].T, out=)`` must equal
+    the transpose of ``(grad_cols_out @ weight)[b]``, and the fold through
+    ``col2im(..., weight=)`` the naive double loop over that product.
+    """
+    batch, channels, height, width, kernel, stride, padding, out_channels = geometry
+    shape = (batch, channels, height, width)
     _, cols, (out_h, out_w) = _buffer_case(geometry, 1)
-    buffer = np.full(cols.shape, np.nan, dtype=np.float32)
+    buffer = np.full((channels * kernel * kernel, out_h * out_w), np.nan, dtype=np.float32)
+    padded = np.full((batch, channels, height + 2 * padding, width + 2 * padding), np.nan, np.float32)
+    indices = kernels.col2im_indices(shape[1:], (kernel, kernel), stride, padding)
     for seed in (1, 2):
         rng = np.random.default_rng([seed, *geometry])
         grad_cols_out = rng.standard_normal((batch, out_h * out_w, out_channels)).astype(np.float32)
         weight = rng.standard_normal((out_channels, channels * kernel * kernel)).astype(np.float32)
-        reused = np.matmul(grad_cols_out, weight, out=buffer)
-        assert reused is buffer
-        assert np.array_equal(reused, grad_cols_out @ weight)
+        product = grad_cols_out @ weight
+        for b in range(batch):
+            reused = np.matmul(weight.T, grad_cols_out[b].T, out=buffer)
+            assert reused is buffer
+            assert np.array_equal(reused, product[b].T)
+        folded = kernels.col2im(
+            grad_cols_out,
+            shape,
+            (kernel, kernel),
+            stride,
+            padding,
+            weight=weight,
+            indices=indices,
+            contributions=buffer,
+            padded=padded,
+        )
+        assert np.array_equal(
+            folded, naive_col2im(product, shape, (kernel, kernel), stride, padding)
+        )
 
 
 def _conv_step(conv, x, grad):
@@ -297,7 +324,7 @@ def _conv_step(conv, x, grad):
 
 
 def test_col2im_index_cache_is_reused_and_correct():
-    """The scatter indices live on the layer, one entry per input shape."""
+    """The scatter indices live on the layer, one entry per image shape."""
     rng = np.random.default_rng(0)
     conv = Conv2D(3, 5, kernel_size=3, stride=2, padding=1, rng=rng)
     full, ragged = (2, 3, 12, 12), (1, 3, 12, 12)
@@ -308,14 +335,15 @@ def test_col2im_index_cache_is_reused_and_correct():
         _conv_step(conv, x, grad)
 
     step(full)
-    indices = conv._workspace[("indices", full)]
+    indices = conv._workspace[("indices", (3, 12, 12))]
+    assert indices.shape == (3 * 3 * 3 * 6 * 6,)
     step(full)
-    assert conv._workspace[("indices", full)] is indices
-    # An epoch's smaller last batch gets its own entry and keeps the first.
+    # An epoch's smaller last batch folds through the same indices.
     step(ragged)
     step(full)
-    assert conv._workspace[("indices", full)] is indices
-    assert ("indices", ragged) in conv._workspace
+    index_keys = [key for key in conv._workspace if isinstance(key, tuple)]
+    assert index_keys == [("indices", (3, 12, 12))]
+    assert conv._workspace[("indices", (3, 12, 12))] is indices
     conv.release()
     assert not conv._workspace and conv._cache is None
 
@@ -328,6 +356,31 @@ def test_im2col_col2im_round_trip_counts_contributions():
     folded = kernels.col2im(cols, (1, 1, 6, 6), (3, 3), 1, 0)
     assert folded[0, 0, 0, 0] == 1.0  # corner: one window
     assert folded[0, 0, 3, 3] == 9.0  # interior: all nine offsets
+
+
+# ---------------------------------------------------------------------------
+# Evaluation trunk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASET_SPECS))
+@pytest.mark.parametrize("batch", [64, 40, TRUNK_IMAGES, 7])
+def test_sliced_trunk_is_bit_exact_vs_the_whole_batch(dataset, batch):
+    """``primary_pre_squash`` convolves slices; every image keeps its whole-batch bits.
+
+    Batch 64 is Table 5's evaluation batch, 40 a ragged one.
+    """
+    spec = DATASET_SPECS[dataset]
+    model = CapsNet(_scaled_config_for(spec.name, spec.num_classes, spec.image_shape), seed=3)
+    images = np.random.default_rng([batch, spec.num_classes]).random(
+        (batch, *spec.image_shape), dtype=np.float32
+    )
+    whole = model.primary.capsules_pre_squash(
+        model.primary.conv.infer(model.relu.infer(model.conv.infer(images)))
+    )
+    sliced = model.primary_pre_squash(images)
+    assert sliced.shape == whole.shape
+    assert np.array_equal(sliced, whole)
 
 
 # ---------------------------------------------------------------------------

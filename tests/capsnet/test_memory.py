@@ -80,6 +80,57 @@ def test_steady_state_training_step_allocates_at_most_4_mib(mnist):
     assert peak <= 4 * MIB, f"{peak / MIB:.2f} MiB"
 
 
+def _workspace_bytes(model):
+    """Bytes of the arrays a model's layers keep in their step workspaces."""
+    layers = [
+        model.conv,
+        model.relu,
+        model.primary,
+        model.primary.conv,
+        model.class_caps,
+        *model.decoder_layers,
+    ]
+    return sum(array.nbytes for layer in layers for array in layer._workspace.values())
+
+
+def test_a_training_step_keeps_at_most_8_mib_in_workspaces(mnist):
+    dataset, config = mnist
+    trainer = _trainer(config)
+    batches = list(dataset.train_batches(16, rng=np.random.default_rng(0)))
+    for images, _, onehot in batches[:2]:
+        trainer.train_step(images, onehot)
+    workspace = _workspace_bytes(trainer.model)
+    # 23.92 MiB while the PrimaryCaps backward kept its batch-wide column
+    # gradient, their transposed copy and batch-wide scatter indices; 7.64
+    # MiB with the fold one image at a time (4.27 MiB are PrimaryCaps'
+    # im2col columns, which the weight gradient needs).
+    assert workspace <= 8 * MIB, f"{workspace / MIB:.2f} MiB"
+
+
+def test_evaluating_the_table5_test_split_allocates_at_most_8_mib():
+    spec = DATASET_SPECS["MNIST"]
+    dataset = dataset_for_spec(spec, num_train=40, num_test=160, seed=3)
+    config = _scaled_config_for(spec.name, spec.num_classes, spec.image_shape)
+    model = CapsNet(config, seed=3)
+    contexts = {
+        "origin": MathContext.exact(),
+        "approx": MathContext.approximate(),
+        "recovered": MathContext.approximate_with_recovery(),
+    }
+    models = {label: model.with_context(context) for label, context in contexts.items()}
+    test_images, test_labels = dataset.test_set()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_accuracies(models, test_images, test_labels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # 19.89 MiB while the trunk convolved a whole batch of 64 at once; 5.21
+    # MiB in slices of Table 5's training batch.
+    assert peak <= 8 * MIB, f"{peak / MIB:.2f} MiB"
+
+
 def test_fit_and_evaluation_leave_no_large_arrays_on_layers(mnist):
     dataset, config = mnist
     trainer = _trainer(config)

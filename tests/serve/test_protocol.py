@@ -219,10 +219,40 @@ def test_a_warm_repeat_calls_the_encoder_zero_times(client, encodes):
     body = {"experiments": RUN_EXPERIMENTS, "set": ["hmc.pes_per_vault=8"]}
     status, cold = client.post_raw("/v1/run", body)
     assert status == 200
-    assert len(encodes) == 1
+    # The first repeat encodes again and stores the bytes; every later
+    # repeat writes them.
+    assert client.post_raw("/v1/run", body) == (200, cold)
+    assert len(encodes) == 2
     for _ in range(3):
         assert client.post_raw("/v1/run", body) == (200, cold)
-    assert len(encodes) == 1
+    assert len(encodes) == 2
+
+
+def _held_replies(server) -> list:
+    """The reply bytes every warm session of ``server`` holds."""
+    sessions = list(server.state._sessions.values())
+    return [reply for warm in sessions for reply in warm.replies.values() if reply is not None]
+
+
+def test_a_reply_is_stored_from_its_first_repeat_on(server, client):
+    once = {"experiments": RUN_EXPERIMENTS, "set": ["hmc.pe_frequency_mhz=437.5"]}
+    twice = {"experiments": RUN_EXPERIMENTS, "set": ["hmc.pe_frequency_mhz=875"]}
+    status, reply = client.post_raw("/v1/run", once)
+    assert status == 200
+    # A scenario asked for once holds no reply bytes.
+    assert _held_replies(server) == []
+    first = client.post_raw("/v1/run", twice)
+    assert _held_replies(server) == []
+    # Asked for twice, it holds one reply: the bytes it answered with.
+    assert client.post_raw("/v1/run", twice) == first
+    assert _held_replies(server) == [first[1]]
+    assert client.post_raw("/v1/run", twice) == first
+    assert _held_replies(server) == [first[1]]
+    scenario = Scenario.default().with_set(["hmc.pe_frequency_mhz=875"])
+    assert first == (200, _expected_reply(scenario, RUN_EXPERIMENTS))
+    assert reply == _expected_reply(
+        Scenario.default().with_set(["hmc.pe_frequency_mhz=437.5"]), RUN_EXPERIMENTS
+    )
 
 
 def test_a_coalesced_follower_gets_the_same_bytes_flagged_coalesced(
@@ -285,14 +315,15 @@ def test_an_evicted_session_drops_its_encoded_reply(serve_factory, make_client, 
     second = {"experiments": RUN_EXPERIMENTS, "set": ["pipeline_batches=16"]}
     status, reply = client.post_raw("/v1/run", first)
     assert status == 200
-    assert client.post_raw("/v1/run", first) == (200, reply)
-    assert len(encodes) == 1
-    assert client.post_raw("/v1/run", second)[0] == 200
+    for _ in range(2):
+        assert client.post_raw("/v1/run", first) == (200, reply)
     assert len(encodes) == 2
+    assert client.post_raw("/v1/run", second)[0] == 200
+    assert len(encodes) == 3
     # The second scenario evicted the first one's session and its reply:
     # the first scenario's next reply is encoded anew, with equal bytes.
     assert client.post_raw("/v1/run", first) == (200, reply)
-    assert len(encodes) == 3
+    assert len(encodes) == 4
     _, metrics = client.get("/metrics")
     assert metrics["sessions"]["evicted"] == 2
 
@@ -451,6 +482,29 @@ def test_compare_base_against_override_variant(client):
     assert len(payload["data"]["scenarios"]) == 2
     assert "Scenarios:" in payload["report"]
     assert payload["coalesced"] is False
+
+
+def test_compare_latency_includes_encoding_the_reply(client, monkeypatch):
+    from repro.serve import app
+
+    encode = app.encode_json
+
+    def slow(payload):
+        time.sleep(0.25)
+        return encode(payload)
+
+    body = {"set": ["hmc.pe_frequency_mhz=625"], "experiments": ["fig16"]}
+    assert client.post("/v1/compare", body)[0] == 200
+    monkeypatch.setattr(app, "encode_json", slow)
+    started = time.perf_counter()
+    assert client.post("/v1/compare", body)[0] == 200
+    assert time.perf_counter() - started >= 0.25
+    monkeypatch.setattr(app, "encode_json", encode)
+    _, metrics = client.get("/metrics")
+    latency = metrics["latency_seconds"]["POST /v1/compare"]
+    # The warm compare runs in microseconds; only the encoding sleeps.
+    assert latency["count"] == 2
+    assert latency["p99_seconds"] >= 0.25
 
 
 def test_compare_needs_two_scenarios(client):

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Scenario
 from repro.api.scenario import preset_names
 from repro.core.accelerator import DesignPoint, PIMCapsNet
@@ -432,3 +437,23 @@ def test_bulk_cache_roundtrip_matches_single_entry_api(tmp_path):
     assert fresh.stats.hits == 2 and fresh.stats.misses == 1
     single = fresh.get(scenario, config, "routing", DesignPoint.PIM_CAPSNET)
     assert single.time_seconds == routing.time_seconds
+
+
+def test_a_cold_vectorized_sweep_does_not_import_numpy_ma(tmp_path):
+    """Grouping a plane's points stays off ``np.unique``, which imports numpy.ma."""
+    code = (
+        "import sys; from repro.cli import main; "
+        "main(['sweep', '--axis', 'hmc.pe_frequency_mhz=312.5,625,1250', "
+        "'--axis', 'hmc.pes_per_vault=8,16', '--benchmarks', 'Caps-MN1', 'Caps-EN1', "
+        f"'--cache-dir', {str(tmp_path)!r}, '--output', {str(tmp_path / 'out.txt')!r}]); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert "(vectorized, jobs=1)" in result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
