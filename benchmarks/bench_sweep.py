@@ -1,6 +1,6 @@
 """Benchmark the sweep engine and record the result as BENCH_sweep.json.
 
-Times six configurations:
+Times seven configurations:
 
 * ``cold_serial``   -- fixed reference grid, fresh cache, scalar path,
   ``jobs=1`` (the baseline the acceptance criteria compare against),
@@ -15,6 +15,9 @@ Times six configurations:
   than the scalar warm path's.
 * ``vectorized_render`` -- ``format_report()`` of that grid's result: the
   text report built column by column (recorded as context, not gated).
+* ``vectorized_pe_grid`` -- the reference grid (10 frequencies x 4 PE counts,
+  one batch of four shards) through the batched backend, cache off; its
+  report must equal the scalar one (time recorded as context, not gated).
 * ``queue``         -- the reference grid through the sharded work queue
   with 2 workers, then resumed; the resumed run must execute zero
   simulations (everything comes from done-files + disk cache).
@@ -108,6 +111,7 @@ def _repeat_once(jobs: int) -> dict:
         start = time.perf_counter()
         vectorized.format_report()
         runs["vectorized_render"] = (vectorized, time.perf_counter() - start)
+        runs["vectorized_pe_grid"] = _timed(jobs=1, backend="vectorized", use_cache=False)
         # Sharded queue: cold with 2 workers, then a resume that must be free.
         for name, resume in (("queue_cold", False), ("queue_resume", True)):
             start = time.perf_counter()
@@ -153,6 +157,8 @@ def main() -> int:
         raise SystemExit("queued sweep disagreed with the serial runner")
     if queue_resume.format_report() != queue_cold.format_report():
         raise SystemExit("resumed queued sweep disagreed with the cold run")
+    if last["vectorized_pe_grid"].format_report() != serial.format_report():
+        raise SystemExit("the batched reference grid disagreed with the serial runner")
 
     cells = _cells(warm)
     scalar_warm_us = warm_s / cells * 1e6
@@ -206,6 +212,7 @@ def main() -> int:
         "vectorized_seconds": vec_s,
         "vectorized_simulations": vec.simulations_executed,
         "vectorized_render_seconds": seconds["vectorized_render"],
+        "vectorized_pe_grid_seconds": seconds["vectorized_pe_grid"],
         "per_point_overhead_us": vectorized_us,
         "vectorized_overhead_ratio": overhead_ratio,
         "queue_workers": 2,

@@ -33,9 +33,9 @@ SIGINT/SIGTERM drain in-flight work before exiting 0.
 ``sweep`` without ``--spec``/``--axis`` prints the classic Fig. 18 frequency
 heat map.  With them it runs a generalized design-space sweep: every axis is
 a dotted scenario override path with the values to try, the grid is their
-cartesian product, eligible grids evaluate as whole numpy planes and the
-rest point by point over ``--jobs`` worker processes, and every simulation
-is memoized in a persistent on-disk cache
+cartesian product, eligible grids evaluate as numpy batches (PE frequency x
+PEs per vault) and the rest point by point over ``--jobs`` worker
+processes, and every simulation is memoized in a persistent on-disk cache
 (``--cache-dir``, ``--no-cache``), so repeated and overlapping sweeps are
 incremental -- a fully warm sweep executes zero simulations.  Execution
 statistics (cache hits/misses, wall clock) go to stderr; stdout stays
@@ -701,8 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "vectorized", "scalar"),
         default="auto",
         help=(
-            "evaluation backend (default auto: batch whole grid planes "
-            "through numpy when the sweep is eligible, bit-exact with the "
+            "evaluation backend (default auto: batch PE frequencies and PE "
+            "counts through numpy when the sweep is eligible, bit-exact with the "
             "scalar path; 'vectorized' demands it, 'scalar' forbids it)"
         ),
     )
@@ -713,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "vectorized equivalence gate: re-simulate freshly computed "
             "points through the scalar path and require exact equality "
-            "(default sample: first+last fresh point per grid plane)"
+            "(default sample: first+last fresh frequency per PE count's plane)"
         ),
     )
     sweep.add_argument(

@@ -73,9 +73,9 @@ class DistributionPlan:
 class ExecutionScoreModel:
     """The paper's execution score ``S = 1 / (alpha E + beta M)``.
 
-    With a float64 array of PE frequencies in ``datapath``, the compute
-    time, the estimated time and the score are arrays with one value per
-    frequency.
+    With a float64 array of PE frequencies in ``datapath`` (and an int64
+    array of PE counts aligned with it in ``config``), the compute time, the
+    estimated time and the score are arrays with one value per element.
 
     Args:
         config: HMC configuration.
@@ -355,8 +355,8 @@ class WorkloadDistributor:
         """Execution score of every dimension, in ``Dimension`` order.
 
         Each score is an array when the PE frequency is one; a keep-first
-        ``argmax`` over the scores then picks per frequency what
-        :meth:`best_plan` picks for one.
+        ``argmax`` over the scores then picks per element what
+        :meth:`best_plan` picks for one point.
         """
         return {dim: self.score_model.score(plan) for dim, plan in self.all_plans().items()}
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.elementwise import as_float, maximum, minimum, rounded
 from repro.hmc.pe import OperationMix, PEOperation
 from repro.workloads.benchmarks import BenchmarkConfig
 
@@ -95,7 +96,8 @@ class IntraVaultDistributor:
     """Models PE utilization inside a vault (Sec. 5.2.1).
 
     Attributes:
-        pes_per_vault: PEs available per vault.
+        pes_per_vault: PEs available per vault (an int64 array gives one
+            utilization and PE count per element).
         allow_secondary_dimension: when the primary dimension does not offer
             enough independent sub-operations to feed every PE, the
             distributor re-partitions along another dimension (the paper's
@@ -121,17 +123,15 @@ class IntraVaultDistributor:
         available = independent_suboperations
         if self.allow_secondary_dimension:
             available *= secondary_parallelism
-        return min(1.0, available / float(self.pes_per_vault))
+        return minimum(1.0, available / as_float(self.pes_per_vault))
 
     def effective_pes(self, independent_suboperations: int, secondary_parallelism: int = 1) -> int:
         """Number of PEs the assignment actually keeps busy."""
-        return max(
+        return maximum(
             1,
-            int(
-                round(
-                    self.pes_per_vault
-                    * self.utilization(independent_suboperations, secondary_parallelism)
-                )
+            rounded(
+                self.pes_per_vault
+                * self.utilization(independent_suboperations, secondary_parallelism)
             ),
         )
 

@@ -1,12 +1,14 @@
-"""Comparisons that work on Python floats and on float64 arrays alike.
+"""Comparisons and roundings that work on Python numbers and on arrays alike.
 
 The analytic models accept the PE frequency as a Python float or as a float64
-array (one element per frequency of a vectorized sweep plane).  Elementwise
-``+ - * /`` already give the same bits in both forms; the builtins ``max``,
-``min`` and conditional expressions do not accept arrays, so the model uses
-these helpers instead.  On Python floats each helper returns exactly what the
-builtin expression it replaces returns and creates no numpy value; on arrays
-it applies the same rule to each element.
+array, and the PE count per vault as a Python int or as an int64 array
+aligned with it (one element per point of a vectorized sweep batch).
+Elementwise ``+ - * /`` already give the same bits in both forms; the
+builtins ``max``, ``min``, ``round``, ``float`` and conditional expressions do
+not accept arrays, so the model uses these helpers instead.  On Python
+numbers each helper returns exactly what the builtin expression it replaces
+returns and creates no numpy value; on arrays it applies the same rule to
+each element.
 """
 
 from __future__ import annotations
@@ -19,6 +21,34 @@ def maximum(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.where(b > a, b, a)
     return b if b > a else a
+
+
+def minimum(a, b):
+    """``min(a, b)``: ``b`` where ``b < a``, else ``a``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.where(b < a, b, a)
+    return b if b < a else a
+
+
+def choose(condition, a, b):
+    """``a if condition else b``."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+def as_float(value):
+    """``float(value)``: an int64 array becomes float64, each element rounded alike."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
+    return float(value)
+
+
+def rounded(value):
+    """``int(round(value))``: the nearest integer, ties to even (int64 elements)."""
+    if isinstance(value, np.ndarray):
+        return np.rint(value).astype(np.int64)
+    return int(round(value))
 
 
 def reciprocal_or_inf(value):

@@ -15,9 +15,10 @@ registry.  Three families cover all eight built-in design points:
 * :class:`AllInPIMStrategy` -- the whole network on the HMC, serial pipeline,
   power-gated GPU.
 
-The recipes run unchanged on a model whose PE frequency is a float64 array
-(the vectorized sweep backend): every frequency-dependent time and energy
-of the result is then an array, and the GPU-only results stay floats.
+The recipes run unchanged on a model whose PE frequency is a float64 array,
+and whose PE count per vault may be an int64 array aligned with it (the
+vectorized sweep backend): every time and energy that depends on them is
+then an array, and the GPU-only results stay floats.
 """
 
 from __future__ import annotations

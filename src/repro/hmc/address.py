@@ -19,7 +19,8 @@ from indicator bits (the low 4 ignored bits of the address).
 
 Both mappings are implemented bit-exactly so tests can verify the layout,
 and both expose a :meth:`AddressMapping.bank_conflict_factor` summarizing
-how badly concurrent PE requests collide, which the vault timing model uses.
+how badly concurrent PE requests collide, which the vault timing model uses
+(one factor per element for an int64 array of requester counts).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.elementwise import any_true, choose, maximum, minimum
 from repro.hmc.config import HMCConfig
 
 
@@ -120,9 +122,9 @@ class DefaultAddressMapping(AddressMapping):
         collide per scheduling window, so the factor grows with the requester
         count (capped by the bank count).
         """
-        if concurrent_requesters < 1:
+        if any_true(concurrent_requesters < 1):
             raise ValueError("concurrent_requesters must be positive")
-        return float(max(1.0, min(concurrent_requesters, self.config.banks_per_vault) / 2.0))
+        return maximum(1.0, minimum(concurrent_requesters, self.config.banks_per_vault) / 2.0)
 
 
 class CustomAddressMapping(AddressMapping):
@@ -162,12 +164,15 @@ class CustomAddressMapping(AddressMapping):
 
     def bank_conflict_factor(self, concurrent_requesters: int) -> float:
         """Concurrent PE requests spread over the banks; only residual conflicts remain."""
-        if concurrent_requesters < 1:
+        if any_true(concurrent_requesters < 1):
             raise ValueError("concurrent_requesters must be positive")
-        if concurrent_requesters <= self.config.banks_per_vault:
-            return self.RESIDUAL_CONFLICT
+        banks = self.config.banks_per_vault
         # More requesters than banks: the excess necessarily serializes.
-        return self.RESIDUAL_CONFLICT * concurrent_requesters / self.config.banks_per_vault
+        return choose(
+            concurrent_requesters <= banks,
+            self.RESIDUAL_CONFLICT,
+            self.RESIDUAL_CONFLICT * concurrent_requesters / banks,
+        )
 
 
 def vault_histogram(

@@ -27,7 +27,8 @@ class HMCConfig:
         max_block_bytes: maximum sub-page ("MAX block") size in bytes.
         packet_overhead_bytes: packet head + tail bytes added to each request
             crossing the crossbar (``SIZE_pkt`` in the paper's Eqs. 8/10/12).
-        pes_per_vault: processing elements integrated per vault.
+        pes_per_vault: processing elements integrated per vault.  An int64
+            array holds one count per element of a frequency array.
         pe_frequency_mhz: PE clock frequency in MHz.  A float64 array holds
             one frequency per element: the analytic models then evaluate
             every frequency at once (vectorized sweeps), element by element.
@@ -48,7 +49,7 @@ class HMCConfig:
         # Every check is written so that NaN fails: it compares false to
         # everything.
         counts = (self.num_vaults, self.banks_per_vault, self.pes_per_vault)
-        if not all(count >= 1 for count in counts):
+        if not all(all_true(count >= 1) for count in counts):
             raise ValueError("vault/bank/PE counts must be positive")
         if not 1 <= self.block_bytes <= self.max_block_bytes:
             raise ValueError("invalid block / max-block sizes")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.elementwise import any_true
 from repro.hmc.config import HMCConfig
 
 
@@ -87,11 +88,12 @@ class VaultMemoryModel:
         Args:
             bytes_accessed: total DRAM bytes read + written in this vault.
             conflict_factor: serialization multiplier produced by the address
-                mapping (1.0 = perfectly parallel banks).
+                mapping (1.0 = perfectly parallel banks); a float64 array
+                gives one time per element.
         """
         if bytes_accessed < 0:
             raise ValueError("bytes_accessed must be non-negative")
-        if conflict_factor < 1.0:
+        if any_true(conflict_factor < 1.0):
             raise ValueError("conflict_factor must be >= 1")
         return bytes_accessed * conflict_factor / self.effective_bandwidth_bytes
 

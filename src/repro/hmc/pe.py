@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Mapping
 
-from repro.elementwise import all_true
+from repro.elementwise import all_true, any_true
 
 
 class PEOperation(str, Enum):
@@ -131,7 +131,7 @@ class PEDatapath:
         cycles_per_operation: cycles each operation type occupies the PE.
         frequency_hz: PE clock frequency; a float64 array of frequencies makes
             :meth:`time_for` and :meth:`throughput_ops` return one value per
-            element.
+            element, as does an int64 array of PE counts aligned with it.
     """
 
     frequency_hz: float
@@ -157,7 +157,7 @@ class PEDatapath:
 
     def time_for(self, mix: OperationMix, num_pes: int = 1) -> float:
         """Seconds to execute ``mix`` spread evenly over ``num_pes`` PEs."""
-        if num_pes < 1:
+        if any_true(num_pes < 1):
             raise ValueError("num_pes must be positive")
         return self.cycles_for(mix) / (num_pes * self.frequency_hz)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.elementwise import maximum
+from repro.elementwise import all_true, any_true, maximum, rounded
 from repro.hmc.address import AddressMapping, CustomAddressMapping
 from repro.hmc.config import HMCConfig
 from repro.hmc.dram import VaultMemoryModel
@@ -37,6 +37,9 @@ class VaultWorkload:
             concurrently (normally all PEs of the vault).
         pe_utilization: fraction of the vault's PEs that can be kept busy by
             the intra-vault workload distribution (1.0 = all 16).
+
+    With an int64 array of PE counts the requesters and the utilization are
+    arrays too, one element per count.
     """
 
     operations: OperationMix
@@ -47,9 +50,10 @@ class VaultWorkload:
     def __post_init__(self) -> None:
         if self.dram_bytes < 0:
             raise ValueError("dram_bytes must be non-negative")
-        if self.concurrent_requesters < 1:
+        if any_true(self.concurrent_requesters < 1):
             raise ValueError("concurrent_requesters must be positive")
-        if not 0.0 < self.pe_utilization <= 1.0:
+        # NaN fails both comparisons.
+        if not all_true((0.0 < self.pe_utilization) & (self.pe_utilization <= 1.0)):
             raise ValueError("pe_utilization must be in (0, 1]")
 
 
@@ -57,8 +61,8 @@ class VaultWorkload:
 class VaultExecution:
     """Timing result of one vault executing its workload.
 
-    Every time is a float, or a float64 array when the PE frequency is one
-    (the compute time then varies per element).
+    Every time is a float, or a float64 array when the PE frequency or the
+    PE count is an array (the times then vary per element).
 
     Attributes:
         compute_time: PE execution time (seconds).
@@ -107,7 +111,7 @@ class Vault:
 
     def execute(self, workload: VaultWorkload) -> VaultExecution:
         """Execute one vault workload and return its timing decomposition."""
-        effective_pes = max(1, int(round(self.config.pes_per_vault * workload.pe_utilization)))
+        effective_pes = maximum(1, rounded(self.config.pes_per_vault * workload.pe_utilization))
         compute_time = self.datapath.time_for(workload.operations, num_pes=effective_pes)
         dram_time = self.memory.base_service_time(workload.dram_bytes)
         conflict = self.mapping.bank_conflict_factor(workload.concurrent_requesters)

@@ -20,9 +20,9 @@ package is the exploration tool for the rest of it:
   persistent :class:`~repro.engine.diskcache.SimulationCache`, so repeated
   and overlapping sweeps are incremental.
 * :mod:`~repro.sweep.vectorized` batches eligible sweeps: the registered
-  strategies run once per frequency plane on models whose PE frequency is a
-  numpy array, bit-exact against the scalar path (a hard equivalence gate
-  re-checks fresh points).  ``SweepRunner``
+  strategies run once per frequency x PE-count batch on models whose PE
+  frequency and PE count are numpy arrays, bit-exact against the scalar
+  path (a hard equivalence gate re-checks fresh points).  ``SweepRunner``
   picks it automatically (``backend="auto"``).
 * :mod:`~repro.sweep.queue` shards a grid into a filesystem work queue:
   independent worker processes rebuild the runner from the workdir's

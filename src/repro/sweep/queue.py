@@ -82,7 +82,7 @@ from repro.sweep.spec import SweepSpec
 QUEUE_SCHEMA_VERSION = 1
 
 #: Default grid points per shard -- small enough that a killed worker loses
-#: little work, large enough that the vectorized backend sees whole planes.
+#: little work, large enough that the vectorized backend sees whole batches.
 DEFAULT_SHARD_SIZE = 256
 
 #: Default executions a shard gets before it is retired as poisoned.

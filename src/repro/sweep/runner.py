@@ -6,12 +6,12 @@
 that
 
 * checks the sweep options (backend, verify mode, benchmark restriction),
-* picks the backend: eligible grids evaluate whole planes at once through
-  :mod:`repro.sweep.vectorized`; every other grid evaluates point by point,
-  in the calling process with ``jobs=1`` or over a ``ProcessPoolExecutor``
-  of ``jobs`` workers.  The point scenarios are frozen
-  :class:`~repro.api.scenario.Scenario` objects and cross the process
-  boundary as they are (pickled); workers send back their cells.  The
+* picks the backend: eligible grids evaluate whole frequency x PE-count
+  batches at once through :mod:`repro.sweep.vectorized`; every other grid
+  evaluates point by point, in the calling process with ``jobs=1`` or over
+  a ``ProcessPoolExecutor`` of ``jobs`` workers.  The point scenarios are
+  frozen :class:`~repro.api.scenario.Scenario` objects and cross the
+  process boundary as they are (pickled); workers send back their cells.  The
   simulations are pure-Python analytical models (GIL-bound), which is why
   the points fan out over processes and never threads.  Where the platform
   cannot provide a process pool the points run in-process instead.  (The
@@ -68,7 +68,7 @@ from repro.faults import point as fault_point
 from repro.sweep.spec import SweepSpec, _format_value
 from repro.sweep.vectorized import VERIFY_MODES, evaluate_grid, vectorization_blocker
 
-#: Evaluation backends: ``"auto"`` batches whole grid planes through
+#: Evaluation backends: ``"auto"`` batches frequency x PE-count grids through
 #: :mod:`repro.sweep.vectorized` whenever the sweep is eligible,
 #: ``"vectorized"`` demands the batched path (erroring with the blocker
 #: reason when ineligible) and ``"scalar"`` always evaluates point by point.
@@ -390,7 +390,7 @@ class SweepRunner:
             # A config error would fail every point (or queue shard)
             # identically; fail before any of them runs.
             raise ValueError(f"sweep cannot be vectorized: {blocker}")
-        #: Whether points evaluate through the batched plane evaluator.
+        #: Whether points evaluate through the batched evaluator.
         self.vectorized = backend != "scalar" and blocker is None
 
     # ------------------------------------------------------------------ running

@@ -1,19 +1,22 @@
-"""Vectorized (plane-batched) evaluation of sweep grids, bit-exact with the scalar path.
+"""Vectorized (batched) evaluation of sweep grids, bit-exact with the scalar path.
 
 The analytic models behind every design point are closed-form float
-arithmetic, and they accept the PE frequency as a float64 array as well as a
-Python float: elementwise ``+ - * /`` give the same bits in both forms, and
-the few comparisons on the frequency chain go through
-:mod:`repro.elementwise`.  Of all swept quantities only
-``hmc.pe_frequency_mhz`` is batched this way; the evaluator therefore
+arithmetic, and they accept the PE frequency as a float64 array and the PE
+count per vault as an int64 array aligned with it, as well as Python
+numbers: elementwise ``+ - * /`` give the same bits in both forms, and the
+few comparisons and roundings on those chains go through
+:mod:`repro.elementwise`.  Of all swept quantities ``hmc.pe_frequency_mhz``
+and ``hmc.pes_per_vault`` are batched this way; the evaluator therefore
 
-1. groups the grid into **planes**: points sharing every non-frequency axis
-   value.  Each plane is one frequency array.
-2. builds, per ``(plane, benchmark)``, one
-   :class:`~repro.core.accelerator.PIMCapsNet` whose HMC frequency is that
-   array, reads the distributor's per-frequency execution scores, and picks
-   each point's distribution dimension with a keep-first ``argmax`` (what
-   ``best_plan``'s ``max`` picks for one frequency), and
+1. groups the grid into **shards**: points sharing every non-frequency axis
+   value, one PE count's frequency plane, and the shards into **batches**:
+   shards that differ only in their PE count.
+2. builds, per ``(batch, benchmark)``, one
+   :class:`~repro.core.accelerator.PIMCapsNet` whose HMC frequency and PE
+   count are the batch's arrays, reads the distributor's per-point
+   execution scores, and picks each point's distribution dimension with a
+   keep-first ``argmax`` (what ``best_plan``'s ``max`` picks for one point),
+   and
 3. runs the **registered strategies themselves** on a model per winning
    dimension, built with that ``force_dimension``, and scatters their
    array results into per-point times and energies.
@@ -21,27 +24,28 @@ the few comparisons on the frequency chain go through
 There is one copy of the model: a strategy patched or fixed is patched or
 fixed for both backends.  IEEE-754 arithmetic is deterministic, so every
 cell equals the scalar result **exactly** -- the same policy as the training
-kernels' bit-exactness gate.  An invalid frequency anywhere in a plane fails
+kernels' bit-exactness gate.  An invalid frequency anywhere in a batch fails
 the model's own range check, exactly as the scalar path fails on it.
 
 Two guard rails keep this honest:
 
 * :func:`vectorization_blocker` refuses any sweep the batcher does not fully
   understand (no frequency axis, selection axes, custom strategies, whose
-  code may not accept frequency arrays); the runner then falls back to the
-  scalar path.
+  code may not accept arrays); the runner then falls back to the scalar
+  path.
 * the **equivalence gate**: unless disabled, freshly computed points are
   re-simulated through the plain scalar path (all of them under
-  ``verify="full"``, the first and last fresh frequency of every plane under
+  ``verify="full"``, the first and last fresh frequency of every shard under
   the default ``verify="sample"``) and compared field-by-field with exact
   float equality.  Any difference raises :class:`VectorizedMismatchError` --
   divergence is a bug, never something to silently fall back from.
 
 Results flow through the same
 :class:`~repro.engine.diskcache.SimulationCache` entries as the scalar path.
-A plane is one cache shard, and a strategy's array result over it is one
-cache block, so each plane is read with one ``get_many`` and written with
-one ``put_many`` of whole float64 columns.  Vectorized, scalar,
+A shard is one cache shard file, and a strategy's array result over it is
+one cache block, so each shard is read with one ``get_many`` and written
+with one ``put_many`` of whole float64 columns; a batch computes only the
+points of its shards with a fresh cell.  Vectorized, scalar,
 process-pool and work-queue executions all share one cache, and a warm
 vectorized sweep executes zero simulations.
 """
@@ -63,11 +67,18 @@ from repro.hmc.config import HMCConfig
 from repro.sweep.spec import SweepSpec
 from repro.workloads.benchmarks import BenchmarkConfig
 
-#: The axis broadcast as a numpy array; every other axis defines planes.
+#: The axes broadcast as numpy arrays: the frequency, and the PE count aligned
+#: with it.  Every other axis separates batches.
 FREQUENCY_AXIS = "hmc.pe_frequency_mhz"
+PES_AXIS = "hmc.pes_per_vault"
+
+#: PE counts from here on are evaluated one shard at a time, as the scenario's
+#: Python int: below it every count converts to float64 exactly, so the PE
+#: shares the model rounds fit int64.
+_BATCHED_PES_LIMIT = 2**53
 
 #: Equivalence-gate modes: scalar re-check of every fresh point, of the first
-#: and last fresh frequency per plane, or of nothing.
+#: and last fresh frequency per shard, or of nothing.
 VERIFY_MODES = ("full", "sample", "off")
 
 #: Axes that change *which* cells a point evaluates rather than their inputs.
@@ -97,14 +108,14 @@ def _design_points_module():
 def vectorization_blocker(spec: SweepSpec) -> Optional[str]:
     """Why this sweep cannot be vectorized, or ``None`` if it can.
 
-    The base scenario does not influence eligibility: planes anchor on
+    The base scenario does not influence eligibility: shards anchor on
     whatever scenario each grid point produces, so any base that survives
     scalar execution works.
     """
     if FREQUENCY_AXIS not in spec.axis_keys:
         return (
-            f"no {FREQUENCY_AXIS!r} axis to broadcast; only frequency planes "
-            f"are batched today"
+            f"no {FREQUENCY_AXIS!r} axis to broadcast; a batch needs frequencies "
+            f"(PE counts batch only alongside them)"
         )
     for key in spec.axis_keys:
         if key in _SELECTION_AXES:
@@ -166,7 +177,7 @@ def _result_at(result: object, j: int) -> object:
     """One point's result: element ``j`` of a strategy result over an array.
 
     The same row decoder as a cache block's
-    (:func:`~repro.engine.diskcache.decode_result`); frequency-independent
+    (:func:`~repro.engine.diskcache.decode_result`); point-independent
     fields are plain floats and stay themselves.
     """
     shape, values, dimension = encode_result(result)
@@ -177,79 +188,104 @@ def _result_at(result: object, j: int) -> object:
     )
 
 
-class _PlaneResults(NamedTuple):
-    """Every design's strategy results over one plane for one benchmark.
+def _result_slice(result: object, lo: int, hi: int) -> object:
+    """Elements ``lo:hi`` of a strategy result over an array, as one array result."""
+    shape, values, dimension = encode_result(result)
+    return decode_result(
+        shape,
+        [value[lo:hi] if isinstance(value, np.ndarray) else value for value in values],
+        dimension,
+    )
 
-    The points are grouped by the distribution dimension that wins at their
-    frequency: ``results[design key][g]`` covers the points ``groups[g]``,
-    and point ``i`` is its element ``where[i][1]`` for ``g = where[i][0]``.
+
+class _BatchResults(NamedTuple):
+    """Every design's strategy results over one batch for one benchmark.
+
+    The points are grouped by the distribution dimension that wins at them:
+    ``results[design key][g]`` covers the points ``groups[g]`` (ascending),
+    and point ``i`` is in group ``group_of[i]``.
     """
 
     groups: List[np.ndarray]
-    where: List[Tuple[int, int]]
+    group_of: np.ndarray
     results: Dict[str, List[object]]
 
     def column(self, design: str, field: str) -> np.ndarray:
-        """One field of one design at every point of the plane."""
-        values = np.empty(len(self.where))
+        """One field of one design at every point of the batch."""
+        values = np.empty(len(self.group_of))
         for positions, result in zip(self.groups, self.results[design]):
             values[positions] = getattr(result, field)
         return values
 
     def result(self, design: str, index: int) -> object:
         """One design's result at one point."""
-        group, element = self.where[index]
+        group = self.group_of[index]
+        element = int(np.searchsorted(self.groups[group], index))
         return _result_at(self.results[design][group], element)
 
+    def slices(self, design: str, start: int, stop: int) -> Iterator[Tuple[object, np.ndarray]]:
+        """One design's results over the points ``start:stop`` (one shard),
+        one per winning dimension, each with the points it covers."""
+        for positions, result in zip(self.groups, self.results[design]):
+            lo, hi = np.searchsorted(positions, (start, stop)).tolist()
+            if lo < hi:
+                whole = hi - lo == len(positions)
+                yield (result if whole else _result_slice(result, lo, hi)), positions[lo:hi]
 
-def _plane_results(
+
+def _batch_results(
     config: BenchmarkConfig,
     kwargs: Dict[str, object],
     hmc: HMCConfig,
-    f_mhz: np.ndarray,
     kind: str,
     designs: List[DesignLike],
-) -> _PlaneResults:
-    """Every design's results for one benchmark over one plane.
+) -> _BatchResults:
+    """Every design's results for one benchmark over one batch.
 
-    The registered strategies run on models whose PE frequency is the
-    plane's frequency array.  The distribution dimension can differ per
-    frequency (the Fig. 18 effect) and a model simulates one dimension at a
-    time, so the points are grouped by the dimension that wins at their
-    frequency, one model each, built with that dimension forced.
+    The registered strategies run on models whose PE frequency (and PE
+    count, when the batch spans several) is the batch's array.  The
+    distribution dimension can differ per point (the Fig. 18 effect) and a
+    model simulates one dimension at a time, so the points are grouped by
+    the dimension that wins at them, one model each, built with that
+    dimension forced.
     """
-    n = int(f_mhz.shape[0])
-    scores = PIMCapsNet(
-        config, **kwargs, hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz)
-    ).distributor.scores()
+    f_mhz, pes = hmc.pe_frequency_mhz, hmc.pes_per_vault
+    scores = PIMCapsNet(config, **kwargs, hmc_config=hmc).distributor.scores()
     dimensions = list(scores)
     # Keep-first argmax in Dimension order: what best_plan's max picks.
     winners = np.argmax(np.stack(list(scores.values())), axis=0)
-    models: List[PIMCapsNet] = []
-    groups: List[np.ndarray] = []
-    where: List[Tuple[int, int]] = [(0, 0)] * n
     # The winning codes in ascending order (np.unique would import numpy.ma).
-    for group, winner in enumerate(np.flatnonzero(np.bincount(winners))):
-        positions = np.flatnonzero(winners == winner)
-        models.append(
-            PIMCapsNet(
-                config,
-                **kwargs,
-                hmc_config=dataclasses.replace(hmc, pe_frequency_mhz=f_mhz[positions]),
-                force_dimension=dimensions[winner],
-            )
+    codes = np.flatnonzero(np.bincount(winners))
+    groups = [np.flatnonzero(winners == code) for code in codes]
+    models = [
+        PIMCapsNet(
+            config,
+            **kwargs,
+            hmc_config=dataclasses.replace(
+                hmc,
+                pe_frequency_mhz=f_mhz[positions],
+                pes_per_vault=pes[positions] if isinstance(pes, np.ndarray) else pes,
+            ),
+            force_dimension=dimensions[code],
         )
-        groups.append(positions)
-        for element, index in enumerate(positions.tolist()):
-            where[index] = (group, element)
+        for code, positions in zip(codes, groups)
+    ]
     simulate = PIMCapsNet.simulate_routing if kind == "routing" else PIMCapsNet.simulate_end_to_end
     results = {
         design_key(design): [simulate(model, design) for model in models] for design in designs
     }
-    return _PlaneResults(groups, where, results)
+    return _BatchResults(groups, np.searchsorted(codes, winners), results)
 
 
 # ------------------------------------------------------------ grid evaluation
+
+
+class _Shard(NamedTuple):
+    """The grid points of one cache shard: one PE count's frequency plane."""
+
+    anchor: Scenario  # the scenario of its first point
+    positions: List[int]  # grid positions
+    f_mhz: np.ndarray  # PE frequencies, one per position
 
 
 def _select_benchmarks(base: Scenario) -> List[str]:
@@ -296,93 +332,119 @@ def evaluate_grid(
     names = list(benchmarks) if benchmarks else _select_benchmarks(base)
     kind = "routing" if spec.kind == "routing" else "end_to_end"
     outcomes: List[Optional[dict]] = [None] * len(assignments)
-    plane_axes = [key for key in spec.axis_keys if key != FREQUENCY_AXIS]
-    planes: Dict[tuple, List[int]] = {}
+    shard_axes = [key for key in spec.axis_keys if key != FREQUENCY_AXIS]
+    shard_positions: Dict[tuple, List[int]] = {}
     for position, assignment in enumerate(assignments):
-        plane_key = tuple(assignment[key] for key in plane_axes)
-        planes.setdefault(plane_key, []).append(position)
-    for positions in planes.values():
-        _evaluate_plane(
-            spec, base, assignments, positions, names, kind, cache, verify, outcomes
-        )
+        values = tuple(assignment[key] for key in shard_axes)
+        shard_positions.setdefault(values, []).append(position)
+    batches: Dict[tuple, List[_Shard]] = {}
+    for values, positions in shard_positions.items():
+        anchor = spec.scenario_for(base, assignments[positions[0]])
+        f_mhz = np.array([float(assignments[p][FREQUENCY_AXIS]) for p in positions])
+        batch = tuple(value for key, value in zip(shard_axes, values) if key != PES_AXIS)
+        if anchor.hmc.pes_per_vault >= _BATCHED_PES_LIMIT:
+            batch += (values,)  # a batch of its own, computed with a Python int
+        batches.setdefault(batch, []).append(_Shard(anchor, positions, f_mhz))
+    for shards in batches.values():
+        _evaluate_batch(spec, base, assignments, shards, names, kind, cache, verify, outcomes)
     if cache is not None:
         cache.flush()
     return outcomes  # type: ignore[return-value]
 
 
-def _evaluate_plane(
+def _evaluate_batch(
     spec: SweepSpec,
     base: Scenario,
     assignments: List[Dict[str, object]],
-    positions: List[int],
+    shards: List[_Shard],
     names: List[str],
     kind: str,
     cache: Optional[SimulationCache],
     verify: str,
     outcomes: List[Optional[dict]],
 ) -> None:
-    """Evaluate one frequency plane into ``outcomes`` (in grid positions).
+    """Evaluate one batch, shards differing only in PE count, into ``outcomes``.
 
-    Each ``(benchmark, design)`` of the plane is one cache block: the plane's
-    frequency array is looked up, and stored, as a whole.
+    Each ``(shard, benchmark, design)`` is one cache block: a shard's
+    frequency array is looked up, and stored, as a whole.  The points of
+    the shards with a fresh cell are computed as one array.
     """
-    count = len(positions)
-    f_mhz = np.array([float(assignments[p][FREQUENCY_AXIS]) for p in positions])
-    anchor = spec.scenario_for(base, assignments[positions[0]])
-    catalog = anchor.catalog
-    configs = {name: catalog.benchmark(name) for name in names}
+    anchor = shards[0].anchor
+    configs = {name: anchor.catalog.benchmark(name) for name in names}
     cell_designs: List[DesignLike] = [DesignPoint.BASELINE_GPU]
     cell_designs.extend(str(design) for design in spec.designs)
     pairs = [(name, design) for name in names for design in cell_designs]
 
-    # -- disk cache: one bulk lookup of the plane's blocks --------------------
-    found = np.zeros((len(pairs), count), dtype=bool)
-    blocks: List[Optional[Block]] = [None] * len(pairs)
+    # -- disk cache: one bulk lookup of each shard's blocks -------------------
+    blocks: List[List[Optional[Block]]] = [[None] * len(pairs) for _ in shards]
     if cache is not None:
-        plane = anchor.plane_hash()
-        blocks = cache.get_many(
-            [(plane, configs[name], kind, design, f_mhz) for name, design in pairs]
-        )
-        for k, block in enumerate(blocks):
-            if block is not None:
-                # A block holds the rows found, in request order.
-                found[k] = len(block) == count or np.isin(f_mhz, block.frequencies)
-    fresh = ~found
+        blocks = [
+            cache.get_many(
+                [
+                    (shard.anchor.plane_hash(), configs[name], kind, design, shard.f_mhz)
+                    for name, design in pairs
+                ]
+            )
+            for shard in shards
+        ]
+    fresh = [_fresh_cells(shard.f_mhz, rows) for shard, rows in zip(shards, blocks)]
 
-    # -- vectorized evaluation (only planes with a fresh cell need it) -------
-    computed: Dict[str, _PlaneResults] = {}
-    if fresh.any():
+    # -- vectorized evaluation (only shards with a fresh cell need it) --------
+    computing = [s for s, cells in enumerate(fresh) if cells.any()]
+    starts: Dict[int, int] = {}
+    checked: Dict[int, int] = {}  # grid position -> scalar re-check simulations
+    if computing:
+        sizes = [len(shards[s].positions) for s in computing]
+        starts = dict(zip(computing, np.cumsum([0, *sizes[:-1]]).tolist()))
+        f_mhz = np.concatenate([shards[s].f_mhz for s in computing])
+        counts = [shards[s].anchor.hmc.pes_per_vault for s in computing]
+        pes = counts[0] if len(counts) == 1 else np.repeat(np.array(counts, dtype=np.int64), sizes)
+        hmc = dataclasses.replace(anchor.hmc, pe_frequency_mhz=f_mhz, pes_per_vault=pes)
         kwargs = anchor.model_kwargs()
         kwargs.pop("hmc_config", None)
         computed = {
-            name: _plane_results(configs[name], kwargs, anchor.hmc, f_mhz, kind, cell_designs)
+            name: _batch_results(configs[name], kwargs, hmc, kind, cell_designs)
             for name in names
         }
         if cache is not None:
-            cache.put_many(
-                [
-                    (plane, configs[name], kind, design, result, f_mhz[group])
-                    for name, design in pairs
-                    for group, result in zip(
-                        computed[name].groups, computed[name].results[design_key(design)]
-                    )
+            for s, start in starts.items():
+                plane, stop = shards[s].anchor.plane_hash(), start + len(shards[s].positions)
+                cache.put_many(
+                    [
+                        (plane, configs[name], kind, design, result, f_mhz[points])
+                        for name, design in pairs
+                        for result, points in computed[name].slices(
+                            design_key(design), start, stop
+                        )
+                    ]
+                )
+        batch_times = np.array(
+            [computed[name].column(design_key(design), "time_seconds") for name, design in pairs]
+        )
+        batch_energies = np.array(
+            [computed[name].column(design_key(design), "energy_joules") for name, design in pairs]
+        )
+
+        # -- equivalence gate: scalar re-check of freshly computed points ----
+        gated = starts if verify != "off" else {}
+        for s, start in gated.items():
+            fresh_points = np.flatnonzero(fresh[s].any(axis=0)).tolist()
+            if verify == "sample":
+                fresh_points = sorted({fresh_points[0], fresh_points[-1]})
+            for i in fresh_points:
+                position = shards[s].positions[i]
+                vectorized = [
+                    computed[name].result(design_key(design), start + i) if fresh[s][k, i] else None
+                    for k, (name, design) in enumerate(pairs)
                 ]
-            )
+                checked[position] = _verify_point(
+                    spec, base, assignments[position], configs, kind, pairs, vectorized
+                )
+        # The cells need only the columns: the batch's results go before the
+        # cells are built, so the two are never held at once.
+        del computed
 
-    # Per-(benchmark, design) rows of times and energies: computed, then the
-    # cached values where the cache hit.
-    times = np.empty((len(pairs), count))
-    energies = np.empty((len(pairs), count))
-    for k, ((name, design), block) in enumerate(zip(pairs, blocks)):
-        if computed:
-            times[k] = computed[name].column(design_key(design), "time_seconds")
-            energies[k] = computed[name].column(design_key(design), "energy_joules")
-        if block is not None:
-            arrays = block.arrays()
-            times[k, found[k]] = arrays.time_seconds
-            energies[k, found[k]] = arrays.energy_joules
-
-    # The plane's cells, built from point-major columns in one pass: each
+    # Each shard's cells, built from point-major columns in one pass: each
     # cell is a tuple made without a Python frame of its own, and a point's
     # baseline floats are shared by that benchmark's designs.  Slicing the
     # cells per point is the only per-point Python cost of the backend.
@@ -401,43 +463,51 @@ def _evaluate_plane(
         """Each of a point's baseline floats once per design."""
         return chain.from_iterable(map(repeat, values, repeat(len(design_names))))
 
-    cells = list(
-        map(
-            functools.partial(tuple.__new__, SweepCell),
-            zip(
-                [name for name in names for _ in design_names] * count,
-                design_names * (len(names) * count),
-                by_point(times, design_rows),
-                by_point(energies, design_rows),
-                per_design(by_point(times, baseline_rows)),
-                per_design(by_point(energies, baseline_rows)),
-            ),
+    for s, shard in enumerate(shards):
+        # Per-(benchmark, design) rows of times and energies: computed, then
+        # the cached values where the cache hit.
+        count = len(shard.positions)
+        times = np.empty((len(pairs), count))
+        energies = np.empty((len(pairs), count))
+        if s in starts:
+            times[:] = batch_times[:, starts[s] : starts[s] + count]
+            energies[:] = batch_energies[:, starts[s] : starts[s] + count]
+        for k, block in enumerate(blocks[s]):
+            if block is not None:
+                arrays = block.arrays()
+                times[k, ~fresh[s][k]] = arrays.time_seconds
+                energies[k, ~fresh[s][k]] = arrays.energy_joules
+        cells = list(
+            map(
+                functools.partial(tuple.__new__, SweepCell),
+                zip(
+                    [name for name in names for _ in design_names] * count,
+                    design_names * (len(names) * count),
+                    by_point(times, design_rows),
+                    by_point(energies, design_rows),
+                    per_design(by_point(times, baseline_rows)),
+                    per_design(by_point(energies, baseline_rows)),
+                ),
+            )
         )
-    )
-    misses = fresh.sum(axis=0).tolist()
-    for i in range(count):
-        outcomes[positions[i]] = {
-            "cells": cells[i * width : (i + 1) * width],
-            "simulations": misses[i],
-            "disk_hits": len(pairs) - misses[i] if cache is not None else 0,
-            "disk_misses": misses[i] if cache is not None else 0,
-        }
+        misses = fresh[s].sum(axis=0).tolist()
+        for i, position in enumerate(shard.positions):
+            outcomes[position] = {
+                "cells": cells[i * width : (i + 1) * width],
+                "simulations": misses[i] + checked.get(position, 0),
+                "disk_hits": len(pairs) - misses[i] if cache is not None else 0,
+                "disk_misses": misses[i] if cache is not None else 0,
+            }
 
-    # -- equivalence gate: scalar re-check of freshly computed points --------
-    if verify == "off" or not computed:
-        return
-    fresh_points = np.flatnonzero(fresh.any(axis=0)).tolist()
-    if verify == "sample":
-        fresh_points = sorted({fresh_points[0], fresh_points[-1]})
-    for i in fresh_points:
-        vectorized = [
-            computed[name].result(design_key(design), i) if fresh[k, i] else None
-            for k, (name, design) in enumerate(pairs)
-        ]
-        sims = _verify_point(
-            spec, base, assignments[positions[i]], configs, kind, pairs, vectorized
-        )
-        outcomes[positions[i]]["simulations"] += sims
+
+def _fresh_cells(f_mhz: np.ndarray, blocks: List[Optional[Block]]) -> np.ndarray:
+    """Which ``(pair, point)`` cells of a shard its cached ``blocks`` lack."""
+    found = np.zeros((len(blocks), len(f_mhz)), dtype=bool)
+    for k, block in enumerate(blocks):
+        if block is not None:
+            # A block holds the rows found, in request order.
+            found[k] = len(block) == len(f_mhz) or np.isin(f_mhz, block.frequencies)
+    return ~found
 
 
 def _verify_point(

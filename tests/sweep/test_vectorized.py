@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.sweep.vectorized` (bit-exact plane batching)."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from repro.engine.strategies import (
     register_strategy,
     unregister_strategy,
 )
+from repro.hmc.config import HMCConfig
 from repro.hmc.power import HMCPowerModel
 from repro.sweep import (
     SweepRunner,
@@ -29,6 +31,7 @@ from repro.sweep import (
     evaluate_grid,
     vectorization_blocker,
 )
+from repro.sweep import vectorized as vectorized_module
 from repro.sweep.vectorized import _assert_results_equal
 
 FREQUENCIES = [156.25, 312.5, 625.0, 1250.0]
@@ -119,18 +122,215 @@ def test_vectorized_handles_em_routing_workloads(kind):
     assert vectorized.to_dict() == scalar.to_dict()
 
 
+BATCH_FREQUENCIES = [100.0, 312.5, 1250.0, 2500.0]
+BATCH_PES = [4, 8, 16, 32]
+
+#: Grids whose PE counts batch with their frequencies, in both axis orders;
+#: the ``pipeline_batches`` axis splits a sweep into several batches, each
+#: spanning one shard per PE count.
+BATCHED_GRIDS = {
+    "pes-then-frequency": {
+        "hmc.pes_per_vault": BATCH_PES,
+        "hmc.pe_frequency_mhz": BATCH_FREQUENCIES,
+    },
+    "frequency-then-pes": {
+        "hmc.pe_frequency_mhz": BATCH_FREQUENCIES,
+        "hmc.pes_per_vault": BATCH_PES,
+    },
+    "three-axes": {
+        "pipeline_batches": [4, 16],
+        "hmc.pe_frequency_mhz": BATCH_FREQUENCIES,
+        "hmc.pes_per_vault": BATCH_PES,
+    },
+    "three-axes-interleaved": {
+        "hmc.pes_per_vault": BATCH_PES,
+        "pipeline_batches": [4, 16],
+        "hmc.pe_frequency_mhz": BATCH_FREQUENCIES,
+    },
+}
+
+
 def test_vectorized_matches_across_plane_axes():
-    """Multi-axis grids (several planes per sweep) stay exact, both orders."""
-    for axes in (
-        {"hmc.pes_per_vault": [8, 16], "hmc.pe_frequency_mhz": [312.5, 625.0]},
-        {"hmc.pe_frequency_mhz": [312.5, 625.0], "hmc.pes_per_vault": [8, 16]},
-    ):
-        spec = SweepSpec.from_axes(
-            axes, benchmarks=("Caps-MN1",), designs=("pim-capsnet", "all-in-pim")
-        )
-        vectorized = _run(spec, backend="vectorized", verify="full")
-        scalar = _run(spec, backend="scalar")
-        assert vectorized.to_dict() == scalar.to_dict()
+    """Multi-axis grids (several shards per batch, several batches per sweep)
+    stay exact in every axis order, for both kinds and every design."""
+    for axes in BATCHED_GRIDS.values():
+        for kind in ("routing", "end-to-end"):
+            spec = SweepSpec.from_axes(
+                axes, benchmarks=("Caps-MN1", "Caps-EN1"), designs=ALL_DESIGNS, kind=kind
+            )
+            vectorized = _run(spec, backend="vectorized", verify="full")
+            scalar = _run(spec, backend="scalar")
+            assert vectorized.executor_used == "vectorized"
+            assert vectorized.to_dict() == scalar.to_dict()
+            assert vectorized.format_report() == scalar.format_report()
+
+
+@pytest.mark.parametrize("kind", ["routing", "end-to-end"])
+def test_one_batch_holds_pe_counts_with_different_winning_dimensions(kind):
+    """At 625 MHz Caps-EN1 distributes along L with 8 PEs per vault and along
+    H with 16: one batch holds both winners, and each point keeps its own PE
+    count's dimension (``verify="full"`` re-checks it at every point)."""
+    dimensions = {
+        pes: PIMCapsNet(
+            "Caps-EN1", hmc_config=HMCConfig(pe_frequency_mhz=625.0, pes_per_vault=pes)
+        ).distributor.best_dimension()
+        for pes in (8, 16)
+    }
+    assert dimensions[8] != dimensions[16]
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": [625.0], "hmc.pes_per_vault": [8, 16]},
+        benchmarks=("Caps-EN1",),
+        designs=ALL_DESIGNS,
+        kind=kind,
+    )
+    vectorized = _run(spec, backend="vectorized", verify="full")
+    assert vectorized.to_dict() == _run(spec, backend="scalar").to_dict()
+
+
+def test_a_warm_rerun_over_a_batched_cache_simulates_nothing(tmp_path):
+    spec = SweepSpec.from_axes(
+        BATCHED_GRIDS["three-axes"],
+        benchmarks=("Caps-MN1", "Caps-EN1"),
+        designs=ALL_DESIGNS,
+        kind="end-to-end",
+    )
+    cold = SweepRunner(spec, jobs=1, cache_dir=tmp_path, backend="vectorized", verify="full").run()
+    # One shard per PE count per pipeline depth.
+    assert len(list(tmp_path.glob("v3/**/*.json"))) == 2 * len(BATCH_PES)
+    for backend in ("vectorized", "scalar"):
+        warm = SweepRunner(spec, jobs=1, cache_dir=tmp_path, backend=backend).run()
+        assert warm.simulations_executed == 0
+        assert (warm.cache.hits, warm.cache.misses) == (cold.cache.misses, 0)
+        assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
+        assert warm.format_report() == cold.format_report()
+
+
+def _count_models(monkeypatch) -> list:
+    """Record the ``force_dimension`` of every ``PIMCapsNet`` built from now on."""
+    built = []
+    init = PIMCapsNet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("force_dimension"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PIMCapsNet, "__init__", counting)
+    return built
+
+
+def test_a_batch_builds_one_score_model_per_benchmark(monkeypatch):
+    """A cold frequency x PE grid is one batch: per benchmark, one score model
+    over every point plus one model per winning dimension, not one score
+    model per PE count."""
+    benchmarks = ("Caps-MN1", "Caps-EN1", "Caps-EN3")
+    frequencies = [100.0, 200.0, 625.0, 1250.0]
+    winners = {
+        name: {
+            PIMCapsNet(
+                name, hmc_config=HMCConfig(pe_frequency_mhz=mhz, pes_per_vault=pes)
+            ).distributor.best_dimension()
+            for mhz in frequencies
+            for pes in BATCH_PES
+        }
+        for name in benchmarks
+    }
+    assert max(map(len, winners.values())) > 1
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": frequencies, "hmc.pes_per_vault": BATCH_PES},
+        benchmarks=benchmarks,
+        designs=("pim-capsnet", "all-in-pim"),
+        kind="end-to-end",
+    )
+    built = _count_models(monkeypatch)
+    _run(spec, backend="vectorized", verify="off")
+    assert built.count(None) == len(benchmarks)
+    assert sorted(map(str, filter(None, built))) == sorted(
+        str(dimension) for dimensions in winners.values() for dimension in dimensions
+    )
+
+
+def test_sample_verify_rechecks_the_first_and_last_fresh_frequency_of_each_shard(
+    monkeypatch, tmp_path
+):
+    """The scalar re-check covers each PE count's frequency plane (one cache
+    shard) on its own: its first and last fresh frequency, 8 points for 4 PE
+    counts in one batch."""
+    frequencies = [round(200.0 + 10.5 * i, 1) for i in range(100)]
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": frequencies, "hmc.pes_per_vault": BATCH_PES},
+        benchmarks=("Caps-MN1", "Caps-EN1"),
+        designs=("pim-capsnet", "rmas-gpu"),
+        kind="end-to-end",
+    )
+    # Warm the first ten frequencies of two shards: their first fresh
+    # frequency is then the eleventh.
+    warm = dataclasses.replace(
+        spec,
+        axes=(
+            dataclasses.replace(spec.axes[0], values=tuple(frequencies[:10])),
+            dataclasses.replace(spec.axes[1], values=(4, 16)),
+        ),
+    )
+    SweepRunner(warm, jobs=1, cache_dir=tmp_path, backend="vectorized").run()
+    seen = []
+    verify_point = vectorized_module._verify_point
+
+    def spy(spec, base, assignment, *args):
+        seen.append(assignment)
+        return verify_point(spec, base, assignment, *args)
+
+    monkeypatch.setattr(vectorized_module, "_verify_point", spy)
+    result = SweepRunner(spec, jobs=1, cache_dir=tmp_path, backend="vectorized").run()
+    first = {4: frequencies[10], 8: frequencies[0], 16: frequencies[10], 32: frequencies[0]}
+    assert seen == [
+        {"hmc.pe_frequency_mhz": mhz, "hmc.pes_per_vault": pes}
+        for pes in BATCH_PES
+        for mhz in (first[pes], frequencies[-1])
+    ]
+    assert result.cache.hits == 2 * 10 * 2 * 3
+    cold = SweepRunner(spec, jobs=1, cache_dir=tmp_path / "cold", backend="vectorized").run()
+    assert result.to_dict() == cold.to_dict()
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, which draws the benchmark's sweep grids."""
+    path = Path(__file__).resolve().parents[2] / "perfbench" / "inputs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def test_the_perfbench_grid_keeps_its_cold_and_warm_counts(tmp_path):
+    """Seed 5 of perfbench ``sweep-freq``: 100 frequencies x 4 PE counts, 12
+    benchmarks, 4 designs, one batch.  The stats line counts 24,000 computed
+    cells plus 672 scalar re-check simulations (8 points x 12 benchmarks x 7
+    simulations: 5 end-to-end, 2 routing)."""
+    spec = SweepSpec.from_dict(_perfbench_inputs().sweep_freq_spec(5))
+    cold = SweepRunner(spec, jobs=1, cache_dir=tmp_path).run()
+    assert cold.describe_stats().startswith(
+        "sweep 'perfbench-freq-5': 400 points, 19200 cells, 24672 simulations "
+        "executed, disk cache: 0 hits, 24000 misses, "
+    )
+    warm = SweepRunner(spec, jobs=1, cache_dir=tmp_path).run()
+    assert warm.describe_stats().startswith(
+        "sweep 'perfbench-freq-5': 400 points, 19200 cells, 0 simulations "
+        "executed, disk cache: 24000 hits, 0 misses, "
+    )
+    assert warm.format_report() == cold.format_report()
+
+
+def test_huge_pe_counts_are_computed_shard_by_shard():
+    """A PE count past 2**53 does not fit the batch's int64 arithmetic; its
+    shard is computed with the count as a Python int, as the scalar path
+    does."""
+    spec = SweepSpec.from_axes(
+        {"hmc.pe_frequency_mhz": [312.5, 625.0], "hmc.pes_per_vault": [8, 2**70, 16]},
+        benchmarks=("Caps-MN1",),
+        designs=("pim-capsnet", "all-in-pim"),
+    )
+    vectorized = _run(spec, backend="vectorized", verify="full")
+    assert vectorized.to_dict() == _run(spec, backend="scalar").to_dict()
 
 
 def test_vectorized_reproduces_the_dimension_flip():
