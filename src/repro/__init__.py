@@ -32,7 +32,6 @@ from repro.api import (
     SweepSpec,
     compare_scenarios,
     run_optimize,
-    run_sweep,
 )
 from repro.core.accelerator import DesignPoint, PIMCapsNet
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkConfig, get_benchmark
@@ -43,7 +42,7 @@ from repro.workloads.catalog import (
     default_catalog,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "ObjectiveSpec",
@@ -52,7 +51,6 @@ __all__ = [
     "SweepSpec",
     "compare_scenarios",
     "run_optimize",
-    "run_sweep",
     "DesignPoint",
     "PIMCapsNet",
     "BENCHMARKS",

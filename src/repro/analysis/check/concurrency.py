@@ -258,8 +258,8 @@ def _write_message(module: PySource, node: ast.AST) -> Optional[str]:
         "write_bytes",
     ):
         return (
-            f".{node.func.attr}() publishes non-atomically; write a temp "
-            f"file and os.replace() it (see _atomic_write_json / flush)"
+            f".{node.func.attr}() publishes non-atomically; publish through "
+            f"engine.diskcache.publish_file (a temp file, then os.replace())"
         )
     name = module.resolved_name(node.func)
     if name in ("open", "os.fdopen", "io.open"):

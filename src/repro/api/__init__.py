@@ -52,7 +52,6 @@ from repro.sweep import (
     SweepResult,
     SweepRunner,
     SweepSpec,
-    run_sweep,
     sweep_preset_names,
 )
 from repro.optimize import (
@@ -98,7 +97,6 @@ __all__ = [
     "override_keys",
     "preset_names",
     "run_optimize",
-    "run_sweep",
     "sweep_frontier",
     "sweep_preset_names",
 ]

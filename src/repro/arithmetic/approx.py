@@ -157,29 +157,3 @@ def approx_div(
     """Approximate ``numerator / denominator`` using :func:`approx_reciprocal`."""
     num = _as_fp32(numerator)
     return as_f32(num * approx_reciprocal(denominator, newton_steps=newton_steps))
-
-
-def approx_softmax(logits: np.ndarray, axis: int = -1, newton_steps: int = 1) -> np.ndarray:
-    """Softmax evaluated entirely with the PE approximations.
-
-    The max-subtraction trick is kept (it only needs compares and adds) so
-    the approximation remains well conditioned for large routing logits.
-    """
-    logits = _as_fp32(logits)
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    exp = approx_exp(shifted)
-    total = np.sum(exp, axis=axis, keepdims=True, dtype=np.float32)
-    return as_f32(exp * approx_reciprocal(total, newton_steps=newton_steps))
-
-
-def approx_squash(vectors: np.ndarray, axis: int = -1, newton_steps: int = 1) -> np.ndarray:
-    """Squash non-linearity (Eq. 3) using approximate reciprocal / inv-sqrt.
-
-    ``v = ||s||^2 / (1 + ||s||^2) * s / ||s||``.
-    """
-    vectors = _as_fp32(vectors)
-    norm_sq = np.sum(vectors * vectors, axis=axis, keepdims=True, dtype=np.float32)
-    norm_sq = np.maximum(norm_sq, np.float32(1e-12))
-    inv_norm = approx_inv_sqrt(norm_sq, newton_steps=newton_steps)
-    scale = norm_sq * approx_reciprocal(np.float32(1.0) + norm_sq, newton_steps=newton_steps)
-    return as_f32(vectors * scale * inv_norm)

@@ -107,48 +107,3 @@ def compose(sign: np.ndarray, exponent: np.ndarray, fraction: np.ndarray) -> np.
     ) << np.uint32(FP32_FRACTION_BITS)
     frac_bits = np.asarray(fraction, dtype=np.uint32) & FP32_FRACTION_MASK
     return bits_to_float(sign_bits | exp_bits | frac_bits)
-
-
-def shift_significand(value: np.ndarray | float, shift: int) -> np.ndarray:
-    """Logically shift the significand of FP32 value(s).
-
-    ``shift > 0`` shifts right (towards less significant bits, losing the
-    lowest bits exactly like the "over-chucking" effect in the paper) and
-    ``shift < 0`` shifts left.  The exponent field is adjusted accordingly so
-    the represented value is unchanged except for chucked bits.
-
-    This helper is primarily useful for tests that validate the PE datapath
-    behaviour; the production approximations use fused formulations.
-    """
-    fields = decompose(value)
-    significand = fields.significand.astype(np.int64)
-    if shift >= 0:
-        shifted = significand >> shift
-    else:
-        shifted = significand << (-shift)
-    new_exponent = fields.exponent.astype(np.int64) + shift
-    # Renormalize: the implicit leading one must sit at bit FP32_FRACTION_BITS.
-    leading = np.where(shifted > 0, np.int64(np.floor(np.log2(np.maximum(shifted, 1)))), 0)
-    correction = leading - FP32_FRACTION_BITS
-    renorm = np.where(
-        correction >= 0,
-        shifted >> np.maximum(correction, 0),
-        shifted << np.maximum(-correction, 0),
-    )
-    new_exponent = new_exponent + correction
-    fraction = (renorm & np.int64(FP32_FRACTION_MASK)).astype(np.uint32)
-    return compose(fields.sign, new_exponent.astype(np.uint32), fraction)
-
-
-def ulp_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
-    """Distance between FP32 values in units-in-the-last-place.
-
-    Used by the test-suite to bound the error of the bit-level approximations
-    in a representation-aware way.
-    """
-    ia = float_to_bits(a).astype(np.int64)
-    ib = float_to_bits(b).astype(np.int64)
-    # Map the sign-magnitude integer representation to a monotonic scale.
-    ia = np.where(ia < 0x80000000, ia, 0x80000000 - ia)
-    ib = np.where(ib < 0x80000000, ib, 0x80000000 - ib)
-    return np.abs(ia - ib)

@@ -47,11 +47,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float32), np.float32(0.0))
 
 
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`relu` with respect to its input."""
-    return (np.asarray(x, dtype=np.float32) > 0).astype(np.float32)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid, used by the reconstruction decoder's output layer."""
     x = np.asarray(x, dtype=np.float32)

@@ -220,14 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--max-attempts only applies to queued sweeps (--spec/--axis "
             "with --workers or --resume)"
         )
-    selected = list(args.benchmarks or [])
-    if args.benchmark:
-        print(
-            "warning: --benchmark is deprecated; use --benchmarks instead",
-            file=sys.stderr,
-        )
-        selected.append(args.benchmark)
-    return _run_and_emit(args, {"experiments": ["fig18"], "benchmarks": selected})
+    return _run_and_emit(args, {"experiments": ["fig18"], "benchmarks": args.benchmarks})
 
 
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:
@@ -235,8 +228,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     # Imported here: only the generalized sweep needs the sweep engine.
     from repro.sweep import SweepRunner, run_queued_sweep
 
-    if args.benchmark:
-        raise SystemExit("--benchmark only applies to the classic Fig. 18 sweep")
     queued = args.workers is not None or args.resume
     if args.max_attempts is not None and not queued:
         raise SystemExit(
@@ -647,11 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument("--benchmarks", nargs="*", default=None)
-    sweep.add_argument(
-        "--benchmark",
-        default=None,
-        help="deprecated alias of --benchmarks (single name)",
-    )
     sweep.add_argument(
         "--spec",
         default=None,

@@ -285,29 +285,3 @@ class PIMCapsNet:
                 result = strategy.simulate_end_to_end(self, design)
             self._result_cache[key] = result
             return result
-
-    # ------------------------------------------------------------------ conveniences
-
-    def compare_routing(self, designs: Optional[list[DesignPoint]] = None) -> Dict[DesignPoint, RoutingComparison]:
-        """Routing results for several design points."""
-        designs = designs or [
-            DesignPoint.BASELINE_GPU,
-            DesignPoint.GPU_ICP,
-            DesignPoint.PIM_INTRA,
-            DesignPoint.PIM_INTER,
-            DesignPoint.PIM_CAPSNET,
-        ]
-        return {design: self.simulate_routing(design) for design in designs}
-
-    def compare_end_to_end(
-        self, designs: Optional[list[DesignPoint]] = None
-    ) -> Dict[DesignPoint, EndToEndComparison]:
-        """End-to-end results for several design points."""
-        designs = designs or [
-            DesignPoint.BASELINE_GPU,
-            DesignPoint.ALL_IN_PIM,
-            DesignPoint.RMAS_PIM,
-            DesignPoint.RMAS_GPU,
-            DesignPoint.PIM_CAPSNET,
-        ]
-        return {design: self.simulate_end_to_end(design) for design in designs}

@@ -17,7 +17,6 @@ they cost:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.elementwise import as_float, maximum, minimum, rounded
 from repro.hmc.pe import OperationMix, PEOperation
@@ -134,22 +133,3 @@ class IntraVaultDistributor:
                 * self.utilization(independent_suboperations, secondary_parallelism)
             ),
         )
-
-
-def routing_special_function_mix(config: BenchmarkConfig) -> Dict[str, float]:
-    """Total special-function evaluations for one routing pass (for energy/accuracy).
-
-    Returns counts keyed by ``exp`` / ``div`` / ``inv_sqrt``.
-    """
-    i = config.routing_iterations
-    return {
-        "exp": float(i * config.num_low_capsules * config.num_high_capsules),
-        "div": float(
-            i
-            * (
-                config.num_low_capsules * config.num_high_capsules
-                + config.batch_size * config.num_high_capsules
-            )
-        ),
-        "inv_sqrt": float(i * config.batch_size * config.num_high_capsules),
-    }

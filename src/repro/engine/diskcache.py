@@ -30,10 +30,15 @@ results on disk instead:
 * **Buffered writes, atomic publish.**  ``put`` buffers in memory;
   :meth:`SimulationCache.flush` merges each dirty shard with whatever
   reached disk meanwhile, block by block (buffered rows win on conflict),
-  and publishes it through a temporary file and an atomic :func:`os.replace`.
-  Concurrent workers therefore never observe half-written shards, and
-  writers sharing a shard keep each other's rows.  The engine flushes
-  automatically at the end of a runner/sweep-point execution.
+  and publishes it through :func:`publish_file`: a temporary file and an
+  atomic :func:`os.replace`, retried on transient errors.  Concurrent
+  workers therefore never observe half-written shards, and writers sharing
+  a shard keep each other's rows.  The engine flushes automatically at the
+  end of a runner/sweep-point execution.
+
+:func:`publish_file` is the one file publish of the package: the
+trained-model cache and the sweep work queue (:mod:`repro.sweep.queue`)
+write every file through it too.
 
 Only the two engine result types (:class:`~repro.core.accelerator.
 RoutingComparison`, :class:`~repro.core.accelerator.EndToEndComparison`) are
@@ -60,7 +65,9 @@ try:  # POSIX-only; shard flushes degrade to best-effort elsewhere.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, BinaryIO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -130,6 +137,40 @@ def _quarantine(path: Path, root: Path) -> Optional[Path]:
         return None
 
 
+def publish_file(
+    path: Path, write: Callable[[BinaryIO], object], faults: Sequence[str] = ()
+) -> None:
+    """Publish a file at ``path`` so readers see the old file or the new one,
+    never a torn one.
+
+    Each attempt, under :func:`~repro.faults.retry.with_retries`, creates
+    the parent directory, writes a fresh temporary file beside ``path``
+    through ``write(handle)`` (a binary file), fires the fault points
+    ``faults`` in order -- the first with ``path=`` the temporary file --
+    and :func:`os.replace`-s it over ``path``.  A failed attempt unlinks its
+    temporary file, so no retry can publish a torn predecessor; the last
+    attempt's error propagates.
+    """
+
+    def attempt() -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=str(path.parent))
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                write(handle)
+            for index, fault in enumerate(faults):
+                fault_point(fault, path=None if index else tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    with_retries(attempt)
+
+
 def default_cache_dir() -> Path:
     """The default persistent cache root (``$REPRO_CACHE_DIR`` wins).
 
@@ -192,7 +233,52 @@ def _shard_text(version: int, plane_hash: str, blocks: Dict[tuple, "Block"]) -> 
     return f'{{"schema":{json.dumps(version)},"plane":{json.dumps(plane_hash)},"blocks":[{rows}]}}'
 
 
-class SimulationCache:
+class _DiskCache:
+    """What both disk caches share: a versioned directory below one root
+    (``<root>/<prefix><version>``), hit/miss counters, and one write-failure
+    path.
+
+    Attributes:
+        stats: hit/miss counters of this cache instance
+            (:class:`~repro.engine.context.CacheStats`).
+        read_only: True once a fatal disk error (ENOSPC/EACCES/...) degraded
+            the cache: reads still work, writes become no-ops.
+    """
+
+    #: The cache's name in its read-only warning, and what degrading costs.
+    _NAME = ""
+    _LOSS = ""
+
+    def __init__(
+        self, directory: Optional[Union[str, Path]], prefix: str, version: int
+    ) -> None:
+        # Imported here: context imports this module at load time.
+        from repro.engine.context import CacheStats
+
+        self.root = Path(directory) if directory is not None else default_cache_dir()
+        self.version = int(version)
+        self.directory = self.root / f"{prefix}{self.version}"
+        self.stats: "CacheStats" = CacheStats()
+        self.read_only = False
+        self._lock = threading.RLock()
+
+    def _write_failed(self, error: OSError) -> None:
+        """Count a failed write; a fatal errno also degrades the cache to
+        read-only, with a one-shot warning instead of aborting the run."""
+        self.stats.write_errors += 1
+        if is_fatal_io(error):
+            self.read_only = True
+            _warn_once(
+                f"read-only:{self.directory}",
+                f"{self._NAME} {self.directory} degraded to read-only after "
+                f"{type(error).__name__}: {error}; {self._LOSS}",
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({str(self.directory)!r})"
+
+
+class SimulationCache(_DiskCache):
     """On-disk memo of ``(scenario, benchmark, design)`` simulation results.
 
     Args:
@@ -206,23 +292,16 @@ class SimulationCache:
             entry (:class:`~repro.engine.context.CacheStats`).
     """
 
+    _NAME = "simulation cache"
+    _LOSS = "results stay in memory for this run but will not persist"
+
     def __init__(
         self,
         directory: Optional[Union[str, Path]] = None,
         *,
         version: int = CACHE_SCHEMA_VERSION,
     ) -> None:
-        # Imported here: context imports this module at load time.
-        from repro.engine.context import CacheStats
-
-        self.root = Path(directory) if directory is not None else default_cache_dir()
-        self.version = int(version)
-        self.directory = self.root / f"v{self.version}"
-        self.stats: "CacheStats" = CacheStats()
-        #: True once a fatal disk error (ENOSPC/EACCES/...) degraded this
-        #: cache to read-only: gets still work, flushes become no-ops.
-        self.read_only = False
-        self._lock = threading.RLock()
+        super().__init__(directory, "v", version)
         #: plane hash -> {block key: Block}
         self._shards: Dict[str, Dict[tuple, Block]] = {}
         self._dirty: Dict[str, bool] = {}
@@ -300,8 +379,8 @@ class SimulationCache:
         if fcntl is None:  # pragma: no cover - non-POSIX platforms
             yield
             return
-        lock_path = path.with_suffix(".lock")
-        with open(lock_path, "a+", encoding="utf-8") as handle:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path.with_suffix(".lock"), "a+", encoding="utf-8") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
                 yield
@@ -491,73 +570,42 @@ class SimulationCache:
                 return 0
             dirty = [hash_ for hash_, flag in self._dirty.items() if flag]
             for plane_hash in dirty:
-                path = self._shard_path(plane_hash)
-
-                def _publish() -> None:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    # The read-merge-publish below must be one critical
-                    # section: without the shard lock, two writers sharing a
-                    # shard can both read, then both publish, and the second
-                    # replace silently drops the first writer's rows.
-                    with self._shard_write_lock(path):
-                        # Merge what reached disk since we loaded (another
-                        # worker may share this plane -- every point of a
-                        # frequency sweep does); our buffered rows win on
-                        # conflict, and nothing another writer published is
-                        # lost.  A shard file no one replaced since this
-                        # instance read or wrote it holds nothing new.
-                        shard = self._shards[plane_hash]
-                        if (
-                            plane_hash not in self._seen
-                            or self._identity(path) != self._seen[plane_hash]
-                        ):
-                            for key, block in self._read_disk(plane_hash).items():
-                                mine = shard.get(key)
-                                shard[key] = block if mine is None else block.merged(mine)
-                        text = _shard_text(self.version, plane_hash, shard)
-                        # Atomic publish: readers (which take no lock) never
-                        # see partial files.
-                        fd, tmp = tempfile.mkstemp(
-                            prefix=path.stem, suffix=".tmp", dir=str(path.parent)
-                        )
-                        try:
-                            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                                handle.write(text)
-                            fault_point("diskcache.flush.write", path=tmp)
-                            fault_point("diskcache.flush.replace")
-                            os.replace(tmp, path)
-                        except BaseException:
-                            try:
-                                os.unlink(tmp)
-                            except OSError:
-                                pass
-                            raise
-                        self._seen[plane_hash] = self._identity(path)
-
                 try:
-                    with_retries(_publish)
+                    self._publish_shard(plane_hash)
                 except OSError as error:
-                    self.stats.write_errors += 1
-                    if is_fatal_io(error):
-                        self._degrade(error)
+                    self._write_failed(error)
+                    if self.read_only:
                         break
                     continue
                 self._dirty[plane_hash] = False
                 written += 1
         return written
 
-    def _degrade(self, error: OSError) -> None:
-        """Flip to read-only after a fatal disk error (one-shot warning)."""
-        self.read_only = True
-        _warn_once(
-            f"read-only:{self.directory}",
-            f"simulation cache {self.directory} degraded to read-only after "
-            f"{type(error).__name__}: {error}; results stay in memory for "
-            f"this run but will not persist",
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimulationCache({str(self.directory)!r})"
+    def _publish_shard(self, plane_hash: str) -> None:
+        """Merge one plane with its shard on disk and publish the result."""
+        path = self._shard_path(plane_hash)
+        # The read-merge-publish below must be one critical section: without
+        # the shard lock, two writers sharing a shard can both read, then
+        # both publish, and the second replace silently drops the first
+        # writer's rows.
+        with self._shard_write_lock(path):
+            # Merge what reached disk since we loaded (another worker may
+            # share this plane -- every point of a frequency sweep does); our
+            # buffered rows win on conflict, and nothing another writer
+            # published is lost.  A shard file no one replaced since this
+            # instance read or wrote it holds nothing new.
+            shard = self._shards[plane_hash]
+            if plane_hash not in self._seen or self._identity(path) != self._seen[plane_hash]:
+                for key, block in self._read_disk(plane_hash).items():
+                    mine = shard.get(key)
+                    shard[key] = block if mine is None else block.merged(mine)
+            text = _shard_text(self.version, plane_hash, shard).encode("utf-8")
+            publish_file(
+                path,
+                lambda handle: handle.write(text),
+                ("diskcache.flush.write", "diskcache.flush.replace"),
+            )
+            self._seen[plane_hash] = self._identity(path)
 
 
 # ------------------------------------------------------------- result codecs
@@ -806,7 +854,7 @@ class TrainedModelArtifact:
     accuracies: Dict[str, float]
 
 
-class TrainedModelCache:
+class TrainedModelCache(_DiskCache):
     """Persistent, content-addressed cache of trained CapsNet models.
 
     The second artifact kind of the on-disk cache: where
@@ -824,7 +872,7 @@ class TrainedModelCache:
     * **One ``.npz`` per model**, under ``<root>/models-v<schema>/<aa>/``,
       holding the full ``state_dict`` plus JSON metadata (the key, for
       collision detection, and the per-context accuracies).  Artifacts are
-      published atomically (temp file + :func:`os.replace`), and corrupt or
+      published atomically (:func:`publish_file`), and corrupt or
       mismatched files count as misses -- the caller simply retrains and
       rewrites them.
 
@@ -838,21 +886,16 @@ class TrainedModelCache:
         stats: hit/miss counters (:class:`~repro.engine.context.CacheStats`).
     """
 
+    _NAME = "trained-model cache"
+    _LOSS = "models will be retrained instead of persisted"
+
     def __init__(
         self,
         directory: Optional[Union[str, Path]] = None,
         *,
         version: int = MODEL_CACHE_SCHEMA_VERSION,
     ) -> None:
-        from repro.engine.context import CacheStats
-
-        self.root = Path(directory) if directory is not None else default_cache_dir()
-        self.version = int(version)
-        self.directory = self.root / f"models-v{self.version}"
-        self.stats: "CacheStats" = CacheStats()
-        #: True once a fatal disk error degraded this cache to read-only.
-        self.read_only = False
-        self._lock = threading.RLock()
+        super().__init__(directory, "models-v", version)
 
     @staticmethod
     def _normalize(key: dict) -> dict:
@@ -872,8 +915,6 @@ class TrainedModelCache:
         Missing, unreadable, corrupt, truncated or key-mismatched artifacts
         all count as misses (the caller falls back to training).
         """
-        import numpy as np
-
         key = self._normalize(key)
         digest = self._digest(key)
         path = self._path(digest)
@@ -925,8 +966,6 @@ class TrainedModelCache:
         cache to read-only with a one-shot warning and a ``write_errors``
         count, after which puts are no-ops.
         """
-        import numpy as np
-
         key = self._normalize(key)
         digest = self._digest(key)
         path = self._path(digest)
@@ -940,39 +979,13 @@ class TrainedModelCache:
         with self._lock:
             if self.read_only:
                 return False
-
-            def _publish() -> None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    prefix=path.stem, suffix=".npz.tmp", dir=str(path.parent)
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        np.savez(handle, **arrays)
-                    fault_point("modelcache.write", path=tmp)
-                    fault_point("modelcache.replace")
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-
             try:
-                with_retries(_publish)
+                publish_file(
+                    path,
+                    lambda handle: np.savez(handle, **arrays),
+                    ("modelcache.write", "modelcache.replace"),
+                )
             except OSError as error:
-                self.stats.write_errors += 1
-                if is_fatal_io(error):
-                    self.read_only = True
-                    _warn_once(
-                        f"read-only:{self.directory}",
-                        f"trained-model cache {self.directory} degraded to "
-                        f"read-only after {type(error).__name__}: {error}; "
-                        f"models will be retrained instead of persisted",
-                    )
+                self._write_failed(error)
                 return False
         return True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TrainedModelCache({str(self.directory)!r})"

@@ -99,17 +99,6 @@ class Experiment:
             "data": to_jsonable(result),
         }
 
-    def run_standalone(self, benchmarks: Optional[List[str]] = None, scenario=None):
-        """Run with a private context (library convenience).
-
-        ``scenario`` optionally picks the hardware
-        :class:`~repro.api.scenario.Scenario` (paper default otherwise).
-        """
-        context = SimulationContext(scenario=scenario)
-        if benchmarks is None:
-            benchmarks = context.scenario.benchmark_selection()
-        return self.run(context, benchmarks=benchmarks)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 

@@ -26,7 +26,6 @@ how badly concurrent PE requests collide, which the vault timing model uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from repro.elementwise import any_true, choose, maximum, minimum
 from repro.hmc.config import HMCConfig
@@ -173,25 +172,3 @@ class CustomAddressMapping(AddressMapping):
             self.RESIDUAL_CONFLICT,
             self.RESIDUAL_CONFLICT * concurrent_requesters / banks,
         )
-
-
-def vault_histogram(
-    mapping: AddressMapping, addresses: Sequence[int], request_bytes: int = 16
-) -> Dict[int, int]:
-    """Histogram of which vault each address maps to (testing/analysis helper)."""
-    counts: Dict[int, int] = {}
-    for address in addresses:
-        vault = mapping.map(address, request_bytes).vault
-        counts[vault] = counts.get(vault, 0) + 1
-    return counts
-
-
-def bank_histogram(
-    mapping: AddressMapping, addresses: Sequence[int], request_bytes: int = 16
-) -> Dict[int, int]:
-    """Histogram of which bank (within its vault) each address maps to."""
-    counts: Dict[int, int] = {}
-    for address in addresses:
-        bank = mapping.map(address, request_bytes).bank
-        counts[bank] = counts.get(bank, 0) + 1
-    return counts

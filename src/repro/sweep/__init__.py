@@ -54,7 +54,6 @@ from repro.sweep.runner import (
     SweepPoint,
     SweepResult,
     SweepRunner,
-    run_sweep,
 )
 from repro.sweep.vectorized import (
     VERIFY_MODES,
@@ -84,7 +83,6 @@ __all__ = [
     "evaluate_grid",
     "queue_workdir",
     "run_queued_sweep",
-    "run_sweep",
     "run_worker",
     "shard_ranges",
     "sweep_preset_names",

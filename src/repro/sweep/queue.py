@@ -24,9 +24,7 @@ channel (the batch-job pattern of condor/slurm runners):
                                local processes are reclaimed, and leases of
                                *remote* workers whose heartbeat expired are
                                reclaimed too.
-    ``done/shard-NNNNN.json``  the shard's published outcomes, written to a
-                               temp file and ``os.replace``-d so readers only
-                               ever see complete shards.
+    ``done/shard-NNNNN.json``  the shard's published outcomes.
     ``heartbeats/<worker>.json``  touched periodically by every live worker;
                                a lease whose holder's heartbeat is older
                                than the TTL is provably abandoned even
@@ -38,6 +36,11 @@ channel (the batch-job pattern of condor/slurm runners):
                                failed ``max_attempts`` times is retired so
                                the sweep completes with an explicit
                                partial-results report instead of hanging.
+
+Every file but a lease is published through the disk caches' one publish,
+:func:`~repro.engine.diskcache.publish_file` (a temp file ``os.replace``-d
+over the target, retried on transient errors), so readers only ever see
+complete files.
 
 Shards are deterministic, contiguous slices of the row-major grid
 (``spec.assignments()``), so any worker can recompute the whole partition
@@ -60,21 +63,20 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import threading
 import time
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Sequence, Set, Union
 
 from repro.api.scenario import Scenario
 from repro.engine.diskcache import (
     CACHE_SCHEMA_VERSION,
     canonical_digest,
     default_cache_dir,
+    publish_file,
 )
 from repro.faults import point as fault_point
-from repro.faults.retry import with_retries
 from repro.sweep.runner import SweepCell, SweepResult, SweepRunner, map_in_processes
 from repro.sweep.spec import SweepSpec
 
@@ -93,34 +95,11 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_HEARTBEAT_TTL = 60.0
 
 
-def _atomic_write_json(
-    path: Path, payload: dict, fault: Optional[str] = None
-) -> None:
-    """Publish ``payload`` at ``path`` so readers never see partial JSON.
-
-    Transient write errors are retried with deterministic backoff (each
-    attempt rebuilds its own temp file, so a retry can never publish a torn
-    predecessor).  ``fault`` names the registered fault point exercised
-    between write and publish.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def _publish() -> None:
-        handle, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            if fault is not None:
-                fault_point(fault, path=tmp_name)
-            os.replace(tmp_name, str(path))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    with_retries(_publish)
+def _atomic_write_json(path: Path, payload: dict, faults: Sequence[str] = ()) -> None:
+    """Publish ``payload`` as JSON at ``path`` through
+    :func:`~repro.engine.diskcache.publish_file` (retried, never torn)."""
+    text = json.dumps(payload, sort_keys=True).encode("utf-8")
+    publish_file(path, lambda handle: handle.write(text), faults)
 
 
 def shard_ranges(grid_size: int, shard_size: int) -> List[tuple]:
@@ -415,7 +394,7 @@ class _ShardQueue:
                 for outcome in outcomes
             ],
         }
-        _atomic_write_json(self.done_path(shard), payload, fault="queue.done.publish")
+        _atomic_write_json(self.done_path(shard), payload, ("queue.done.publish",))
         return outcomes
 
 

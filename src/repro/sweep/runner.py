@@ -512,15 +512,6 @@ class SweepRunner:
         }
 
 
-def run_sweep(
-    spec: Union[SweepSpec, str],
-    base: Optional[Scenario] = None,
-    **kwargs,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(spec, base, **kwargs).run()
-
-
 #: Chunks of grid points per worker process: enough to balance the load,
 #: few enough that each chunk's cache publish covers many points.
 CHUNKS_PER_WORKER = 4

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.workloads.benchmarks import BenchmarkConfig
-from repro.workloads.rp_model import FP32_BYTES, IntermediateFootprint
+from repro.workloads.rp_model import FP32_BYTES
 
 
 @dataclass(frozen=True)
@@ -97,30 +97,6 @@ class EMRoutingWorkload:
             activations=nb * nh * FP32_BYTES,
             low_capsules=nb * nl * cl * FP32_BYTES,
             weights=nl * nh * cl * ch * FP32_BYTES,
-        )
-
-    def dynamic_equivalent_footprint(self) -> IntermediateFootprint:
-        """The dynamic-routing footprint sharing the same vote tensor.
-
-        Useful for apples-to-apples comparisons of the two algorithms'
-        memory pressure.
-        """
-        cfg = self.config
-        nb, nl, nh, cl, ch = (
-            cfg.batch_size,
-            cfg.num_low_capsules,
-            cfg.num_high_capsules,
-            cfg.low_dim,
-            cfg.high_dim,
-        )
-        return IntermediateFootprint(
-            low_capsules=nb * nl * cl * FP32_BYTES,
-            weights=nl * nh * cl * ch * FP32_BYTES,
-            predictions=nb * nl * nh * ch * FP32_BYTES,
-            logits=nl * nh * FP32_BYTES,
-            coefficients=nl * nh * FP32_BYTES,
-            weighted_sums=nb * nh * ch * FP32_BYTES,
-            high_capsules=nb * nh * ch * FP32_BYTES,
         )
 
     # -- FLOP counts -------------------------------------------------------------

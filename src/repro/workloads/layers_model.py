@@ -65,12 +65,6 @@ class LayerWorkload:
         """Ideal off-chip traffic when nothing is cached on-chip."""
         return self.input_bytes + self.weight_bytes + self.output_bytes
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of ideal traffic."""
-        traffic = self.traffic_bytes
-        return self.flops / float(traffic) if traffic else float("inf")
-
 
 def _conv_out(size: int, kernel: int, stride: int) -> int:
     out = (size - kernel) // stride + 1

@@ -19,7 +19,7 @@ The model follows the paper's accounting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.workloads.benchmarks import BenchmarkConfig
 from repro.workloads.parallelism import RoutingEquation
@@ -318,8 +318,3 @@ class RoutingWorkload:
     def total_synchronization_groups(self, warp_size: int = 32) -> int:
         """Total barrier-synchronized groups across the routing procedure."""
         return sum(self.synchronization_groups(warp_size).values())
-
-
-def footprints_for(benchmarks: Mapping[str, BenchmarkConfig]) -> Dict[str, IntermediateFootprint]:
-    """Convenience helper: footprints of several benchmarks keyed by name."""
-    return {name: RoutingWorkload(cfg).footprint() for name, cfg in benchmarks.items()}

@@ -9,12 +9,13 @@ from repro.arithmetic.approx import (
     approx_exp,
     approx_inv_sqrt,
     approx_reciprocal,
-    approx_softmax,
-    approx_squash,
     exact_exp,
     exact_inv_sqrt,
     exact_reciprocal,
 )
+from repro.arithmetic.context import MathContext
+
+APPROXIMATE = MathContext.approximate()
 
 
 def relative_error(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -127,26 +128,26 @@ def test_approx_div_broadcasting():
 
 def test_approx_softmax_sums_close_to_one():
     logits = np.random.default_rng(0).normal(size=(5, 7)).astype(np.float32)
-    total = np.sum(approx_softmax(logits, axis=-1), axis=-1)
+    total = np.sum(APPROXIMATE.softmax(logits, axis=-1), axis=-1)
     np.testing.assert_allclose(total, np.ones(5), atol=0.03)
 
 
 def test_approx_softmax_close_to_exact():
     logits = np.random.default_rng(1).normal(size=(4, 6)).astype(np.float32)
     exact = np.exp(logits) / np.sum(np.exp(logits), axis=-1, keepdims=True)
-    np.testing.assert_allclose(approx_softmax(logits), exact, atol=0.03)
+    np.testing.assert_allclose(APPROXIMATE.softmax(logits), exact, atol=0.03)
 
 
 def test_approx_squash_norm_below_one():
     vectors = np.random.default_rng(2).normal(size=(10, 16)).astype(np.float32) * 5
-    squashed = approx_squash(vectors)
+    squashed = APPROXIMATE.squash(vectors)
     norms = np.linalg.norm(squashed, axis=-1)
     assert np.all(norms <= 1.0 + 1e-3)
 
 
 def test_approx_squash_preserves_direction():
     vectors = np.random.default_rng(3).normal(size=(10, 8)).astype(np.float32)
-    squashed = approx_squash(vectors)
+    squashed = APPROXIMATE.squash(vectors)
     cos = np.sum(vectors * squashed, axis=-1) / (
         np.linalg.norm(vectors, axis=-1) * np.linalg.norm(squashed, axis=-1) + 1e-12
     )

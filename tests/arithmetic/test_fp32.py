@@ -10,8 +10,6 @@ from repro.arithmetic.fp32 import (
     compose,
     decompose,
     float_to_bits,
-    shift_significand,
-    ulp_distance,
 )
 
 
@@ -79,31 +77,3 @@ def test_fields_dataclass_is_frozen():
     assert isinstance(fields, FloatFields)
     with pytest.raises(AttributeError):
         fields.sign = np.uint32(1)  # type: ignore[misc]
-
-
-def test_shift_significand_identity():
-    value = np.float32(5.25)
-    shifted = shift_significand(value, 0)
-    assert float(shifted) == pytest.approx(5.25, rel=1e-6)
-
-
-def test_shift_significand_right_loses_only_low_bits():
-    value = np.float32(1.0 + 2**-20)
-    shifted = shift_significand(value, 4)
-    # The represented magnitude stays ~the same (bits may be chucked).
-    assert float(shifted) == pytest.approx(1.0, rel=1e-4)
-
-
-def test_ulp_distance_zero_for_identical():
-    assert int(ulp_distance(1.5, 1.5)) == 0
-
-
-def test_ulp_distance_one_for_adjacent_floats():
-    value = np.float32(1.0)
-    next_value = np.nextafter(value, np.float32(2.0), dtype=np.float32)
-    assert int(ulp_distance(value, next_value)) == 1
-
-
-def test_ulp_distance_symmetric():
-    a, b = np.float32(3.0), np.float32(3.5)
-    assert int(ulp_distance(a, b)) == int(ulp_distance(b, a))

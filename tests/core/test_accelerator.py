@@ -20,12 +20,26 @@ def accelerator():
 
 @pytest.fixture(scope="module")
 def routing_results(accelerator):
-    return accelerator.compare_routing()
+    designs = (
+        DesignPoint.BASELINE_GPU,
+        DesignPoint.GPU_ICP,
+        DesignPoint.PIM_INTRA,
+        DesignPoint.PIM_INTER,
+        DesignPoint.PIM_CAPSNET,
+    )
+    return {design: accelerator.simulate_routing(design) for design in designs}
 
 
 @pytest.fixture(scope="module")
 def end_to_end_results(accelerator):
-    return accelerator.compare_end_to_end()
+    designs = (
+        DesignPoint.BASELINE_GPU,
+        DesignPoint.ALL_IN_PIM,
+        DesignPoint.RMAS_PIM,
+        DesignPoint.RMAS_GPU,
+        DesignPoint.PIM_CAPSNET,
+    )
+    return {design: accelerator.simulate_end_to_end(design) for design in designs}
 
 
 def test_accepts_benchmark_by_name_or_config():

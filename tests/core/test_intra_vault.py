@@ -5,12 +5,10 @@ import pytest
 from repro.core.intra_vault import (
     IntraVaultDistributor,
     lower_routing_to_operations,
-    routing_special_function_mix,
     softmax_operation_mix,
     squash_operation_mix,
 )
 from repro.hmc.pe import PEOperation
-from repro.workloads.benchmarks import BENCHMARKS
 
 
 def test_squash_mix_contents():
@@ -98,11 +96,3 @@ def test_utilization_rejects_invalid_arguments():
         distributor.utilization(-1)
     with pytest.raises(ValueError):
         distributor.utilization(1, secondary_parallelism=0)
-
-
-def test_special_function_mix_matches_workload_model():
-    config = BENCHMARKS["Caps-MN1"]
-    counts = routing_special_function_mix(config)
-    assert counts["exp"] == 3 * 1152 * 10
-    assert counts["div"] == 3 * (1152 * 10 + 100 * 10)
-    assert counts["inv_sqrt"] == 3 * 100 * 10

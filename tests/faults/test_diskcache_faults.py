@@ -13,7 +13,9 @@ from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
 from repro.engine.context import SimulationContext
 from repro.engine.diskcache import SimulationCache, TrainedModelCache
-from repro.faults import FaultPlan, FaultRule, fired_counts, injected
+from repro.faults import DEFAULT_ATTEMPTS, FaultPlan, FaultRule, fired_counts, injected
+from repro.sweep import SweepSpec, run_queued_sweep
+from repro.sweep.queue import _ShardQueue, load_manifest
 from repro.workloads.benchmarks import get_benchmark
 
 
@@ -189,3 +191,71 @@ def test_fatal_model_publish_error_degrades_to_read_only(tmp_path, capsys):
         if "degraded to read-only" in line
     ]
     assert len(warnings) == 1
+
+
+# ------------------------------------------------- one publish, three writers
+#
+# Shard flushes, model puts and queue done-files all publish through
+# ``publish_file``: one that fails for good leaves no temporary file and the
+# file published before it as it was.
+
+
+def _shard_flush(tmp_path, scenario, workload, result):
+    cache = _filled_cache(tmp_path, scenario, workload, result)
+    assert cache.flush() == 1
+
+    def publish():
+        cache.put(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result, pe_frequency_mhz=625.0
+        )
+        assert cache.flush() == 0
+        assert cache.stats.write_errors == 1
+
+    return publish, tmp_path / "cache"
+
+
+def _model_put(tmp_path, scenario, workload, result):
+    key, state, accuracies = _model_parts()
+    cache = TrainedModelCache(tmp_path / "cache")
+    assert cache.put(key, state, accuracies)
+
+    def publish():
+        assert not cache.put(key, {"w": state["w"] + 1.0}, accuracies)
+        assert cache.stats.write_errors == 1
+
+    return publish, tmp_path / "cache"
+
+
+def _queue_done(tmp_path, scenario, workload, result):
+    spec = SweepSpec.from_axes({"hmc.pe_frequency_mhz": [312.5, 625.0]}, benchmarks=("Caps-MN1",))
+    workdir = tmp_path / "wd"
+    run_queued_sweep(spec, shard_size=1, workdir=workdir, cache_dir=tmp_path / "cache")
+    queue = _ShardQueue(workdir, load_manifest(workdir), "second")  # a new done-file payload
+
+    def publish():
+        with pytest.raises(OSError):
+            queue.execute(0)
+
+    return publish, workdir / "done"
+
+
+@pytest.mark.parametrize(
+    "writer, point",
+    [
+        (_shard_flush, "diskcache.flush.replace"),
+        (_model_put, "modelcache.replace"),
+        (_queue_done, "queue.done.publish"),
+    ],
+    ids=["shard-flush", "model-put", "queue-done"],
+)
+def test_failed_publish_leaves_no_temp_file_and_keeps_the_old_file(
+    tmp_path, scenario, workload, result, writer, point
+):
+    publish, directory = writer(tmp_path, scenario, workload, result)
+    before = {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+    assert before
+    with injected(_plan(FaultRule(point=point, error="EIO", times=None))):
+        publish()
+        assert fired_counts() == {point: DEFAULT_ATTEMPTS}  # every retry spent
+    assert {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()} == before
+    assert not list(tmp_path.rglob("*.tmp"))

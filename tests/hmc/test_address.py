@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.hmc.address import (
-    CustomAddressMapping,
-    DefaultAddressMapping,
-    bank_histogram,
-    vault_histogram,
-)
+from repro.hmc.address import CustomAddressMapping, DefaultAddressMapping
 from repro.hmc.config import HMCConfig
 
 
@@ -30,8 +25,7 @@ def test_default_mapping_not_snippet_local(config):
 def test_custom_mapping_keeps_consecutive_data_in_one_vault(config):
     mapping = CustomAddressMapping(config)
     addresses = [i * 16 for i in range(4096)]  # 64 KB of consecutive blocks
-    histogram = vault_histogram(mapping, addresses)
-    assert len(histogram) == 1
+    assert len({mapping.map(a).vault for a in addresses}) == 1
 
 
 def test_custom_mapping_is_snippet_local(config):
@@ -41,8 +35,8 @@ def test_custom_mapping_is_snippet_local(config):
 def test_custom_mapping_spreads_consecutive_subpages_across_banks(config):
     mapping = CustomAddressMapping(config)
     addresses = [i * 16 for i in range(config.banks_per_vault)]
-    histogram = bank_histogram(mapping, addresses, request_bytes=16)
-    assert len(histogram) == config.banks_per_vault
+    banks = {mapping.map(a, request_bytes=16).bank for a in addresses}
+    assert len(banks) == config.banks_per_vault
 
 
 def test_custom_mapping_keeps_large_requests_in_one_bank(config):

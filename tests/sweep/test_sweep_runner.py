@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.api import Scenario, Session
 from repro.faults import FaultPlan, FaultRule, injected
-from repro.sweep import SweepRunner, SweepSpec, run_queued_sweep, run_sweep
+from repro.sweep import SweepRunner, SweepSpec, run_queued_sweep
 from repro.sweep.runner import (
     SweepCell,
     SweepPoint,
@@ -185,7 +185,7 @@ def test_custom_workloads_flow_through_the_sweep(tmp_path):
 
 
 def test_run_sweep_and_session_sweep_agree(tmp_path, small_spec):
-    direct = run_sweep(small_spec, jobs=1, cache_dir=tmp_path)
+    direct = SweepRunner(small_spec, jobs=1, cache_dir=tmp_path).run()
     session = Session().sweep(small_spec, jobs=1, cache_dir=tmp_path)
     assert session.format_report() == direct.format_report()
     # The session run was fully warm: the direct run populated the cache.

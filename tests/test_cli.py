@@ -34,12 +34,11 @@ def test_evaluate_subset(capsys):
 
 
 def test_sweep_single_benchmark(capsys):
-    # --benchmark is the deprecated alias of --benchmarks.
+    # argparse's prefix matching reads --benchmark as --benchmarks.
     assert main(["sweep", "--benchmark", "Caps-SV1"]) == 0
     captured = capsys.readouterr()
     assert "Fig. 18" in captured.out
     assert "312" in captured.out
-    assert "deprecated" in captured.err
 
 
 def test_sweep_benchmarks_plural(capsys):

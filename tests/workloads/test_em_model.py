@@ -62,11 +62,6 @@ def test_aggregations_scale_with_iterations():
     assert sv3.total_aggregations() == 3 * sv1.total_aggregations()
 
 
-def test_dynamic_equivalent_footprint_matches_rp_model(em_mn1):
-    dynamic = RoutingWorkload(BENCHMARKS["Caps-MN1"]).footprint()
-    assert em_mn1.dynamic_equivalent_footprint() == dynamic
-
-
 def test_flops_scale_with_network_size():
     cf1 = EMRoutingWorkload(BENCHMARKS["Caps-CF1"])
     cf3 = EMRoutingWorkload(BENCHMARKS["Caps-CF3"])

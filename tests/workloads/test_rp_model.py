@@ -4,7 +4,7 @@ import pytest
 
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkConfig
 from repro.workloads.parallelism import RoutingEquation
-from repro.workloads.rp_model import FP32_BYTES, RoutingWorkload, footprints_for
+from repro.workloads.rp_model import FP32_BYTES, RoutingWorkload
 
 
 @pytest.fixture
@@ -125,7 +125,7 @@ def test_synchronization_groups_rejects_bad_warp(mn1_workload):
 
 
 def test_footprints_for_helper():
-    footprints = footprints_for(BENCHMARKS)
+    footprints = {name: RoutingWorkload(cfg).footprint() for name, cfg in BENCHMARKS.items()}
     assert set(footprints) == set(BENCHMARKS)
     assert footprints["Caps-CF3"].predictions > footprints["Caps-CF1"].predictions
 
