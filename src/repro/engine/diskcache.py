@@ -9,15 +9,15 @@ results on disk instead:
 
 * **Plane-sharded, versioned layout.**  A *plane* is a set of scenarios that
   differ at most in ``hmc.pe_frequency_mhz`` -- the paper's Fig. 18 is one.
-  All entries of a plane live in a single shard file,
-  ``<dir>/v<schema>/<aa>/<plane-hash>.json`` (``~/.cache/repro`` by default;
+  All entries of a plane live in one directory,
+  ``<dir>/v<schema>/<aa>/<plane-hash>/`` (``~/.cache/repro`` by default;
   override with ``directory=`` / ``--cache-dir`` / ``$REPRO_CACHE_DIR``),
   named by :meth:`~repro.api.scenario.Scenario.plane_hash`, so scenarios
   differing only in *name* share entries and a frequency sweep costs one
-  file per plane instead of one per point.  Bumping
-  :data:`CACHE_SCHEMA_VERSION` orphans old trees instead of misreading them
-  (every entry is re-creatable, so stale trees can simply be deleted).
-* **Blocks of float64 columns.**  A shard holds one :class:`Block` per
+  plane instead of one per point.  Bumping :data:`CACHE_SCHEMA_VERSION`
+  orphans old trees instead of misreading them (every entry is
+  re-creatable, so stale trees can simply be deleted).
+* **Blocks of float64 columns.**  A shard file holds one :class:`Block` per
   ``(workload, kind, design, force_dimension)``.  Its rows are keyed by the
   effective PE frequency -- Fig. 18's override when given, else the
   scenario's own -- and share one result shape (type, design, benchmark,
@@ -25,16 +25,26 @@ results on disk instead:
   dimension and float fields are little-endian float64 values, and a
   block's rows pack into one base64 string, so a block encodes and decodes
   in one call with exact bits.  A vectorized sweep reads and writes whole
-  blocks as arrays; a scalar lookup decodes one row.  Shards that are not
-  JSON, or whose blocks are malformed, are quarantined.
-* **Buffered writes, atomic publish.**  ``put`` buffers in memory;
-  :meth:`SimulationCache.flush` merges each dirty shard with whatever
-  reached disk meanwhile, block by block (buffered rows win on conflict),
-  and publishes it through :func:`publish_file`: a temporary file and an
-  atomic :func:`os.replace`, retried on transient errors.  Concurrent
-  workers therefore never observe half-written shards, and writers sharing
-  a shard keep each other's rows.  The engine flushes automatically at the
-  end of a runner/sweep-point execution.
+  blocks as arrays; a scalar lookup decodes one row.  Files that are not
+  JSON, or whose blocks are malformed, are quarantined one by one.
+* **A base generation plus deltas.**  A plane directory holds at most one
+  live *base* (``base-<seq>.json``, rows sorted by frequency) and the
+  *deltas* published since (``delta-<seq>-<pid>-<n>.json``).  ``put``
+  buffers in memory; :meth:`SimulationCache.flush` publishes only the rows
+  buffered since the last flush, as one delta per plane under a name no
+  file has had, through :func:`publish_file` (a temporary file and an
+  atomic :func:`os.replace`, retried on transient errors) and outside the
+  cache's lock.  A reader merges the newest base with the deltas, in
+  publish order, later rows winning.  Writers never read, merge or replace
+  a live file, so concurrent workers neither observe half-written files
+  nor lose each other's rows.  Once a plane holds more than
+  :data:`MAX_DELTAS` deltas, the flush that added the last one compacts it
+  under the plane's ``flock``: it merges the base and the deltas -- reading
+  only the files whose rows it does not already hold -- into a new base
+  generation, publishes it under a new name, then unlinks the files it
+  merged.  Until it has, a reader may merge a delta twice, which changes
+  nothing: one key and frequency always hold one result.  The engine
+  flushes automatically at the end of a runner/sweep-point execution.
 
 :func:`publish_file` is the one file publish of the package: the
 trained-model cache and the sweep work queue (:mod:`repro.sweep.queue`)
@@ -52,8 +62,10 @@ import base64
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -61,7 +73,7 @@ import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
-try:  # POSIX-only; shard flushes degrade to best-effort elsewhere.
+try:  # POSIX-only; compactions degrade to best-effort elsewhere.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
@@ -83,10 +95,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
     from repro.engine.context import CacheStats
 
-#: Version of the on-disk shard format (3: one shard per frequency plane,
-#: float64 column blocks).  Bump whenever the blocks or the result encoding
-#: change shape; old shards are then ignored.
-CACHE_SCHEMA_VERSION = 3
+#: Version of the on-disk shard format (4: one directory per frequency
+#: plane holding a base generation and deltas of float64 column blocks).
+#: Bump whenever the layout, the blocks or the result encoding change
+#: shape; old trees are then ignored.
+CACHE_SCHEMA_VERSION = 4
+
+#: Deltas a plane may hold: the flush that publishes one more compacts the
+#: plane into a new base generation.  A reader merges at most this many
+#: deltas beside the base; a compaction rewrites the whole plane, once per
+#: this many flushes.
+MAX_DELTAS = 8
 
 #: Version of the trained-model artifact format (:class:`TrainedModelCache`).
 #: Bump whenever the key payload, the training pipeline's arithmetic, or the
@@ -143,18 +162,22 @@ def publish_file(
     """Publish a file at ``path`` so readers see the old file or the new one,
     never a torn one.
 
-    Each attempt, under :func:`~repro.faults.retry.with_retries`, creates
-    the parent directory, writes a fresh temporary file beside ``path``
-    through ``write(handle)`` (a binary file), fires the fault points
-    ``faults`` in order -- the first with ``path=`` the temporary file --
-    and :func:`os.replace`-s it over ``path``.  A failed attempt unlinks its
+    Each attempt, under :func:`~repro.faults.retry.with_retries`, writes a
+    fresh temporary file beside ``path`` (creating the parent directory if
+    it is missing) through ``write(handle)`` (a binary file), fires the
+    fault points ``faults`` in order -- the first with ``path=`` the
+    temporary file -- and :func:`os.replace`-s it over ``path``.  A failed
+    attempt unlinks its
     temporary file, so no retry can publish a torn predecessor; the last
     attempt's error propagates.
     """
 
     def attempt() -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=str(path.parent))
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=str(path.parent))
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=path.stem, suffix=".tmp", dir=str(path.parent))
         try:
             with os.fdopen(fd, "wb") as handle:
                 write(handle)
@@ -218,19 +241,129 @@ def _parse_blocks(rows: list) -> Dict[tuple, "Block"]:
     return blocks
 
 
-def _shard_text(version: int, plane_hash: str, blocks: Dict[tuple, "Block"]) -> str:
-    """A shard's JSON text: ``{"schema", "plane", "blocks": [[*key, shape,
-    packed], ...]}``.
+def _write_shard(
+    handle: BinaryIO,
+    version: int,
+    plane_hash: str,
+    blocks: Dict[tuple, "Block"],
+    by_frequency: bool = False,
+) -> None:
+    """Write a shard file's JSON, ``{"schema", "plane", "blocks": [[*key,
+    shape, packed], ...]}``; ``by_frequency`` writes each block's rows in
+    ascending frequency order.
 
     Base64 needs no JSON escaping, so each block's packed matrix is spliced
     into the text rather than scanned by the encoder -- most of a shard's
-    bytes, and most of the time ``json.dumps`` would spend on it.
+    bytes, and most of the time ``json.dumps`` would spend on it.  The text
+    goes out in writes of about :data:`_WRITE_CHUNK` bytes: few enough that
+    a delta is one write, small enough that a compacted base is never held
+    whole.
     """
-    rows = ",".join(
-        f'{json.dumps([*key, block.shape])[:-1]},"{block.packed()}"]'
-        for key, block in blocks.items()
+    chunk = [f'{{"schema":{json.dumps(version)},"plane":{json.dumps(plane_hash)},"blocks":[']
+    size = 0
+    for index, (key, block) in enumerate(blocks.items()):
+        if by_frequency:
+            block = block.by_frequency()
+        chunk.append(f'{"," if index else ""}{_block_head(key, block.shape)},"{block.packed()}"]')
+        size += len(chunk[-1])
+        if size > _WRITE_CHUNK:
+            handle.write("".join(chunk).encode())
+            chunk, size = [], 0
+    chunk.append("]}")
+    handle.write("".join(chunk).encode())
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_head(key: tuple, shape: tuple) -> str:
+    """A block's JSON up to its packed matrix, the same in every file of it."""
+    return json.dumps([*key, shape])[:-1]
+
+
+def _key_order(key: tuple) -> list:
+    """A block key's sort key (its forced dimension may be ``None``)."""
+    return [part or "" for part in key]
+
+
+#: The shard files of a plane directory: base generations, and deltas
+#: named by sequence number, publishing process and that process's count.
+_BASE_NAME = re.compile(r"base-(\d+)\.json")
+_DELTA_NAME = re.compile(r"delta-(\d+)-(\d+)-(\d+)\.json")
+
+#: This process's delta count: with the pid it makes a delta's name unique.
+_DELTAS_PUBLISHED = itertools.count()
+
+#: Bytes of shard text gathered per write.  Each write releases the GIL, and
+#: in a busy server a thread can wait a whole switch interval to take it
+#: back, so a flush makes as few blocking calls as it can.
+_WRITE_CHUNK = 1 << 20
+
+#: The fault points of every shard publish, delta or base.
+_FLUSH_FAULTS = ("diskcache.flush.write", "diskcache.flush.replace")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Listing:
+    """A plane directory's shard files, as one listing saw them.
+
+    Attributes:
+        bases: base generations, oldest first.
+        deltas: deltas in publish order (sequence number, then pid and count).
+        next_seq: a sequence number above every listed file's.
+    """
+
+    bases: Tuple[str, ...]
+    deltas: Tuple[str, ...]
+    next_seq: int
+
+
+def _list_plane(directory: Path) -> _Listing:
+    """List one plane directory (a missing one is empty); other names, such
+    as temporary files and the compaction lock, are not shard files."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        names = []
+    bases, deltas = [], []
+    for name in names:
+        match = _BASE_NAME.fullmatch(name)
+        if match is not None:
+            bases.append(((int(match[1]),), name))
+            continue
+        match = _DELTA_NAME.fullmatch(name)
+        if match is not None:
+            deltas.append((tuple(map(int, match.groups())), name))
+    bases.sort()
+    deltas.sort()
+    last = max((order[0] for order, _ in bases + deltas), default=0)
+    return _Listing(
+        tuple(name for _, name in bases), tuple(name for _, name in deltas), last + 1
     )
-    return f'{{"schema":{json.dumps(version)},"plane":{json.dumps(plane_hash)},"blocks":[{rows}]}}'
+
+
+class _Vanished(Exception):
+    """A listed shard file left its directory before it was read: a
+    compaction merged and unlinked it, so the plane must be listed again."""
+
+
+@contextmanager
+def _plane_lock(directory: Path):
+    """Exclusive advisory lock on one plane directory, held by compactions.
+
+    A compaction reads the plane, publishes a new base and unlinks what it
+    merged; two at once could each unlink deltas the other's base lacks.
+    Delta publishes need no lock: each is a new file.  On platforms
+    without :mod:`fcntl` compaction stays best-effort (a race can drop rows
+    from disk, which are then recomputed; it never corrupts one).
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    descriptor = os.open(directory / "compact.lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(descriptor)  # releases the lock
 
 
 class _DiskCache:
@@ -302,13 +435,15 @@ class SimulationCache(_DiskCache):
         version: int = CACHE_SCHEMA_VERSION,
     ) -> None:
         super().__init__(directory, "v", version)
-        #: plane hash -> {block key: Block}
+        #: plane hash -> {block key: Block}: what this instance read or stored
         self._shards: Dict[str, Dict[tuple, Block]] = {}
-        self._dirty: Dict[str, bool] = {}
-        #: plane hash -> identity of the shard file this instance last read
-        #: or published (``None``: there was none); unchanged, a flush need
-        #: not merge it again.
-        self._seen: Dict[str, Optional[tuple]] = {}
+        #: plane hash -> names of the shard files whose rows ``_shards``
+        #: holds (read, or published by this instance): a compaction need
+        #: not read them again
+        self._held: Dict[str, set] = {}
+        #: plane hash -> ``(block key, Block)`` stored since the last flush,
+        #: in order: what the next flush publishes
+        self._pending: Dict[str, List[Tuple[tuple, Block]]] = {}
 
     # ----------------------------------------------------------------- keying
 
@@ -350,81 +485,44 @@ class SimulationCache(_DiskCache):
             pe_frequency_mhz,
         )
 
-    def _shard_path(self, plane_hash: str) -> Path:
-        return self.directory / plane_hash[:2] / f"{plane_hash}.json"
+    def _plane_dir(self, plane_hash: str) -> Path:
+        return self.directory / plane_hash[:2] / plane_hash
 
-    @staticmethod
-    def _identity(path: Path) -> Optional[tuple]:
-        """Which file is at ``path`` now (``None`` if none): every publish
-        replaces the shard by a new file, so this changes with each one."""
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return None
-        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    def _read_file(self, plane_hash: str, path: Path) -> Optional[Dict[tuple, "Block"]]:
+        """One shard file's blocks; ``None`` when the file cannot be read.
 
-    @contextmanager
-    def _shard_write_lock(self, path: Path):
-        """Exclusive advisory lock serializing read-merge-publish on a shard.
-
-        Without it two writers sharing a shard (process-parallel sweep
-        points of one frequency plane, queue workers, or serve's handler
-        threads) can interleave ``_read_disk`` and ``os.replace`` so that the
-        slower writer publishes a merge that never saw the faster writer's
-        rows -- a classic lost update, observed as a warm sweep re-running
-        simulations.  On platforms without :mod:`fcntl` the flush stays
-        best-effort (the cache remains correct, merely lossy under
-        concurrency).
+        A file that does not parse -- invalid JSON (a torn write from a
+        non-atomic producer, or real disk corruption) or malformed blocks --
+        holds no rows: it is quarantined to ``<root>/corrupt/`` and counted,
+        so it is warned about once instead of silently re-missed on every
+        lookup forever.  Raises :class:`_Vanished` when the file has left
+        its directory.
         """
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path.with_suffix(".lock"), "a+", encoding="utf-8") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _read_disk(self, plane_hash: str) -> Dict[tuple, "Block"]:
-        """One plane's blocks as currently on disk (fresh read).
-
-        Missing or unreadable shards count as empty.  A shard that exists
-        but does not parse -- invalid JSON (a torn write from a non-atomic
-        producer, or real disk corruption) or malformed blocks -- is
-        quarantined to ``<root>/corrupt/`` and counted, so it is warned
-        about once instead of silently re-missed on every lookup forever.
-        """
-        path = self._shard_path(plane_hash)
-        # Identify the file before reading it: if another writer replaces it
-        # in between, the next flush sees a changed identity and merges again.
-        identity = self._identity(path)
         try:
             fault_point("diskcache.shard.read", path=path)
             text = path.read_text(encoding="utf-8")
-        except OSError:
-            if identity is None:  # no shard yet: nothing to merge on flush
-                self._seen[plane_hash] = None
-            return {}
+        except OSError as error:
+            if isinstance(error, FileNotFoundError) and not os.path.lexists(path):
+                raise _Vanished(path.name) from None
+            return None
         try:
             data = json.loads(text)
+            del text  # a base's text is as large as its blocks: free it first
             if not isinstance(data, dict):
                 raise ValueError("shard payload is not a JSON object")
             blocks = data.get("blocks")
-            self._seen[plane_hash] = identity
             if (
                 data.get("schema") != self.version
                 or data.get("plane") != plane_hash
                 or not isinstance(blocks, list)
             ):
-                # Valid JSON of another shape or version (a v2 row shard, say)
-                # is a foreign file, not corruption: the next flush rewrites it.
+                # Valid JSON of another shape or version is a foreign file,
+                # not corruption: it holds no rows, and a compaction drops it.
                 return {}
             return _parse_blocks(blocks)
         except (ValueError, TypeError):
-            self._seen.pop(plane_hash, None)
-            self.stats.corrupt_artifacts += 1
+            with self._lock:  # compactions read outside it
+                self.stats.corrupt_artifacts += 1
             quarantined = _quarantine(path, self.root)
             where = f"quarantined to {quarantined}" if quarantined else "dropped"
             _warn_once(
@@ -434,13 +532,51 @@ class SimulationCache(_DiskCache):
             )
             return {}
 
+    def _merge_files(
+        self, plane_hash: str, names: Iterable[str], rows: Iterable[Tuple[tuple, "Block"]] = ()
+    ) -> Tuple[Dict[tuple, "Block"], List[str]]:
+        """``rows``, then the blocks of the plane's files ``names`` in order,
+        merged with later rows winning; and the names of the files read.
+
+        A file that cannot be read is left out of both.
+        """
+        directory = self._plane_dir(plane_hash)
+        parts: Dict[tuple, List[Block]] = {}
+        for key, block in rows:
+            parts.setdefault(key, []).append(block)
+        merged = []
+        for name in names:
+            loaded = self._read_file(plane_hash, directory / name)
+            if loaded is None:
+                continue
+            for key, block in loaded.items():
+                parts.setdefault(key, []).append(block)
+            merged.append(name)
+        return {key: Block.joined(blocks) for key, blocks in parts.items()}, merged
+
+    def _read_disk(self, plane_hash: str) -> Tuple[Dict[tuple, "Block"], List[str]]:
+        """One plane's blocks as currently on disk -- its newest base, then
+        its deltas in publish order -- and the names of the files read.
+
+        Missing or unreadable files count as empty.  A file a concurrent
+        compaction unlinks between the listing and the read is in the new
+        base, so the plane is listed again.
+        """
+        while True:
+            listing = _list_plane(self._plane_dir(plane_hash))
+            try:
+                return self._merge_files(plane_hash, (*listing.bases[-1:], *listing.deltas))
+            except _Vanished:
+                continue
+
     def _shard(self, plane_hash: str) -> Dict[tuple, "Block"]:
         """The (memoized) block map of one plane, loaded from disk once."""
         with self._lock:
             shard = self._shards.get(plane_hash)
             if shard is None:
-                shard = self._read_disk(plane_hash)
+                shard, read = self._read_disk(plane_hash)
                 self._shards[plane_hash] = shard
+                self._held[plane_hash] = set(read)
             return shard
 
     # ---------------------------------------------------------------- get/put
@@ -487,18 +623,27 @@ class SimulationCache(_DiskCache):
         plane, key, frequency = self._key(
             scenario, benchmark, kind, design, pe_frequency_mhz, force_dimension
         )
-        return self._lookup(self._shard(plane).get(key), frequency)
+        with self._lock:
+            return self._lookup(self._shard(plane).get(key), frequency)
 
     def _store(self, plane_hash: str, key: tuple, frequency: object, result: object) -> bool:
-        """Buffer result rows under their key; ``False`` if the type is uncacheable."""
+        """Buffer result rows under their key; ``False`` if the type is uncacheable.
+
+        The rows are appended to the plane's block, without copying it, and
+        queued for the next flush.
+        """
         block = Block.of(result, frequency)
         if block is None:
             return False
         with self._lock:
             shard = self._shard(plane_hash)
             mine = shard.get(key)
-            shard[key] = block if mine is None else mine.merged(block)
-            self._dirty[plane_hash] = True
+            if mine is None:
+                shard[key] = Block(block.shape, block.matrix)
+            else:
+                mine.append(block)
+            if not self.read_only:
+                self._pending.setdefault(plane_hash, []).append((key, block))
         return True
 
     def put(
@@ -537,7 +682,8 @@ class SimulationCache(_DiskCache):
         results = []
         for request in requests:
             plane, key, frequency = self._key(*request)
-            results.append(self._lookup(self._shard(plane).get(key), frequency))
+            with self._lock:
+                results.append(self._lookup(self._shard(plane).get(key), frequency))
         return results
 
     def put_many(self, entries: Iterable[Sequence[object]]) -> int:
@@ -556,56 +702,111 @@ class SimulationCache(_DiskCache):
             )
 
     def flush(self) -> int:
-        """Publish every dirty shard atomically; returns shards written.
+        """Publish the rows stored since the last flush; returns planes published.
 
-        Transient write errors are retried with deterministic backoff; a
-        fatal disk error (full, read-only, permission denied) degrades the
-        cache to read-only with a one-shot warning and a ``write_errors``
-        count instead of aborting the run -- entries stay buffered in
-        memory, so in-process gets keep working.
+        Each plane's new rows go out as one delta file, outside the cache's
+        lock: gets and puts from other threads never wait on the disk.  A
+        plane that then holds more than :data:`MAX_DELTAS` deltas is
+        compacted.  Transient write errors are retried with deterministic
+        backoff; rows whose publish still fails go back to pending, so the
+        next flush retries them.  A fatal disk error (full, read-only,
+        permission denied) degrades the cache to read-only with a one-shot
+        warning and a ``write_errors`` count instead of aborting the run --
+        the rows stay in memory, so in-process gets keep working.
         """
-        written = 0
         with self._lock:
             if self.read_only:
                 return 0
-            dirty = [hash_ for hash_, flag in self._dirty.items() if flag]
-            for plane_hash in dirty:
-                try:
-                    self._publish_shard(plane_hash)
-                except OSError as error:
+            pending, self._pending = self._pending, {}
+        written = 0
+        for plane_hash, rows in pending.items():
+            try:
+                self._publish(plane_hash, rows)
+            except OSError as error:
+                with self._lock:
                     self._write_failed(error)
                     if self.read_only:
                         break
-                    continue
-                self._dirty[plane_hash] = False
-                written += 1
+                    # Older than anything stored since, which stays later.
+                    self._pending[plane_hash] = rows + self._pending.get(plane_hash, [])
+                continue
+            written += 1
         return written
 
-    def _publish_shard(self, plane_hash: str) -> None:
-        """Merge one plane with its shard on disk and publish the result."""
-        path = self._shard_path(plane_hash)
-        # The read-merge-publish below must be one critical section: without
-        # the shard lock, two writers sharing a shard can both read, then
-        # both publish, and the second replace silently drops the first
-        # writer's rows.
-        with self._shard_write_lock(path):
-            # Merge what reached disk since we loaded (another worker may
-            # share this plane -- every point of a frequency sweep does); our
-            # buffered rows win on conflict, and nothing another writer
-            # published is lost.  A shard file no one replaced since this
-            # instance read or wrote it holds nothing new.
-            shard = self._shards[plane_hash]
-            if plane_hash not in self._seen or self._identity(path) != self._seen[plane_hash]:
-                for key, block in self._read_disk(plane_hash).items():
-                    mine = shard.get(key)
-                    shard[key] = block if mine is None else block.merged(mine)
-            text = _shard_text(self.version, plane_hash, shard).encode("utf-8")
+    def _publish(self, plane_hash: str, rows: List[Tuple[tuple, "Block"]]) -> None:
+        """Publish one plane's new rows as a delta under a fresh name, then
+        compact the plane if it holds more than :data:`MAX_DELTAS` deltas."""
+        blocks, _ = self._merge_files(plane_hash, (), rows)
+        directory = self._plane_dir(plane_hash)
+        listing = _list_plane(directory)
+        name = f"delta-{listing.next_seq:08d}-{os.getpid()}-{next(_DELTAS_PUBLISHED)}.json"
+        publish_file(
+            directory / name,
+            lambda handle: _write_shard(handle, self.version, plane_hash, blocks),
+            _FLUSH_FAULTS,
+        )
+        with self._lock:
+            self._held[plane_hash].add(name)
+        if len(listing.deltas) >= MAX_DELTAS:
+            try:
+                self._compact(plane_hash)
+            except OSError as error:  # the delta is out: only the compaction failed
+                with self._lock:
+                    self._write_failed(error)
+
+    def _compact(self, plane_hash: str) -> None:
+        """Merge a plane's base and deltas into a new base generation.
+
+        Under the plane's lock: list the plane and merge what this instance
+        holds of it with the listed files it does not hold (the newest base
+        and the deltas, read in publish order); publish the merge -- blocks
+        by key, rows by frequency, so the same rows give the same bytes --
+        as ``base-<seq>.json``, with a sequence number above every listed
+        file's; then unlink the listed bases and the deltas merged.  Deltas
+        published meanwhile stay for readers to merge.  A plane whose newest
+        base cannot be read is left as it is.
+        """
+        directory = self._plane_dir(plane_hash)
+        with _plane_lock(directory):
+            while True:
+                listing = _list_plane(directory)
+                if len(listing.deltas) <= MAX_DELTAS:
+                    return  # another writer compacted it meanwhile
+                with self._lock:
+                    held = set(self._held[plane_hash])
+                    mine = [
+                        (key, Block(block.shape, block.matrix))
+                        for key, block in self._shards[plane_hash].items()
+                    ]
+                names = (*listing.bases[-1:], *listing.deltas)
+                try:
+                    blocks, read = self._merge_files(
+                        plane_hash, [name for name in names if name not in held], mine
+                    )
+                except _Vanished:
+                    continue
+                break
+            merged = [name for name in names if name in held or name in read]
+            if listing.bases and listing.bases[-1] not in merged:
+                return
+            ordered = {key: blocks[key] for key in sorted(blocks, key=_key_order)}
+            base = f"base-{listing.next_seq:08d}.json"
             publish_file(
-                path,
-                lambda handle: handle.write(text),
-                ("diskcache.flush.write", "diskcache.flush.replace"),
+                directory / base,
+                lambda handle: _write_shard(handle, self.version, plane_hash, ordered, True),
+                _FLUSH_FAULTS,
             )
-            self._seen[plane_hash] = self._identity(path)
+            gone = dict.fromkeys((*listing.bases, *merged))
+            for name in gone:
+                try:
+                    os.unlink(directory / name)
+                except OSError:
+                    pass  # gone already (quarantined), or left for the next compaction
+            with self._lock:
+                held = self._held[plane_hash]
+                held.difference_update(gone)
+                if not read:  # the base holds nothing this instance lacks
+                    held.add(base)
 
 
 # ------------------------------------------------------------- result codecs
@@ -699,6 +900,7 @@ def decode_result(
 #: Distribution dimensions by code: a block row stores its dimension as the
 #: index into this tuple, or NaN when it has none.
 _DIMENSION_VALUES = tuple(dimension.value for dimension in Dimension)
+_DIMENSION_CODES = frozenset(range(len(_DIMENSION_VALUES)))
 
 
 def _field_count(shape: tuple) -> int:
@@ -730,14 +932,19 @@ class Block:
     Every row has the result ``shape``.  ``matrix`` holds one float64 column
     per row: its PE frequency, its distribution dimension's code (the index
     into the ``Dimension`` values, NaN for none), then its float fields.
-    Blocks are never modified in place; :meth:`merged` builds a new one.
+    A cache grows its own blocks in place with :meth:`append`, serialized
+    by its lock; a ``matrix`` array never changes once handed out, and
+    every block a cache hands out is a snapshot that it never appends to.
     """
 
-    __slots__ = ("shape", "matrix", "_rows")
+    __slots__ = ("shape", "matrix", "_buffer", "_rows")
 
     def __init__(self, shape: tuple, matrix: np.ndarray) -> None:
         self.shape = shape
         self.matrix = matrix
+        #: ``matrix`` is the first columns of this buffer; appends fill the
+        #: spare ones, which no matrix handed out covers.
+        self._buffer = matrix
         self._rows: Optional[Dict[float, int]] = None
 
     def __len__(self) -> int:
@@ -777,41 +984,76 @@ class Block:
         """Every row as one array-valued engine result (without dimensions)."""
         return decode_result(self.shape, list(self.matrix[2:]))
 
-    def row_of(self, frequency: float) -> Optional[int]:
-        """The row at one frequency, or ``None``."""
+    def _index(self) -> Dict[float, int]:
         if self._rows is None:
             self._rows = dict(zip(self.frequencies.tolist(), range(len(self))))
-        return self._rows.get(frequency)
+        return self._rows
+
+    def row_of(self, frequency: float) -> Optional[int]:
+        """The row at one frequency, or ``None``."""
+        return self._index().get(frequency)
 
     def select(self, frequencies: np.ndarray) -> Optional["Block"]:
         """The rows at these frequencies, in their order; ``None`` if none is here."""
         own = self.frequencies
         if len(own) == len(frequencies) and np.array_equal(own, frequencies):
-            return self
+            return Block(self.shape, self.matrix)
         order = np.argsort(own, kind="stable")
         ordered = own[order]
         at = np.minimum(np.searchsorted(ordered, frequencies), len(own) - 1)
         rows = order[at][ordered[at] == frequencies]
         return Block(self.shape, self.matrix[:, rows]) if len(rows) else None
 
-    def merged(self, newer: "Block") -> "Block":
-        """These rows updated with ``newer``'s: its rows win, and a changed
-        result shape replaces the whole block."""
+    def append(self, newer: "Block") -> None:
+        """Add ``newer``'s rows in place: its rows win, and a changed result
+        shape replaces the whole block.
+
+        The rows held are not copied unless ``newer`` replaces some of them
+        or the buffer is full; the buffer then grows by half, so appending
+        costs amortized O(new rows).
+        """
         if newer.shape != self.shape:
-            return newer
-        stale = [
-            row
-            for row in map(self.row_of, newer.frequencies.tolist())
-            if row is not None
-        ]
-        if len(stale) == len(self):
-            return newer
-        kept = np.delete(self.matrix, stale, axis=1) if stale else self.matrix
-        block = Block(self.shape, np.concatenate([kept, newer.matrix], axis=1))
-        if not stale:  # rows only appended: extend the row index
-            block._rows = dict(self._rows)  # type: ignore[arg-type]
-            block._rows.update(zip(newer.frequencies.tolist(), range(len(self), len(block))))
-        return block
+            self.shape, self.matrix, self._buffer, self._rows = (
+                newer.shape, newer.matrix, newer.matrix, None,
+            )
+            return
+        rows = self._index()
+        added = newer.frequencies.tolist()
+        stale = [row for row in map(rows.get, added) if row is not None]
+        held = np.delete(self.matrix, stale, axis=1) if stale else self.matrix
+        width, count = held.shape[1], len(added)
+        buffer = self._buffer
+        if stale or width + count > buffer.shape[1]:
+            buffer = np.empty((len(held), 3 * (width + count) // 2 + 1))
+            buffer[:, :width] = held
+        buffer[:, width : width + count] = newer.matrix
+        self._buffer, self.matrix = buffer, buffer[:, : width + count]
+        if stale:
+            self._rows = None
+        else:
+            rows.update(zip(added, range(width, width + count)))
+
+    @staticmethod
+    def joined(blocks: Sequence["Block"]) -> "Block":
+        """One block of these blocks' rows, later rows winning as in
+        :meth:`append`, in one matrix of exactly their size."""
+        # A changed result shape replaces every row before it.
+        start = max(
+            (i for i in range(1, len(blocks)) if blocks[i].shape != blocks[i - 1].shape),
+            default=0,
+        )
+        blocks = blocks[start:]
+        if len(blocks) == 1:
+            return blocks[0]
+        matrix = np.concatenate([block.matrix for block in blocks], axis=1)
+        last = dict(zip(matrix[0].tolist(), range(matrix.shape[1])))
+        if len(last) < matrix.shape[1]:  # superseded rows
+            matrix = matrix[:, sorted(last.values())]
+        return Block(blocks[0].shape, matrix)
+
+    def by_frequency(self) -> "Block":
+        """These rows in ascending frequency order."""
+        return Block(self.shape, self.matrix[:, np.argsort(self.frequencies, kind="stable")])
 
     def packed(self) -> str:
         """The matrix as base64 text of little-endian float64."""
@@ -830,7 +1072,7 @@ class Block:
             raise ValueError("malformed cache block")
         matrix = matrix.reshape(height, -1)
         codes = matrix[1]
-        if not np.all(np.isnan(codes) | np.isin(codes, range(len(_DIMENSION_VALUES)))):
+        if not set(codes[codes == codes].tolist()) <= _DIMENSION_CODES:  # NaN: no dimension
             raise ValueError("malformed cache block")
         return cls(shape, matrix)
 

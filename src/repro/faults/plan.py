@@ -35,9 +35,9 @@ PLAN_SCHEMA_VERSION = 1
 #: injection hook rejects unregistered names, so a typo at a call site (or
 #: in a plan) fails loudly instead of never firing.
 FAULT_POINTS: Dict[str, str] = {
-    "diskcache.shard.read": "reading a simulation-cache shard from disk",
-    "diskcache.flush.write": "writing a shard temp file during flush (torn writes)",
-    "diskcache.flush.replace": "atomically publishing a shard via os.replace",
+    "diskcache.shard.read": "reading one simulation-cache shard file (a base or a delta)",
+    "diskcache.flush.write": "writing a delta or compacted base temp file (torn writes)",
+    "diskcache.flush.replace": "publishing a delta or compacted base via os.replace onto a new name",
     "modelcache.read": "reading a trained-model artifact from disk",
     "modelcache.write": "writing a model temp file during put (torn writes)",
     "modelcache.replace": "atomically publishing a model artifact via os.replace",

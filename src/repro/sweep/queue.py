@@ -54,7 +54,7 @@ simulations -- and an unrelated ``repro compare`` benefits from a sweep that
 already visited its scenario.
 
 The manifest digest covers the cache schema version, so after a schema bump
-(v2 -> v3) a bare ``--resume`` of an older sweep starts clean in a new
+(v3 -> v4) a bare ``--resume`` of an older sweep starts clean in a new
 default workdir, and resuming an older explicit ``--workdir`` is refused.
 """
 

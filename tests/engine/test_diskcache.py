@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,33 @@ def test_unknown_result_types_are_uncacheable():
     assert Block.of({"custom": 1}, 312.5) is None
     with pytest.raises(ValueError, match="unknown cache entry type"):
         decode_result(["quantum"], [])
+
+
+def test_appending_and_joining_blocks_agree(scenario, workload):
+    """Growing a block in place and joining its parts once give the same
+    rows: later rows win, and a changed result shape replaces the rest."""
+    routing, end_to_end = _routing(scenario, workload), _end_to_end(scenario, workload)
+
+    def rows(frequencies, time_seconds):
+        result = dataclasses.replace(routing, time_seconds=time_seconds)
+        return Block.of(result, np.array(frequencies, dtype=np.float64))
+
+    superseded = [rows([1.0, 2.0], 1.0), rows([3.0], 2.0), rows([2.0, 4.0], 3.0)]
+    reshaped = [rows([1.0], 1.0), Block.of(end_to_end, 5.0), rows([6.0], 2.0)]
+    for parts in (superseded, reshaped):
+        grown = Block(parts[0].shape, parts[0].matrix)
+        for part in parts[1:]:
+            handed_out = grown.matrix
+            before = handed_out.copy()
+            grown.append(part)
+            assert np.array_equal(handed_out, before, equal_nan=True)
+        joined = Block.joined(parts)
+        assert grown.shape == joined.shape
+        assert np.array_equal(grown.matrix, joined.matrix, equal_nan=True)
+    assert joined.frequencies.tolist() == [6.0]
+    grown = Block.joined(superseded)
+    assert grown.frequencies.tolist() == [1.0, 3.0, 2.0, 4.0]
+    assert [grown.row(j).time_seconds for j in range(4)] == [1.0, 2.0, 3.0, 3.0]
 
 
 # ----------------------------------------------------------------- hashing
@@ -201,7 +229,7 @@ def test_corrupt_shard_counts_as_miss(tmp_path, scenario, workload):
     shard.write_text("{not json", encoding="utf-8")
     reader = SimulationCache(tmp_path)
     assert reader.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET) is None
-    # The next flush rewrites the corrupt shard wholesale.
+    # The corrupt file was quarantined; the next flush publishes the row anew.
     reader.put(scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result)
     assert reader.flush() == 1
     fresh = SimulationCache(tmp_path)
@@ -261,14 +289,30 @@ def test_flush_merges_with_concurrent_shard_writers(tmp_path, scenario, workload
 # ------------------------------------------------------------ shard format
 
 
-def _shard_file(tmp_path, scenario):
+def _plane_dir(tmp_path, scenario):
     digest = scenario.plane_hash()
-    return tmp_path / f"v{CACHE_SCHEMA_VERSION}" / digest[:2] / f"{digest}.json"
+    return tmp_path / f"v{CACHE_SCHEMA_VERSION}" / digest[:2] / digest
+
+
+def _plane_files(tmp_path, scenario):
+    """The shard files of a scenario's plane: its base and deltas."""
+    return sorted(_plane_dir(tmp_path, scenario).glob("*.json"))
+
+
+def _shard_file(tmp_path, scenario):
+    """The one shard file of a plane flushed once."""
+    [path] = _plane_files(tmp_path, scenario)
+    return path
+
+
+def _delta_path(tmp_path, scenario, seq=1):
+    """Where a delta a process with pid 1 published first would live."""
+    return _plane_dir(tmp_path, scenario) / f"delta-{seq:08d}-1-0.json"
 
 
 def _write_shard(path, blocks, schema=CACHE_SCHEMA_VERSION, body="blocks"):
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"schema": schema, "plane": path.stem}
+    header = {"schema": schema, "plane": path.parent.name}
     path.write_text(json.dumps({**header, body: blocks}), encoding="utf-8")
 
 
@@ -295,7 +339,7 @@ def test_shard_rows_store_each_key_once(tmp_path, scenario, workload):
         cache.put(variant, workload, "routing", DesignPoint.PIM_CAPSNET, result)
     cache.flush()
     data = json.loads(_shard_file(tmp_path, scenario).read_text(encoding="utf-8"))
-    assert data["schema"] == CACHE_SCHEMA_VERSION == 3
+    assert data["schema"] == CACHE_SCHEMA_VERSION == 4
     assert data["plane"] == scenario.plane_hash() == faster.plane_hash()
     # One block holds the key once and one row per frequency.
     [block] = data["blocks"]
@@ -336,7 +380,7 @@ def test_shard_with_malformed_rows_is_quarantined(
     tmp_path, scenario, workload, rows, capsys
 ):
     result = _routing(scenario, workload)
-    shard = _shard_file(tmp_path, scenario)
+    shard = _delta_path(tmp_path, scenario)
     # One bad block spoils the whole shard, even next to a well-formed one.
     _write_shard(shard, [_block_row(workload, result), *rows])
     cache = SimulationCache(tmp_path)
@@ -348,11 +392,11 @@ def test_shard_with_malformed_rows_is_quarantined(
     assert "corrupt cache shard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("schema", [1, 2, CACHE_SCHEMA_VERSION])
+@pytest.mark.parametrize("schema", [1, 2, 3, CACHE_SCHEMA_VERSION])
 def test_foreign_json_at_a_shard_path_is_a_plain_miss(tmp_path, scenario, workload, schema):
-    """A v1 entry map or v2 rows at a v3 shard path: a plain miss, rewritten."""
+    """A v1 entry map or v2 rows at a delta path: a plain miss, not corruption."""
     result = _routing(scenario, workload)
-    shard = _shard_file(tmp_path, scenario)
+    shard = _delta_path(tmp_path, scenario)
     v1_entry = {
         "key": {"schema": 1, "scenario": scenario.hardware_hash(), "kind": "routing"},
         "result": {"type": "routing"},
@@ -363,28 +407,47 @@ def test_foreign_json_at_a_shard_path_is_a_plain_miss(tmp_path, scenario, worklo
     assert cache.stats.misses == 1
     assert cache.stats.corrupt_artifacts == 0
     assert shard.exists() and not (tmp_path / "corrupt").exists()
-    # The next flush rewrites the foreign file in the v3 layout.
+    # The next flush publishes its row in a delta beside the foreign file.
     cache.put(scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result)
     assert cache.flush() == 1
-    assert isinstance(json.loads(shard.read_text(encoding="utf-8"))["blocks"], list)
+    [published] = [path for path in _plane_files(tmp_path, scenario) if path != shard]
+    assert isinstance(json.loads(published.read_text(encoding="utf-8"))["blocks"], list)
     fresh = SimulationCache(tmp_path)
     assert fresh.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET) == result
 
 
-def test_v2_tree_is_ignored(tmp_path, scenario, workload):
+def _assert_old_tree_is_ignored(tmp_path, scenario, workload, old_shard):
+    """A cache misses on an older schema's shard and leaves it as it was."""
     result = _routing(scenario, workload)
+    before = old_shard.read_bytes()
+    cache = SimulationCache(tmp_path)
+    assert cache.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET) is None
+    cache.put(scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result)
+    assert cache.flush() == 1
+    assert old_shard.read_bytes() == before
+    assert _shard_file(tmp_path, scenario).exists()
+
+
+def test_v2_tree_is_ignored(tmp_path, scenario, workload):
     digest = scenario.hardware_hash()
     v2_shard = tmp_path / "v2" / digest[:2] / f"{digest}.json"
     v2_row = [benchmark_hash(workload), "routing", DesignPoint.PIM_CAPSNET.value,
               None, None, {"type": "routing"}]
     _write_shard(v2_shard, [v2_row], schema=2, body="entries")
-    before = v2_shard.read_bytes()
-    cache = SimulationCache(tmp_path)
-    assert cache.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET) is None
-    cache.put(scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result)
-    assert cache.flush() == 1
-    assert v2_shard.read_bytes() == before
-    assert _shard_file(tmp_path, scenario).exists()
+    _assert_old_tree_is_ignored(tmp_path, scenario, workload, v2_shard)
+
+
+def test_v3_tree_is_ignored(tmp_path, scenario, workload):
+    # Schema 3 kept one file per plane, rewritten by every flush.
+    digest = scenario.plane_hash()
+    v3_shard = tmp_path / "v3" / digest[:2] / f"{digest}.json"
+    v3_shard.parent.mkdir(parents=True)
+    v3_shard.write_text(
+        json.dumps({"schema": 3, "plane": digest,
+                    "blocks": [_block_row(workload, _routing(scenario, workload))]}),
+        encoding="utf-8",
+    )
+    _assert_old_tree_is_ignored(tmp_path, scenario, workload, v3_shard)
 
 
 def test_overrides_survive_a_disk_round_trip(tmp_path, scenario, workload):
@@ -483,6 +546,184 @@ def test_writers_sharing_a_plane_keep_each_others_rows(tmp_path, scenario, workl
     assert fresh.get(scenario, workload, "routing", DesignPoint.BASELINE_GPU) is None
 
 
+# ---------------------------------------------------- deltas and compaction
+
+
+def _put_row(cache, scenario, workload, result, frequency, design=DesignPoint.PIM_CAPSNET):
+    assert cache.put(scenario, workload, "routing", design, result, pe_frequency_mhz=frequency)
+
+
+def _shard_tree(root):
+    """Every shard file below a cache root, by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*.json"))
+    }
+
+
+@pytest.fixture
+def published_bytes(monkeypatch):
+    """The size of every file ``publish_file`` writes from now on."""
+    sizes = []
+    publish = diskcache.publish_file
+
+    def measured(path, write, faults=()):
+        def counted(handle):
+            write(handle)
+            sizes.append(handle.tell())
+
+        publish(path, counted, faults)
+
+    monkeypatch.setattr(diskcache, "publish_file", measured)
+    return sizes
+
+
+def test_a_one_row_flush_writes_the_same_bytes_however_full_the_plane(
+    tmp_path, scenario, workload, published_bytes
+):
+    result = _routing(scenario, workload)
+    written = {}
+    for held in (4, 200):
+        cache = SimulationCache(tmp_path / str(held))
+        for index in range(held):
+            _put_row(cache, scenario, workload, result, 100.0 + index)
+        assert cache.flush() == 1
+        published_bytes.clear()
+        _put_row(cache, scenario, workload, result, 1000.0)
+        assert cache.flush() == 1
+        written[held] = sum(published_bytes)
+    # The flush publishes its one row, not the plane it joins.
+    assert written[4] == written[200] > 0
+
+
+def test_a_hundred_one_row_flushes_keep_the_plane_bounded(tmp_path, scenario, workload):
+    result = _routing(scenario, workload)
+    cache = SimulationCache(tmp_path)
+    frequencies = [100.0 + index for index in range(100)]
+    for frequency in frequencies:
+        _put_row(cache, scenario, workload, result, frequency)
+        assert cache.flush() == 1
+        assert len(_plane_files(tmp_path, scenario)) <= diskcache.MAX_DELTAS + 1
+    assert not list(tmp_path.rglob("*.tmp"))
+    fresh = SimulationCache(tmp_path)
+    for frequency in frequencies:
+        assert fresh.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        ) == result
+    assert (fresh.stats.hits, fresh.stats.misses) == (100, 0)
+
+
+def test_the_same_rows_in_any_order_compact_to_the_same_bytes(tmp_path, scenario, workload):
+    result = _routing(scenario, workload)
+    designs = (DesignPoint.PIM_CAPSNET, DesignPoint.BASELINE_GPU, DesignPoint.ALL_IN_PIM)
+    # One row per flush: the last of these flushes compacts the plane.
+    rows = [
+        (designs[index % len(designs)], 100.0 + (7 * index) % 13)
+        for index in range(diskcache.MAX_DELTAS + 1)
+    ]
+    trees = []
+    for order, name in ((rows, "forward"), (rows[::-1], "backward")):
+        cache = SimulationCache(tmp_path / name)
+        for design, frequency in order:
+            _put_row(cache, scenario, workload, result, frequency, design)
+            assert cache.flush() == 1
+        trees.append(_shard_tree(tmp_path / name))
+    forward, backward = trees
+    assert len(forward) == 1
+    assert forward == backward
+    [text] = forward.values()
+    for block in json.loads(text)["blocks"]:
+        frequencies = Block.from_json(*block[4:]).frequencies.tolist()
+        assert frequencies == sorted(frequencies)
+
+
+def test_a_reader_lists_again_when_a_compaction_takes_its_delta(
+    tmp_path, scenario, workload, monkeypatch
+):
+    result = _routing(scenario, workload)
+    writer = SimulationCache(tmp_path)
+    frequencies = [100.0 + index for index in range(diskcache.MAX_DELTAS + 1)]
+    for frequency in frequencies[:-1]:
+        _put_row(writer, scenario, workload, result, frequency)
+        assert writer.flush() == 1
+    list_plane = diskcache._list_plane
+    compacted = []
+
+    def listing_then_compaction(directory):
+        listing = list_plane(directory)
+        if not compacted:
+            compacted.append(listing)
+            # One more delta: the writer compacts the plane and unlinks every
+            # delta the reader has just listed.
+            _put_row(writer, scenario, workload, result, frequencies[-1])
+            assert writer.flush() == 1
+        return listing
+
+    monkeypatch.setattr(diskcache, "_list_plane", listing_then_compaction)
+    reader = SimulationCache(tmp_path)
+    for frequency in frequencies:
+        assert reader.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        ) == result
+    [listing] = compacted
+    assert len(listing.deltas) == diskcache.MAX_DELTAS and not listing.bases
+    assert [path.name.split("-")[0] for path in _plane_files(tmp_path, scenario)] == ["base"]
+    assert (reader.stats.hits, reader.stats.corrupt_artifacts) == (len(frequencies), 0)
+
+
+def test_gets_and_puts_do_not_wait_for_a_flush_on_the_disk(
+    tmp_path, scenario, workload, monkeypatch
+):
+    result = _routing(scenario, workload)
+    cache = SimulationCache(tmp_path)
+    _put_row(cache, scenario, workload, result, 312.5)
+    inside, release = threading.Barrier(2, timeout=60), threading.Event()
+    publish = diskcache.publish_file
+
+    def held_publish(path, write, faults=()):
+        def held(handle):
+            inside.wait()  # the flush is now inside its publish
+            release.wait(timeout=60)
+            write(handle)
+
+        publish(path, held, faults)
+
+    monkeypatch.setattr(diskcache, "publish_file", held_publish)
+    answers = []
+
+    def use_the_cache():
+        answers.append(cache.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET))
+        answers.append(
+            cache.put(
+                scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result,
+                pe_frequency_mhz=625.0,
+            )
+        )
+
+    flusher = threading.Thread(target=cache.flush)
+    user = threading.Thread(target=use_the_cache)
+    flusher.start()
+    try:
+        inside.wait()
+        user.start()
+        user.join(timeout=10)
+        assert not user.is_alive(), "get/put waited for another thread's disk write"
+        assert answers == [result, True]
+    finally:
+        release.set()
+        flusher.join(timeout=60)
+        if user.ident is not None:
+            user.join(timeout=60)
+    assert not flusher.is_alive()
+    # The row stored during the publish is the next flush's.
+    monkeypatch.setattr(diskcache, "publish_file", publish)
+    assert cache.flush() == 1
+    fresh = SimulationCache(tmp_path)
+    for frequency in (312.5, 625.0):
+        assert fresh.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        ) == result
+
+
 def test_get_many_counts_hits_and_misses_per_entry(tmp_path, scenario, workload):
     result = _routing(scenario, workload)
     writer = SimulationCache(tmp_path)
@@ -539,7 +780,7 @@ def test_get_many_reads_each_shard_once(tmp_path, scenario, workload, monkeypatc
     for _ in range(3):
         assert reader.get_many(requests) == [result] * len(requests)
     assert sorted(reads) == sorted(
-        f"{variant.plane_hash()}.json" for variant in (scenario, narrower)
+        _shard_file(tmp_path, variant).name for variant in (scenario, narrower)
     )
     assert reader.stats.hits == 3 * len(requests)
 

@@ -6,13 +6,16 @@ errors flip the cache to read-only with one warning and a counter, and torn
 artifacts are quarantined and recomputed -- never re-read, never raised.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.api.scenario import Scenario
 from repro.core.accelerator import DesignPoint
+from repro.engine import diskcache
 from repro.engine.context import SimulationContext
-from repro.engine.diskcache import SimulationCache, TrainedModelCache
+from repro.engine.diskcache import MAX_DELTAS, SimulationCache, TrainedModelCache
 from repro.faults import DEFAULT_ATTEMPTS, FaultPlan, FaultRule, fired_counts, injected
 from repro.sweep import SweepSpec, run_queued_sweep
 from repro.sweep.queue import _ShardQueue, load_manifest
@@ -119,6 +122,104 @@ def test_torn_shard_is_quarantined_and_recomputed(
     warm = SimulationCache(tmp_path / "cache")
     assert warm.get(scenario, workload, "routing", DesignPoint.PIM_CAPSNET) == result
     assert warm.stats.corrupt_artifacts == 0
+
+
+def _flush_rows(cache, scenario, workload, result, frequencies):
+    """One flush per frequency, each publishing one row."""
+    for frequency in frequencies:
+        assert cache.put(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result,
+            pe_frequency_mhz=frequency,
+        )
+        assert cache.flush() == 1
+
+
+def _plane_files(root, scenario):
+    digest = scenario.plane_hash()
+    return sorted((root / f"v{diskcache.CACHE_SCHEMA_VERSION}" / digest[:2] / digest).glob("*.json"))
+
+
+@pytest.fixture
+def fault_calls(monkeypatch):
+    """Every ``(point, path)`` the cache module fires from now on."""
+    calls = []
+    fire = diskcache.fault_point
+
+    def recorded(name, path=None):
+        calls.append((name, path))
+        fire(name, path=path)
+
+    monkeypatch.setattr(diskcache, "fault_point", recorded)
+    return calls
+
+
+def test_every_delta_and_compaction_publish_fires_the_flush_points(
+    tmp_path, scenario, workload, result, fault_calls
+):
+    cache = SimulationCache(tmp_path / "cache")
+    # MAX_DELTAS + 1 deltas; publishing the last one compacts the plane.
+    _flush_rows(cache, scenario, workload, result, [100.0 + i for i in range(MAX_DELTAS + 1)])
+    [base] = _plane_files(tmp_path / "cache", scenario)
+    assert base.name.startswith("base-")
+    writes = [path for name, path in fault_calls if name == "diskcache.flush.write"]
+    replaces = [path for name, path in fault_calls if name == "diskcache.flush.replace"]
+    assert len(writes) == len(replaces) == MAX_DELTAS + 2
+    # The write point names the temporary file about to be published.
+    assert all(str(path).endswith(".tmp") for path in writes)
+    assert {Path(path).parent for path in writes} == {base.parent}
+    assert replaces == [None] * len(replaces)
+
+
+def test_each_shard_file_read_fires_the_read_point(
+    tmp_path, scenario, workload, result, fault_calls
+):
+    def reads():
+        return sorted(path for name, path in fault_calls if name == "diskcache.shard.read")
+
+    own, other = SimulationCache(tmp_path / "cache"), SimulationCache(tmp_path / "cache")
+    frequencies = [100.0 + i for i in range(MAX_DELTAS + 3)]
+    assert other.put(
+        scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result,
+        pe_frequency_mhz=frequencies[0],
+    )
+    _flush_rows(own, scenario, workload, result, frequencies[1 : MAX_DELTAS + 1])
+    deltas = _plane_files(tmp_path / "cache", scenario)
+    assert len(deltas) == MAX_DELTAS and not reads()
+    # Its compaction reads each delta it does not hold once, and not its own.
+    assert other.flush() == 1
+    assert reads() == deltas
+    _flush_rows(own, scenario, workload, result, frequencies[MAX_DELTAS + 1 :])
+    files = _plane_files(tmp_path / "cache", scenario)
+    assert [path.name.split("-")[0] for path in files] == ["base", "delta", "delta"]
+    fault_calls.clear()
+    reader = SimulationCache(tmp_path / "cache")
+    for frequency in frequencies:
+        assert reader.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        ) == result
+    assert reads() == files
+
+
+def test_a_corrupt_delta_is_quarantined_alone(tmp_path, scenario, workload, result, capsys):
+    frequencies = [100.0 + i for i in range(MAX_DELTAS + 4)]
+    _flush_rows(SimulationCache(tmp_path / "cache"), scenario, workload, result, frequencies)
+    base, *deltas = _plane_files(tmp_path / "cache", scenario)
+    assert base.name.startswith("base-") and len(deltas) == 3
+    deltas[1].write_text('{"schema": 4, "blocks": [', encoding="utf-8")
+
+    reader = SimulationCache(tmp_path / "cache")
+    found = [
+        reader.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        )
+        for frequency in frequencies
+    ]
+    # The base's rows and the other deltas' rows still serve.
+    assert found == [result] * (MAX_DELTAS + 2) + [None, result]
+    assert reader.stats.corrupt_artifacts == 1
+    assert [path.name for path in (tmp_path / "cache" / "corrupt").iterdir()] == [deltas[1].name]
+    assert _plane_files(tmp_path / "cache", scenario) == [base, deltas[0], deltas[2]]
+    assert "corrupt cache shard" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- model cache
@@ -259,3 +360,30 @@ def test_failed_publish_leaves_no_temp_file_and_keeps_the_old_file(
         assert fired_counts() == {point: DEFAULT_ATTEMPTS}  # every retry spent
     assert {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()} == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_compaction_leaves_no_temp_file_and_keeps_the_plane(
+    tmp_path, scenario, workload, result
+):
+    """The compaction publish of the test above: the flush's delta is out,
+    and the new base's publish fails for good."""
+    cache = SimulationCache(tmp_path / "cache")
+    frequencies = [100.0 + i for i in range(MAX_DELTAS + 1)]
+    _flush_rows(cache, scenario, workload, result, frequencies[:-1])
+    before = {path: path.read_bytes() for path in _plane_files(tmp_path / "cache", scenario)}
+    assert len(before) == MAX_DELTAS
+    # The first replace publishes the delta; every attempt of the base fails.
+    rule = FaultRule(point="diskcache.flush.replace", error="EIO", after=1, times=None)
+    with injected(_plan(rule)):
+        _flush_rows(cache, scenario, workload, result, frequencies[-1:])
+        assert fired_counts() == {"diskcache.flush.replace": DEFAULT_ATTEMPTS}
+    assert cache.stats.write_errors == 1 and not cache.read_only
+    after = {path: path.read_bytes() for path in _plane_files(tmp_path / "cache", scenario)}
+    assert {path: after[path] for path in before} == before
+    assert [path.name.split("-")[0] for path in after] == ["delta"] * (MAX_DELTAS + 1)
+    assert not list(tmp_path.rglob("*.tmp"))
+    fresh = SimulationCache(tmp_path / "cache")
+    for frequency in frequencies:
+        assert fresh.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET, pe_frequency_mhz=frequency
+        ) == result

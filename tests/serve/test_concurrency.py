@@ -1,6 +1,6 @@
 """Concurrency hardening for the layers the serve process shares.
 
-Extends the PR-5 cross-process flock coverage
+Extends the cache's cross-process coverage
 (``tests/engine/test_diskcache.py``) to the in-process thread model the
 HTTP server actually runs: many handler threads multiplexed onto one warm
 :class:`~repro.api.session.Session` and one persistent cache directory.
@@ -8,6 +8,7 @@ HTTP server actually runs: many handler threads multiplexed onto one warm
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.core.accelerator import DesignPoint
 from repro.engine.context import SimulationContext
-from repro.engine.diskcache import SimulationCache, TrainedModelCache
+from repro.engine.diskcache import MAX_DELTAS, SimulationCache, TrainedModelCache
 from repro.workloads.benchmarks import get_benchmark
 
 
@@ -69,8 +70,8 @@ def test_shared_session_threads_match_serial_byte_for_byte():
 
 
 def test_threaded_same_shard_writers_lose_no_entries(tmp_path):
-    # N threads each flush their own cache instance into one scenario shard
-    # concurrently -- the read-merge-publish flush must keep every entry.
+    # N threads each flush their own cache instance into one plane
+    # concurrently: each publishes its own delta, and every entry is kept.
     scenario = Scenario.default()
     workload = get_benchmark("Caps-MN1")
     context = SimulationContext(scenario=scenario)
@@ -108,6 +109,46 @@ def test_threaded_same_shard_writers_lose_no_entries(tmp_path):
             == result
         )
     assert fresh.stats.hits == writers
+
+
+def test_racing_flushes_and_compactions_lose_no_rows(tmp_path):
+    # More writers than cores, each flushing one row at a time into one
+    # plane: deltas race with each other and with compactions that unlink
+    # them.  Three writers share one cache instance, so its pending rows
+    # are swapped out by one flush while other threads store more.
+    scenario = Scenario.default()
+    workload = get_benchmark("Caps-MN1")
+    result = SimulationContext(scenario=scenario).routing(workload.name, DesignPoint.PIM_CAPSNET)
+    writers, rows_each = 6, 2 * MAX_DELTAS
+    shared = SimulationCache(tmp_path)
+    caches = [shared] * 3 + [SimulationCache(tmp_path) for _ in range(writers - 3)]
+    barrier = threading.Barrier(writers, timeout=60)
+
+    def write(index):
+        barrier.wait()
+        for row in range(rows_each):
+            assert caches[index].put(
+                scenario, workload, "routing", DesignPoint.PIM_CAPSNET, result,
+                pe_frequency_mhz=100.0 + index * rows_each + row,
+            )
+            caches[index].flush()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_threads([lambda i=i: write(i) for i in range(writers)])
+    finally:
+        sys.setswitchinterval(interval)
+
+    fresh = SimulationCache(tmp_path)
+    for frequency in range(writers * rows_each):
+        assert fresh.get(
+            scenario, workload, "routing", DesignPoint.PIM_CAPSNET,
+            pe_frequency_mhz=100.0 + frequency,
+        ) == result
+    assert fresh.stats.hits == writers * rows_each
+    assert all(cache.stats.write_errors == cache.stats.corrupt_artifacts == 0 for cache in caches)
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 # --------------------------------------------------- trained-model cache

@@ -16,7 +16,7 @@ from repro.api import Scenario
 from repro.api.scenario import preset_names
 from repro.core.accelerator import DesignPoint, PIMCapsNet
 from repro.core.pipeline import PipelineTiming
-from repro.engine.diskcache import Block, SimulationCache
+from repro.engine.diskcache import CACHE_SCHEMA_VERSION, Block, SimulationCache
 from repro.engine.strategies import (
     DesignPointStrategy,
     register_strategy,
@@ -196,7 +196,7 @@ def test_a_warm_rerun_over_a_batched_cache_simulates_nothing(tmp_path):
     )
     cold = SweepRunner(spec, jobs=1, cache_dir=tmp_path, backend="vectorized", verify="full").run()
     # One shard per PE count per pipeline depth.
-    assert len(list(tmp_path.glob("v3/**/*.json"))) == 2 * len(BATCH_PES)
+    assert len(list(tmp_path.glob(f"v{CACHE_SCHEMA_VERSION}/**/*.json"))) == 2 * len(BATCH_PES)
     for backend in ("vectorized", "scalar"):
         warm = SweepRunner(spec, jobs=1, cache_dir=tmp_path, backend=backend).run()
         assert warm.simulations_executed == 0
