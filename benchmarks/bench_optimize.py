@@ -15,6 +15,9 @@ probe/grid trajectory stays comparable):
 Each demo then re-runs warm on the same cache: the repeat must execute
 **zero** simulations (every probe a disk-cache hit) and render a
 byte-identical report -- the determinism contract of ``repro optimize``.
+Every demo runs ``REPEATS`` such cold + warm pairs, each on a fresh cache
+directory; the report records the median times with ``repeats`` and
+``cpu_count`` (the counts are the same in every pair).
 
 The JSON report lands next to this script (``benchmarks/BENCH_optimize.json``
 by default, override with argv[1]); CI uploads it as a workflow artifact.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -62,6 +66,9 @@ CONSTRAINED_SPEC = SweepSpec.from_axes(
 #: One workload keeps a probe cheap; the search behaviour is identical.
 BENCHMARKS = ["Caps-MN1"]
 
+#: Timed cold + warm pairs of each demo; the report records their medians.
+REPEATS = 3
+
 
 def _timed(objective, spec, *, cache_dir, **kwargs):
     start = time.perf_counter()
@@ -71,17 +78,19 @@ def _timed(objective, spec, *, cache_dir, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _demo(name, objective, spec, cache_dir, **kwargs):
-    """Cold + warm + exhaustive-verification runs of one demo problem."""
-    cold, cold_s = _timed(objective, spec, cache_dir=cache_dir, **kwargs)
-    print(f"{name} cold:  {cold_s:.3f}s  ({cold.describe_stats()})")
-    warm, warm_s = _timed(objective, spec, cache_dir=cache_dir, **kwargs)
-    print(f"{name} warm:  {warm_s:.3f}s  ({warm.describe_stats()})")
-    verify_kwargs = dict(kwargs)
-    verify_kwargs["driver"] = "exhaustive"
-    verify_kwargs.pop("refine", None)
-    full, full_s = _timed(objective, spec, cache_dir=cache_dir, **verify_kwargs)
-    print(f"{name} grid:  {full_s:.3f}s  ({full.describe_stats()})")
+def _pair(name, objective, spec, **kwargs):
+    """Cold + warm + exhaustive-verification runs of one demo problem on a
+    fresh cache directory, checked; returns the cold and warm runs."""
+    with tempfile.TemporaryDirectory(prefix="bench-optimize-") as cache_dir:
+        cold, cold_s = _timed(objective, spec, cache_dir=cache_dir, **kwargs)
+        print(f"{name} cold:  {cold_s:.3f}s  ({cold.describe_stats()})")
+        warm, warm_s = _timed(objective, spec, cache_dir=cache_dir, **kwargs)
+        print(f"{name} warm:  {warm_s:.3f}s  ({warm.describe_stats()})")
+        verify_kwargs = dict(kwargs)
+        verify_kwargs["driver"] = "exhaustive"
+        verify_kwargs.pop("refine", None)
+        full, full_s = _timed(objective, spec, cache_dir=cache_dir, **verify_kwargs)
+        print(f"{name} grid:  {full_s:.3f}s  ({full.describe_stats()})")
 
     grid = spec.grid_size()
     if cold.probes and len(cold.probes) >= grid:
@@ -108,14 +117,27 @@ def _demo(name, objective, spec, cache_dir, **kwargs):
             f"{best.assignment} != exhaustive optimum "
             f"{best_full.values[primary]} at {best_full.assignment}"
         )
+    return cold, cold_s, warm, warm_s
+
+
+def _demo(name, objective, spec, **kwargs):
+    """``REPEATS`` checked pairs of one demo problem: the last pair's counts
+    and the median times."""
+    cold_times, warm_times = [], []
+    for _ in range(REPEATS):
+        cold, cold_s, warm, warm_s = _pair(name, objective, spec, **kwargs)
+        cold_times.append(cold_s)
+        warm_times.append(warm_s)
+    grid = spec.grid_size()
+    best = cold.best_probe()
     return {
         "grid_points": grid,
         "driver": cold.driver,
         "probes": len(cold.probes),
         "probe_grid_ratio": len(cold.probes) / grid,
-        "cold_seconds": cold_s,
+        "cold_seconds": statistics.median(cold_times),
         "cold_simulations": cold.simulations_executed,
-        "warm_seconds": warm_s,
+        "warm_seconds": statistics.median(warm_times),
         "warm_simulations": warm.simulations_executed,
         "warm_cache_hits": warm.cache.hits,
         "warm_cache_misses": warm.cache.misses,
@@ -132,34 +154,31 @@ def main() -> int:
         if len(sys.argv) > 1
         else Path(__file__).parent / "BENCH_optimize.json"
     )
-    with tempfile.TemporaryDirectory(prefix="bench-optimize-") as freq_dir, \
-            tempfile.TemporaryDirectory(prefix="bench-optimize-") as area_dir:
-        print(f"frequency grid: {FREQUENCY_SPEC.describe()}")
-        frequency = _demo(
-            "frequency",
-            "fig17.average_speedup",
-            FREQUENCY_SPEC,
-            freq_dir,
-            driver="halving",
-        )
-        print(f"constrained grid: {CONSTRAINED_SPEC.describe()}")
-        constrained = _demo(
-            "constrained",
-            {
-                "name": "cheapest-fast-design",
-                "objectives": ["overhead.total_area_mm2:min"],
-                "constraints": ["fig17.average_speedup:within_pct_of_best=5"],
-            },
-            CONSTRAINED_SPEC,
-            area_dir,
-            driver="halving",
-        )
+    print(f"frequency grid: {FREQUENCY_SPEC.describe()}; {REPEATS} repeats, medians")
+    frequency = _demo(
+        "frequency",
+        "fig17.average_speedup",
+        FREQUENCY_SPEC,
+        driver="halving",
+    )
+    print(f"constrained grid: {CONSTRAINED_SPEC.describe()}; {REPEATS} repeats, medians")
+    constrained = _demo(
+        "constrained",
+        {
+            "name": "cheapest-fast-design",
+            "objectives": ["overhead.total_area_mm2:min"],
+            "constraints": ["fig17.average_speedup:within_pct_of_best=5"],
+        },
+        CONSTRAINED_SPEC,
+        driver="halving",
+    )
 
     payload = {
         "benchmark": "optimize",
         "version": __version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count() or 1,
+        "repeats": REPEATS,
         "frequency": frequency,
         "constrained": constrained,
     }

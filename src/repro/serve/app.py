@@ -1,8 +1,12 @@
 """The ``repro serve`` HTTP/JSON application.
 
-A long-running simulation service over stdlib
-:class:`http.server.ThreadingHTTPServer` -- no dependencies beyond the
-library itself.  Endpoints:
+A long-running simulation service over stdlib :class:`http.server.HTTPServer`
+-- no dependencies beyond the library itself.  Each accepted connection is
+served on a parked handler thread (a new thread starts only when none is
+parked), a JSON reply's headers and body leave in one write, and a repeated
+``/v1/run`` body reuses the scenario it resolved to (see
+:class:`_HTTPServer` and :meth:`~repro.serve.state.ServerState.resolve_run`).
+Endpoints:
 
 ====================  ========================================================
 ``POST /v1/run``      scenario + experiment/benchmark selection -> reports
@@ -46,13 +50,14 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 import signal
 import sys
 import threading
 import time
 import traceback
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Mapping, Optional, Sequence, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.api.request import (
@@ -60,7 +65,6 @@ from repro.api.request import (
     RequestError,
     compare_request,
     optimize_request,
-    run_request,
     sweep_request,
 )
 from repro.api.scenario import Scenario, preset_names
@@ -81,6 +85,11 @@ from repro.serve.state import ServeConfig, ServerState
 
 #: Upper bound on accepted request bodies (inline workloads stay small).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Handler threads kept parked for the next connection; a thread that ends
+#: its connection while this many are parked exits instead.
+MAX_PARKED_THREADS = 16
+#: Handler write buffer: a JSON reply up to this size leaves in one send.
+WRITE_BUFFER_BYTES = 64 * 1024
 
 _GET_PATHS = ("/healthz", "/metrics", "/v1/workloads", "/v1/presets")
 _POST_PATHS = ("/v1/run", "/v1/compare", "/v1/sweep", "/v1/optimize")
@@ -107,19 +116,90 @@ def _check_fields(body: Mapping, allowed: Sequence[str], endpoint: str) -> None:
 # ------------------------------------------------------------------- handler
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class _HTTPServer(HTTPServer):
+    """An :class:`HTTPServer` that serves each connection on a parked thread.
+
+    :meth:`process_request` hands an accepted connection to the handler
+    thread parked last, and starts a new (daemon) thread only when none is
+    parked, so concurrency stays unbounded as with
+    :class:`~http.server.ThreadingHTTPServer` while a steady stream of
+    connections starts no thread at all.  At most
+    :data:`MAX_PARKED_THREADS` wait; :meth:`server_close` ends them.
+    """
+
     allow_reuse_address = True
     #: Shared serve state; assigned by :class:`ReproServer` right after bind.
     state: ServerState
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._parked_lock = threading.Lock()
+        #: ``(thread, mailbox)`` of every parked handler thread.
+        self._parked: List[Tuple[threading.Thread, queue.SimpleQueue]] = []
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        with self._parked_lock:
+            parked = self._parked.pop() if self._parked else None
+        if parked is not None:
+            parked[1].put((request, client_address))
+            return
+        threading.Thread(
+            target=self._serve_connections,
+            args=(request, client_address),
+            name="repro-serve-handler",
+            daemon=True,
+        ).start()
+
+    def _serve_connections(self, request, client_address) -> None:
+        """A handler thread: serve one connection, park, serve the next."""
+        mailbox: queue.SimpleQueue = queue.SimpleQueue()
+        parked = (threading.current_thread(), mailbox)
+        while True:
+            # As ThreadingMixIn.process_request_thread: a failed connection
+            # must not end the thread; handle_error reports it on stderr.
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # repro: allow(RPR-H001)
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._parked_lock:
+                if self._closed or len(self._parked) >= MAX_PARKED_THREADS:
+                    return
+                self._parked.append(parked)
+            job = mailbox.get()
+            if job is None:
+                return
+            request, client_address = job
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that went away (mid-reply, or before its request was
+        # read) is not a server error: nothing is left to answer.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Close the listener, then wake every parked thread and end it."""
+        super().server_close()
+        with self._parked_lock:
+            self._closed = True
+            parked, self._parked = self._parked, []
+        for _, mailbox in parked:
+            mailbox.put(None)
+        for thread, _ in parked:
+            thread.join()
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
     """Routes requests onto the shared :class:`ServerState`."""
 
     protocol_version = "HTTP/1.1"
-    #: Headers and body go out as separate writes; with Nagle on, a
-    #: keep-alive client waits for its delayed ACK (~40 ms) before the body.
+    #: Buffered writes: a JSON reply's headers and body leave in one send.
+    wbufsize = WRITE_BUFFER_BYTES
+    #: Stream chunks, and replies larger than the buffer, still leave in
+    #: several writes; with Nagle on, a keep-alive client waits for its
+    #: delayed ACK (~40 ms) before each later one.
     disable_nagle_algorithm = True
 
     @property
@@ -131,6 +211,13 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             sys.stderr.write(
                 f"[serve] {self.address_string()} {format % args}\n"
             )
+
+    def handle_expect_100(self) -> bool:
+        """Send the interim ``100 Continue`` at once: the client waits for it
+        before it sends the body, so it must not wait in the write buffer."""
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # ------------------------------------------------------------- dispatch
 
@@ -245,6 +332,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _execute_with_timeout(self, fn):
         """Run one work callable, bounded by ``config.request_timeout``.
@@ -294,12 +382,18 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         try:
             size = int(length)
         except ValueError:
-            raise BadRequest("invalid Content-Length header", code="missing_body") from None
+            size = -1
+        if size < 0:
+            # Reading a negative length would wait for EOF, so the reply
+            # would never go; and where this body ends is unknown, so no
+            # request can follow it on this connection.
+            self.close_connection = True
+            raise BadRequest("invalid Content-Length header", code="missing_body")
         if size > MAX_BODY_BYTES:
             raise PayloadTooLarge(
                 f"request body over the {MAX_BODY_BYTES} byte limit"
             )
-        raw = self.rfile.read(size)
+        raw = self._raw_body = self.rfile.read(size)
         try:
             data = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -372,7 +466,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     def _post_run(self, body: dict) -> Tuple[int, bytes]:
         state = self.state
-        scenario, names, benchmarks = run_request(body, state.base_scenario)
+        scenario, names, benchmarks = state.resolve_run(self._raw_body, body)
         # Identical concurrent requests (same scenario *content*, same
         # selection) coalesce onto one underlying run; the scenario name is a
         # label and deliberately not part of the identity.

@@ -3,6 +3,9 @@
 One :class:`ServerState` is shared by every handler thread of a
 :class:`~repro.serve.app.ReproServer`:
 
+* an LRU of the resolved ``/v1/run`` bodies, keyed by their bytes, so a
+  repeated body reuses one :class:`~repro.api.scenario.Scenario` (its
+  content hash computed once);
 * a bounded LRU of :class:`WarmSession` entries, keyed by
   :meth:`~repro.api.scenario.Scenario.content_hash` -- every request for
   the same scenario (regardless of its name) lands on the same memoizing
@@ -29,8 +32,9 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, Optional
+from typing import Deque, Dict, Hashable, Mapping, Optional
 
+from repro.api.request import RunRequest, run_request
 from repro.api.scenario import Scenario
 from repro.api.session import Session
 from repro.engine.context import SimulationContext
@@ -56,7 +60,8 @@ class ServeConfig:
             ``~/.cache/repro``).
         use_cache: disable both persistent caches with ``False``.
         max_sessions: warm sessions kept in the LRU, with their encoded
-            ``/v1/run`` replies.
+            ``/v1/run`` replies; also the number of resolved ``/v1/run``
+            bodies kept.
         drain_timeout: seconds shutdown waits for in-flight work before
             closing anyway.
         quiet: suppress per-request access logging.
@@ -199,6 +204,7 @@ class ServerState:
         self.coalescer = Coalescer()
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[str, WarmSession]" = OrderedDict()
+        self._runs: "OrderedDict[bytes, RunRequest]" = OrderedDict()
         self.sessions_evicted = 0
         self._draining = threading.Event()
         self._work_done = threading.Condition()
@@ -208,6 +214,29 @@ class ServerState:
         self.requests_timed_out = 0
 
     # ---------------------------------------------------------------- sessions
+
+    def resolve_run(self, raw: bytes, fields: Mapping) -> RunRequest:
+        """:func:`~repro.api.request.run_request` of one ``/v1/run`` body.
+
+        ``fields`` is the parsed body ``raw``.  Memoized by ``raw`` in an LRU
+        of ``max_sessions`` entries: a repeated body reuses one resolved
+        scenario, whose content hash is already memoized and which
+        :meth:`warm_session` finds to be the very object its session holds.
+        Only resolutions are kept: a rejected body raises every time.
+        """
+        with self._lock:
+            resolved = self._runs.get(raw)
+            if resolved is not None:
+                self._runs.move_to_end(raw)
+                return resolved
+        resolved = run_request(fields, self.base_scenario)
+        with self._lock:
+            # A racing thread may have stored the same body first: keep its
+            # scenario, the one its session may already hold.
+            resolved = self._runs.setdefault(raw, resolved)
+            while len(self._runs) > self.config.max_sessions:
+                self._runs.popitem(last=False)
+        return resolved
 
     def warm_session(self, scenario: Scenario) -> WarmSession:
         """The LRU entry of one scenario (created and LRU-tracked on demand).

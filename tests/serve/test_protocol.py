@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -35,9 +36,10 @@ def test_healthz_reports_ok(client):
 
 
 def test_keep_alive_connection_answers_without_delayed_ack_stalls(server):
-    # Responses leave as two writes (headers, then body).  With Nagle's
-    # algorithm on, every response on a reused connection waited for the
-    # client's delayed ACK (~40 ms on Linux) before its body went out.
+    # A JSON reply leaves in one write, but stream chunks and replies larger
+    # than the handler's write buffer leave in several.  With Nagle's
+    # algorithm on, each later write on a reused connection waited for the
+    # client's delayed ACK (~40 ms on Linux).
     connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
     latencies = []
     try:
@@ -347,6 +349,56 @@ def test_missing_body_is_a_structured_400(client):
     status, payload = client.post("/v1/run", b"")
     assert status == 400
     assert _error_code(payload) in ("missing_body", "invalid_json")
+
+
+def _raw_head(server, length: str, *headers: str) -> bytes:
+    """The head of a raw ``POST /v1/run`` declaring ``Content-Length: length``."""
+    lines = [
+        "POST /v1/run HTTP/1.1",
+        f"Host: {server.host}:{server.port}",
+        "Content-Type: application/json",
+        f"Content-Length: {length}",
+        *headers,
+    ]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
+
+
+def _read_reply(sock: socket.socket):
+    """(status, body bytes) of the next final reply on ``sock``."""
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    try:
+        return response.status, response.read()
+    finally:
+        response.close()
+
+
+def test_a_negative_content_length_is_a_structured_400_not_a_hang(server):
+    # rfile.read(-1) reads to EOF, which a client waiting for its reply
+    # never sends: the length must be rejected before the body is read.
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(_raw_head(server, "-1") + b'{"experiments": ["fig16"]}')
+        status, raw = _read_reply(sock)
+    assert status == 400
+    payload = json.loads(raw)
+    assert _error_code(payload) == "missing_body"
+    assert payload["error"]["message"] == "invalid Content-Length header"
+
+
+def test_expect_100_continue_gets_its_interim_reply_before_the_body(server, client):
+    body = json.dumps({"experiments": ["fig16"], "benchmarks": ["Caps-MN1"]}).encode()
+    plain = client.post_raw("/v1/run", body)
+    assert plain[0] == 200
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(_raw_head(server, str(len(body)), "Expect: 100-continue"))
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(1024)
+            assert chunk, interim
+            interim += chunk
+        assert interim.startswith(b"HTTP/1.1 100"), interim
+        sock.sendall(body)
+        assert _read_reply(sock) == plain
 
 
 def test_unknown_field_is_a_structured_400(client):
